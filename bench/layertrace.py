@@ -122,49 +122,29 @@ def _counted(tracer, key, fn):
     return wrapper
 
 
-class Patches:
-    """Rebinds attributes and restores them on `undo`."""
-
-    def __init__(self):
-        self._saved = []
-
-    def rebind(self, module_name, attr, make):
-        """Replace module.attr, and every kwrob module's binding of the same
-        object, by make(original)."""
-        module = sys.modules[module_name]
-        orig = getattr(module, attr)
-        new = make(orig)
-        holders = [module] + [
-            m
-            for name, m in list(sys.modules.items())
-            if (name == "kwrob" or name.startswith("kwrob.")) and m is not module
-        ]
-        for holder in holders:
-            for key, value in list(vars(holder).items()):
-                if value is orig:
-                    self._saved.append((holder, key, orig))
-                    setattr(holder, key, new)
-
-    def method(self, cls, attr, make):
-        orig = cls.__dict__[attr]
-        self._saved.append((cls, attr, orig))
-        setattr(cls, attr, make(orig))
-
-    def undo(self):
-        for holder, key, orig in reversed(self._saved):
-            setattr(holder, key, orig)
-        self._saved.clear()
+def _rebind(module_name, attr, make):
+    """Replace module.attr, and every kwrob module's binding of the same
+    object, by make(original)."""
+    module = sys.modules[module_name]
+    orig = getattr(module, attr)
+    new = make(orig)
+    holders = [module] + [
+        m for name, m in list(sys.modules.items()) if (name == "kwrob" or name.startswith("kwrob.")) and m is not module
+    ]
+    for holder in holders:
+        for key, value in list(vars(holder).items()):
+            if value is orig:
+                setattr(holder, key, new)
 
 
-def instrument(tracer) -> Patches:
-    """Wrap the layer boundaries the per-layer metrics are read from.
-    kwrob.cli (and with it every kwrob module) must already be imported."""
+def instrument(tracer):
+    """Wrap the layer boundaries the per-layer metrics are read from, for
+    the rest of the process.  kwrob.cli (and with it every kwrob module)
+    must already be imported."""
     import kwrob.marginals as marginals
 
-    p = Patches()
-
     def span(module, attr, name=None, **kw):
-        p.rebind(module, attr, lambda fn: _timed(tracer, name or f"{module[6:]}.{attr}", fn, **kw))
+        _rebind(module, attr, lambda fn: _timed(tracer, name or f"{module[6:]}.{attr}", fn, **kw))
 
     for cmd in ("counterexample", "reproduce", "revenue", "lp"):
         span("kwrob.cli", f"cmd_{cmd}", f"cli.{cmd}")
@@ -179,10 +159,10 @@ def instrument(tracer) -> Patches:
     )
     span("kwrob.priors", "threshold_probs", hot=True)
     span("kwrob.priors", "sample", after=lambda a, k, out: tracer.count("priors.sample.rows", len(out) if out.ndim == 2 else 1))
-    p.rebind("kwrob.priors", "q1q2_from_qvec", lambda fn: _counted(tracer, "priors.q1q2_from_qvec.calls", fn))
+    _rebind("kwrob.priors", "q1q2_from_qvec", lambda fn: _counted(tracer, "priors.q1q2_from_qvec.calls", fn))
     for cls in (marginals.EqualRevenue, marginals.ShiftedEqualRevenue, marginals.Uniform, marginals.DiscretePMF):
         for attr in ("phi_geq_inv", "phi_gt_inv"):
-            p.method(cls, attr, lambda fn: _counted(tracer, "marginals.phi_inv.calls", fn))
+            setattr(cls, attr, _counted(tracer, "marginals.phi_inv.calls", cls.__dict__[attr]))
 
     span("kwrob.mechanisms", "threshold_payment", hot=True)
     span("kwrob.mechanisms", "run_mechanism", hot=True)
@@ -217,7 +197,6 @@ def instrument(tracer) -> Patches:
     span("kwrob.lp", "_solve", "lp.solve")
     span("kwrob.lp", "linprog", "lp.linprog", after=lambda a, k, res: tracer.count("lp.iterations", int(getattr(res, "nit", 0))))
     span("scipy.linalg", "qr", "lp.qr")
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ THREAD_ENV = {
     "MKL_NUM_THREADS": "1",
     "KWR_THREADS": "1",
 }
-STARTS = 3  # fresh interpreters per run; each sets up and runs job 1, the last runs warm jobs too
-RUN_TIMEOUT_S = 170  # a run ends, with or without a result, within this
+STARTS = 4  # fresh interpreters per run; each sets up and runs job 1, the last runs warm jobs too
+START_MARGIN_S = 30  # a start is killed this long after its --seconds have run out
 
 END_TO_END = {
     "setup_s": "s",
@@ -106,9 +106,10 @@ def _env():
     return env
 
 
-def _start(deadline, workload, seed, seconds, workdir, *flags):
+def _start(workload, seed, seconds, workdir, *flags):
     """Run one worker to its end; return (its result, launch time on the
-    system-wide monotonic clock).  The worker is killed at `deadline`."""
+    system-wide monotonic clock).  The worker is killed START_MARGIN_S
+    after its `seconds` have run out."""
     cmd = [
         sys.executable,
         str(HERE / "worker.py"),
@@ -121,7 +122,7 @@ def _start(deadline, workload, seed, seconds, workdir, *flags):
     launched = time.monotonic()
     proc = subprocess.Popen(cmd, cwd=ROOT, env=_env(), stdout=subprocess.PIPE, text=True)
     try:
-        out, _ = proc.communicate(timeout=max(deadline - launched, 1.0))
+        out, _ = proc.communicate(timeout=seconds + START_MARGIN_S)
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.communicate()
@@ -141,14 +142,12 @@ def _workdir(workload, seed, trace):
 
 def measure(workload, seed, seconds):
     """End-to-end metrics of one run, and the results of its workers."""
-    deadline = time.monotonic() + RUN_TIMEOUT_S
     base = _workdir(workload, seed, 0)
     runs, setup = [], []
     for k in range(STARTS):
         last = k == STARTS - 1
         # each start draws other inputs, so first_job_s is a median over inputs
-        flags = ("--first-input", str(k * 1000)) + (() if last else ("--min-warm", "0"))
-        res, launched = _start(deadline, workload, seed, seconds if last else 0, base / f"start{k}", *flags)
+        res, launched = _start(workload, seed, seconds if last else 0, base / f"start{k}", "--first-input", str(k * 1000))
         runs.append(res)
         setup.append(res["ready_monotonic"] - launched)
     warm = runs[-1]["jobs"][1:]
@@ -158,7 +157,7 @@ def measure(workload, seed, seconds):
         "job_p50_s": statistics.median(j["wall_s"] for j in warm),
         "jobs_per_s": len(warm) / sum(j["wall_s"] for j in warm),
         "cpu_s_per_job": statistics.median(j["cpu_s"] for j in warm),
-        "peak_rss_mb": runs[-1]["peak_rss_mb"],
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
     }
     record = {"workload": workload, "seed": seed, "seconds": seconds, "threads": THREAD_ENV, "setup_s": setup, "starts": runs}
     (base / "run.json").write_text(json.dumps(record, indent=1))
@@ -166,6 +165,7 @@ def measure(workload, seed, seconds):
         "attempted": sum(r["attempted"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
         "problems": [p for r in runs for p in r["problems"]],
+        "notes": [n for r in runs for n in r["notes"]],
     }
     return totals, {k: {"value": v, "unit": END_TO_END[k]} for k, v in metrics.items()}
 
@@ -184,7 +184,7 @@ def layer_metrics(res):
 
 def traced(workload, seed, seconds, *flags):
     base = _workdir(workload, seed, 1)
-    res, _ = _start(time.monotonic() + RUN_TIMEOUT_S, workload, seed, seconds, base, "--trace", "1", *flags)
+    res, _ = _start(workload, seed, seconds, base, "--trace", "1", *flags)
     metrics = layer_metrics(res)
     record = {"workload": workload, "seed": seed, "seconds": seconds, "threads": THREAD_ENV, "metrics": metrics, **res}
     (base / "run.json").write_text(json.dumps(record, indent=1))
@@ -197,7 +197,7 @@ def smoke():
     ok = True
     for name, command in zip(WORKLOAD_NAMES, ("cli.reproduce.s", "cli.revenue.s", "cli.lp.s")):
         t = time.perf_counter()
-        res, metrics = traced(name, 1, 0, "--smoke", "--min-warm", "0")
+        res, metrics = traced(name, 1, 0, "--smoke")
         good = not res["problems"] and metrics[command]["value"] > 0
         ok &= good
         print(
@@ -211,7 +211,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", choices=WORKLOAD_NAMES)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--smoke", action="store_true", help="one small traced job per workload")
     args = ap.parse_args(argv)
@@ -234,6 +234,8 @@ def main(argv=None):
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for note in res["notes"]:
+        print(f"note: {note}", file=sys.stderr)
     print(
         json.dumps(
             {

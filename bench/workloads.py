@@ -23,15 +23,17 @@ import numpy as np
 # not move if the program's own tolerances are loosened.
 LP_FEAS_TOL = 1e-9
 LP_GAP_TOL = 1e-7
-# The worst-case table is the LP solution clipped at 0 and renormalised
-# after the residual check, so on some instances its constraints hold only
-# to HiGHS's primal feasibility tolerance (1e-7 per entry), not FEAS_TOL
-# (up to 5.5e-8 seen).  Table checks use this tolerance until that is mended.
-LP_TABLE_TOL = 1e-6
+# HiGHS's default primal feasibility tolerance: the solver's x may break
+# its bounds x >= 0 by this much per entry.
+HIGHS_PRIMAL_FEAS_TOL = 1e-7
 
 
 class CheckFailed(Exception):
     pass
+
+
+class KnownFault(CheckFailed):
+    """The check found the named program fault its op is kept for."""
 
 
 @dataclass
@@ -183,7 +185,8 @@ class PaperExact:
         elif op.name == "myerson-uniform2":
             # Myerson on two Uniform(0, 1) bidders is AR(1/2): 5/12
             est = _load(op.out / "revenue.json")
-            _expect(_close(est["mean"], 5.0 / 12.0, 1e-12), f"exact Myerson on Uniform(0,1)x2 = {est['mean']}, not 5/12")
+            if not _close(est["mean"], 5.0 / 12.0, 1e-12):
+                raise KnownFault(f"exact Myerson on Uniform(0,1)x2 = {est['mean']}, not 5/12")
 
     def _check_curve(self, path, eps):
         n = self.n
@@ -285,19 +288,40 @@ class McCrosscheck:
 class LpKwise:
     """Worst-case pairwise-independent priors by LP on 8 bidders with 3
     support points each (6,561 cells), a fresh instance per job: Myerson,
-    AR(r) and the min-event probability Pr[>= 2 values >= 2], all at k = 2."""
+    AR(r) and the min-event probability Pr[>= 2 values >= 2], all at k = 2.
+    Each job also runs the min-event LP on FAULT_MASSES, a fixed instance
+    on which the written table breaks the constraints (the `lp._solve`
+    fault), and counts it as failed."""
 
     name = "lp-kwise"
     POINTS = (1.0, 2.0, 3.0)
     TAU = 2.0
+    # Drawn by params() for seed 104, input 0.  `lp._solve` checks the
+    # residual of HiGHS's x, then clips x at 0 and renormalises it: here x
+    # has an entry of -5.8e-8, so the written table's marginals are off by
+    # up to 5.8e-8 while the reported residual is 2e-15.
+    FAULT_MASSES = (
+        (0.48546248339494946, 0.19112020600538046, 0.32341731059967016),
+        (0.1605062448982604, 0.2946859566658324, 0.5448077984359072),
+        (0.34950015368569015, 0.5435285501312492, 0.10697129618306063),
+        (0.5392908603053683, 0.405052083223567, 0.055657056471064704),
+        (0.4405795595646423, 0.1955523072638474, 0.3638681331715103),
+        (0.07061824355768138, 0.6547364854938008, 0.2746452709485179),
+        (0.2864289283292941, 0.24797051583706028, 0.4656005558336456),
+        (0.40151583899505133, 0.174357807466556, 0.4241263535383926),
+    )
 
     def __init__(self, seed, workdir, smoke=False):
         self.seed = seed
         self.dir = Path(workdir)
         self.bidders = 4 if smoke else 8
+        self.notes = []  # seeded LPs whose table showed the _solve fault
+
+    def _write_instance(self, path, masses):
+        _write_json(path, {"marginals": [{"type": "discrete", "points": list(self.POINTS), "masses": list(m)} for m in masses]})
 
     def setup(self):
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self._write_instance(self.dir / "fault_instance.json", self.FAULT_MASSES)
 
     @classmethod
     def _regular(cls, masses):
@@ -322,52 +346,54 @@ class LpKwise:
     def write_job(self, j, out):
         p = self.params(j)
         inst = out / "instance.json"
-        _write_json(
-            inst,
-            {"marginals": [{"type": "discrete", "points": list(self.POINTS), "masses": m} for m in p["masses"]]},
-        )
-        base = ["lp", "worst-case", "--instance", str(inst), "--k", "2"]
+        self._write_instance(inst, p["masses"])
+
+        def op(name, argv, known_fault=False):
+            return Op(name, argv + ["--k", "2", "--out", str(out / name)], out / name, known_fault)
+
+        min_event = ["--tau", repr(self.TAU), "--count", "2"]
         ops = [
-            Op("lp-myerson", base + ["--mechanism", "myerson", "--out", str(out / "lp-myerson")], out / "lp-myerson"),
-            Op("lp-ar", base + ["--mechanism", "ar", "--r", repr(p["r"]), "--out", str(out / "lp-ar")], out / "lp-ar"),
-            Op(
-                "lp-min-event",
-                ["lp", "min-event", "--instance", str(inst), "--k", "2", "--tau", repr(self.TAU), "--count", "2", "--out", str(out / "lp-min-event")],
-                out / "lp-min-event",
-            ),
+            op("lp-myerson", ["lp", "worst-case", "--instance", str(inst), "--mechanism", "myerson"]),
+            op("lp-ar", ["lp", "worst-case", "--instance", str(inst), "--mechanism", "ar", "--r", repr(p["r"])]),
+            op("lp-min-event", ["lp", "min-event", "--instance", str(inst)] + min_event),
+            op("lp-min-event-fault", ["lp", "min-event", "--instance", str(self.dir / "fault_instance.json")] + min_event, True),
         ]
         return ops, p
 
     def check(self, op, p, runner):
+        masses = [np.asarray(m) for m in (self.FAULT_MASSES if op.known_fault else p["masses"])]
         sol = _load(op.out / "worst_case.json")
-        obj = sol["objective"]
-        _expect(sol["feasibility_residual"] <= LP_FEAS_TOL, f"residual {sol['feasibility_residual']}")
+        obj, resid = sol["objective"], sol["feasibility_residual"]
+        _expect(resid <= LP_FEAS_TOL, f"residual {resid}")
         _expect(sol["duality_gap"] <= LP_GAP_TOL * max(1.0, abs(obj)), f"duality gap {sol['duality_gap']}")
-        slack = sol["duality_gap"] + 1e-9  # the minimum is certified to within its duality gap
+        slack = sol["duality_gap"] + LP_FEAS_TOL  # the minimum is certified to within its duality gap
         values, mass = read_table_csv(op.out / "worst_case_table.csv")
-        masses = [np.asarray(m) for m in p["masses"]]
         n = len(masses)
         _expect(values.shape == (len(self.POINTS) ** n, n), f"table shape {values.shape}")
         _expect(mass.min() >= 0.0, "negative mass in the table")
-        _expect(abs(mass.sum() - 1.0) <= 1e-9, f"table sums to {mass.sum()}")
+        _expect(abs(mass.sum() - 1.0) <= LP_FEAS_TOL, f"table sums to {mass.sum()}")
+
+        # How far the written table is from what the solver certified: its
+        # single and pairwise marginals against the constraints, and the
+        # objective evaluated on it against the reported objective (scaled
+        # by the largest objective coefficient).
         idx = np.searchsorted(np.asarray(self.POINTS), values)
         k = len(self.POINTS)
-        single = [np.bincount(idx[:, i], weights=mass, minlength=k) for i in range(n)]
+        drift = {}
         for i in range(n):
-            _expect(np.abs(single[i] - masses[i]).max() <= LP_TABLE_TOL, f"bidder {i} marginal is off")
+            single = np.bincount(idx[:, i], weights=mass, minlength=k)
+            drift[f"bidder {i} marginal"] = np.abs(single - masses[i]).max()
             for j in range(i + 1, n):
                 pair = np.bincount(idx[:, i] * k + idx[:, j], weights=mass, minlength=k * k)
-                dev = np.abs(pair - np.outer(masses[i], masses[j]).ravel()).max()
-                _expect(dev <= LP_TABLE_TOL, f"pair ({i}, {j}) marginal off by {dev}")
+                drift[f"pair ({i}, {j}) marginal"] = np.abs(pair - np.outer(masses[i], masses[j]).ravel()).max()
         if op.name == "lp-ar":
             r = p["r"]
             top2 = np.sort(values, axis=1)[:, -2:]
             pay = np.where(top2[:, 1] >= r, np.maximum(r, top2[:, 0]), 0.0)
-            want = float(mass @ pay)
-            _expect(_close(obj, want, 0.0, LP_TABLE_TOL), f"AR objective {obj}, enumeration {want}")
-        elif op.name == "lp-min-event":
+            drift["AR objective against its enumeration over the table"] = abs(obj - float(mass @ pay)) / max(self.POINTS)
+        elif op.name.startswith("lp-min-event"):
             q2_table = float(mass[(values >= self.TAU).sum(axis=1) >= 2].sum())
-            _expect(_close(obj, q2_table, 0.0, LP_TABLE_TOL), f"min-event objective {obj}, table Q2 {q2_table}")
+            drift["min-event objective against the table's Q2"] = abs(obj - q2_table)
             q_tau = [float(m[np.asarray(self.POINTS) >= self.TAU].sum()) for m in masses]
             _, q2_ind = q1q2_product(q_tau)
             _expect(obj <= q2_ind + slack, f"min-event objective {obj} above product Q2 {q2_ind}")
@@ -386,6 +412,24 @@ class LpKwise:
             _expect(runner(["revenue", "--config", str(cfg), "--out", str(ref)]) == 0, "product revenue failed")
             want = _load(ref / "revenue.json")["mean"]
             _expect(obj <= want + slack, f"Myerson worst case {obj} above product revenue {want}")
+        self._check_drift(op, drift, max(resid, LP_FEAS_TOL))
+
+    def _check_drift(self, op, drift, strict):
+        """The table must meet the constraints and the objective as closely
+        as the reported residual says (`strict`).  The `lp._solve` fault
+        moves it by up to HiGHS's primal feasibility tolerance more: on the
+        fixed fault instance that is the op's known failure; on a seeded
+        instance, where whether it shows depends on the seed, it is noted
+        in the run's record and not counted.  Any larger drift fails."""
+        what, dev = max(drift.items(), key=lambda kv: kv[1])
+        if dev <= strict:
+            return
+        msg = f"{what} off by {dev:.3g}, more than the reported residual allows ({strict:.3g})"
+        if dev > strict + HIGHS_PRIMAL_FEAS_TOL:
+            raise CheckFailed(msg)
+        if op.known_fault:
+            raise KnownFault(f"{msg}: lp._solve clips x after its residual check")
+        self.notes.append(f"{op.name}: {msg}")
 
 
 WORKLOADS = {w.name: w for w in (PaperExact, McCrosscheck, LpKwise)}
