@@ -64,16 +64,6 @@ def marginal_from_dict(d, where="marginal"):
     raise ConfigError(f"{where}: unknown marginal type {kind!r}")
 
 
-def marginal_to_dict(m):
-    if isinstance(m, EqualRevenue):
-        return {"type": "equal_revenue", "lo": m.lo, "hi": m.hi}
-    if isinstance(m, ShiftedEqualRevenue):
-        return {"type": "shifted_er", "lo": m.lo, "hi": m.hi, "eps": m.shift}
-    if isinstance(m, Uniform):
-        return {"type": "uniform", "lo": m.lo, "hi": m.hi}
-    return {"type": "discrete", "points": list(m.points), "masses": list(m.masses)}
-
-
 def prior_from_dict(d, marginals=None, where="prior"):
     kind = _need(d, "type", where)
     if kind == "product":

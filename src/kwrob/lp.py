@@ -17,8 +17,8 @@ import scipy.linalg
 from scipy.optimize import linprog
 
 from .marginals import DomainError
-from .mechanisms import Mechanism, run_mechanism
-from .priors import TablePrior
+from .mechanisms import Mechanism, mechanism_payments
+from .priors import TablePrior, cell_values
 
 CELL_CAP = 100_000
 FEAS_TOL = 1e-9
@@ -40,6 +40,19 @@ class KwisePolytope:
     @property
     def n_cells(self):
         return int(np.prod([len(s) for s in self.supports])) if self.supports else 1
+
+    @property
+    def full_supports(self):
+        """Supports of all bidders in their original order, a conditioned-out
+        bidder's as the singleton of its fixed value.  Their C-order cell
+        grid is the LP's variable order: active bidders keep their order and
+        singleton axes do not move cells."""
+        out = [None] * (len(self.order) + len(self.fixed))
+        for i, v in self.fixed.items():
+            out[i] = (v,)
+        for j, i in enumerate(self.order):
+            out[i] = tuple(self.supports[j])
+        return out
 
     def product_pmf(self):
         out = np.ones(1)
@@ -115,30 +128,20 @@ def build_polytope(marginal_tables, k: int) -> KwisePolytope:
     return KwisePolytope(supports, masses, k, A, b, A[sel], b[sel], fixed, order)
 
 
-def _full_values(poly: KwisePolytope, active_values):
-    n_all = len(poly.order) + len(poly.fixed)
-    out = [0.0] * n_all
-    for i, v in poly.fixed.items():
-        out[i] = v
-    for j, i in enumerate(poly.order):
-        out[i] = active_values[j]
-    return out
-
-
 def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:
+    # HiGHS may break x >= 0 by its primal feasibility tolerance; keep that
+    # below FEAS_TOL, since the table written is x clipped at 0
     res = linprog(
         c,
         A_eq=poly.A_red,
         b_eq=poly.b_red,
         bounds=(0.0, None),
         method="highs",
+        options={"primal_feasibility_tolerance": 1e-10},
     )
     if not res.success:
         raise RuntimeError(f"LP failed: {res.message}")
     x = res.x
-    resid = float(np.max(np.abs(poly.A @ x - poly.b)))
-    if resid > FEAS_TOL:
-        raise RuntimeError(f"solution violates constraints, residual {resid}")
     obj = float(c @ x)
     # duality certificate: eqlin marginals are the equality duals y; weak
     # duality gives obj >= b.y with reduced costs c - A^T y >= 0
@@ -147,44 +150,22 @@ def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:
     gap = abs(obj - dual_obj)
     if gap > GAP_TOL * max(1.0, abs(obj)):
         raise RuntimeError(f"duality gap {gap} exceeds tolerance")
-    shape = tuple(len(s) for s in poly.supports)
-    pmf = x.reshape(shape) if shape else np.array(1.0)
-    np.maximum(pmf, 0.0, out=pmf)
+    pmf = np.maximum(x, 0.0)
     pmf /= pmf.sum()
-
-    # reattach conditioned-out bidders as singleton axes, original order
-    n_all = len(poly.order) + len(poly.fixed)
-    full_supports = [None] * n_all
-    for i, v in poly.fixed.items():
-        full_supports[i] = (v,)
-    for j, i in enumerate(poly.order):
-        full_supports[i] = tuple(poly.supports[j])
-    full_shape = tuple(len(s) for s in full_supports)
-    perm_src = list(poly.order) + sorted(poly.fixed)
-    # pmf currently indexed by active bidders in poly.order; expand
-    expanded = pmf.reshape(pmf.shape + (1,) * len(poly.fixed))
-    inv = np.argsort(perm_src)
-    expanded = np.transpose(expanded, inv)
-    table = TablePrior(full_supports, expanded.reshape(full_shape))
+    resid = float(np.max(np.abs(poly.A @ pmf - poly.b)))
+    if resid > FEAS_TOL:
+        raise RuntimeError(f"table violates constraints, residual {resid}")
+    table = TablePrior(poly.full_supports, pmf)
     nit = int(getattr(res, "nit", 0))
     return WorstCaseSolution(table, obj, gap, nit, resid)
 
 
 def minimize_revenue(poly: KwisePolytope, mech: Mechanism) -> WorstCaseSolution:
-    shape = tuple(len(s) for s in poly.supports)
-    c = np.empty(int(np.prod(shape)) if shape else 1)
-    for flat, idx in enumerate(np.ndindex(*shape) if shape else [()]):
-        vals = _full_values(poly, [poly.supports[j][idx[j]] for j in range(len(shape))])
-        c[flat] = run_mechanism(mech, vals).payment
-    return _solve(poly, c)
+    return _solve(poly, mechanism_payments(mech, cell_values(poly.full_supports)))
 
 
 def minimize_event_prob(poly: KwisePolytope, tau: float, count_at_least: int) -> WorstCaseSolution:
     if count_at_least not in (1, 2):
         raise DomainError("count_at_least must be 1 or 2")
-    shape = tuple(len(s) for s in poly.supports)
-    c = np.empty(int(np.prod(shape)) if shape else 1)
-    for flat, idx in enumerate(np.ndindex(*shape) if shape else [()]):
-        vals = _full_values(poly, [poly.supports[j][idx[j]] for j in range(len(shape))])
-        c[flat] = 1.0 if sum(v >= tau for v in vals) >= count_at_least else 0.0
-    return _solve(poly, c)
+    V = cell_values(poly.full_supports)
+    return _solve(poly, ((V >= tau).sum(axis=1) >= count_at_least).astype(float))

@@ -85,26 +85,22 @@ class EqualRevenue:
         raise DomainError(f"value {v} outside support [{self.lo}, {self.hi}]")
 
     def virtual_value_vec(self, v: np.ndarray) -> np.ndarray:
-        return np.where(np.abs(v - self.hi) <= 1e-12 * max(1.0, self.hi), self.hi, 0.0)
+        return np.where(v >= self.hi - 1e-12 * max(1.0, self.hi), self.hi, 0.0)
 
     def monopoly_reserve(self) -> float:
         return self.lo
 
-    def phi_geq_inv(self, y: float):
-        """Smallest support value v with virtual value >= y, or None."""
-        if y <= 0.0:
-            return self.lo
-        if y <= self.hi:
-            return self.hi
-        return None
+    def phi_geq_inv(self, y):
+        """Smallest support value v with virtual value >= y, elementwise;
+        inf where there is none."""
+        y = np.asarray(y, dtype=float)
+        return np.where(y <= 0.0, self.lo, np.where(y <= self.hi, self.hi, np.inf))
 
-    def phi_gt_inv(self, y: float):
-        """inf{v in support : virtual value(v) > y}, or None."""
-        if y < 0.0:
-            return self.lo
-        if y < self.hi:
-            return self.hi
-        return None
+    def phi_gt_inv(self, y):
+        """inf{v in support : virtual value(v) > y}, elementwise; inf where
+        the set is empty."""
+        y = np.asarray(y, dtype=float)
+        return np.where(y < 0.0, self.lo, np.where(y < self.hi, self.hi, np.inf))
 
     def prob_phi_geq(self, nu: float) -> float:
         if nu <= 0.0:
@@ -173,24 +169,20 @@ class ShiftedEqualRevenue:
 
     def virtual_value_vec(self, v):
         top = self.hi + self.shift
-        return np.where(np.abs(v - top) <= 1e-12 * max(1.0, top), top, self.shift)
+        return np.where(v >= top - 1e-12 * max(1.0, top), top, self.shift)
 
     def monopoly_reserve(self):
         return self.lo + self.shift
 
     def phi_geq_inv(self, y):
-        if y <= self.shift:
-            return self.lo + self.shift
-        if y <= self.hi + self.shift:
-            return self.hi + self.shift
-        return None
+        y = np.asarray(y, dtype=float)
+        top = self.hi + self.shift
+        return np.where(y <= self.shift, self.lo + self.shift, np.where(y <= top, top, np.inf))
 
     def phi_gt_inv(self, y):
-        if y < self.shift:
-            return self.lo + self.shift
-        if y < self.hi + self.shift:
-            return self.hi + self.shift
-        return None
+        y = np.asarray(y, dtype=float)
+        top = self.hi + self.shift
+        return np.where(y < self.shift, self.lo + self.shift, np.where(y < top, top, np.inf))
 
     def prob_phi_geq(self, nu):
         if nu <= self.shift:
@@ -249,9 +241,9 @@ class Uniform:
         return max(self.lo, self.hi / 2.0)
 
     def phi_geq_inv(self, y):
-        if y > self.hi:  # phi(hi) = hi
-            return None
-        return min(max((y + self.hi) / 2.0, self.lo), self.hi)
+        y = np.asarray(y, dtype=float)
+        # phi(hi) = hi, so no support value reaches y > hi
+        return np.where(y > self.hi, np.inf, np.clip((y + self.hi) / 2.0, self.lo, self.hi))
 
     def phi_gt_inv(self, y):
         # phi is continuous and strictly increasing; the inf coincides.
@@ -346,16 +338,19 @@ class DiscretePMF:
             return self.points[-1]
         raise DomainError(
             "interior atom has no density; use the ironed virtual value "
-            "(iron_discrete / ironed_virtual_value)"
+            "(iron_discrete / virtual_value_vec)"
         )
 
-    def ironed_virtual_value(self, v):
-        return self.ironed.phi[self._index_of(v)]
-
     def virtual_value_vec(self, v):
+        """Ironed virtual values, elementwise; every value must be one of
+        the support points (to relative 1e-12)."""
         v = np.asarray(v, dtype=float)
-        idx = np.searchsorted(self.points, v + 1e-12)
-        idx = np.clip(idx - 1, 0, len(self.points) - 1)
+        pts = np.asarray(self.points)
+        tol = 1e-12 * np.maximum(1.0, np.abs(v))
+        idx = np.minimum(np.searchsorted(pts, v - tol), len(pts) - 1)
+        off = np.abs(pts[idx] - v) > tol
+        if off.any():
+            raise DomainError(f"value {v[off][0]} not in support {self.points}")
         return np.asarray(self.ironed.phi)[idx]
 
     @cached_property
@@ -368,17 +363,23 @@ class DiscretePMF:
                 return p
         return self.points[-1]
 
+    @cached_property
+    def _phi_max(self):
+        # running maximum of the ironed virtual values: the first point whose
+        # phi reaches a level is the first point where this maximum does
+        return np.maximum.accumulate(self.ironed.phi)
+
     def phi_geq_inv(self, y):
-        for p, ph in zip(self.points, self.ironed.phi):
-            if ph >= y:
-                return p
-        return None
+        """First support point with ironed virtual value >= y, elementwise;
+        inf where there is none."""
+        k = np.searchsorted(self._phi_max, y, side="left")
+        return np.append(self.points, np.inf)[k]
 
     def phi_gt_inv(self, y):
-        for p, ph in zip(self.points, self.ironed.phi):
-            if ph > y:
-                return p
-        return None
+        """First support point with ironed virtual value > y, elementwise;
+        inf where there is none."""
+        k = np.searchsorted(self._phi_max, y, side="right")
+        return np.append(self.points, np.inf)[k]
 
     def prob_phi_geq(self, nu):
         return sum(m for m, ph in zip(self.masses, self.ironed.phi) if ph >= nu)
@@ -400,36 +401,6 @@ class DiscretePMF:
 
 
 Marginal = EqualRevenue | ShiftedEqualRevenue | Uniform | DiscretePMF
-
-
-# ---------------------------------------------------------------------------
-# Free-function aliases over the marginal variants
-
-
-def cdf(m: Marginal, x: float) -> float:
-    return m.cdf(x)
-
-
-def quantile_q(m: Marginal, tau: float) -> float:
-    return m.quantile_q(tau)
-
-
-def q_inverse(m: Marginal, p: float) -> float:
-    return m.q_inverse(p)
-
-
-def virtual_value(m: Marginal, v: float) -> float:
-    return m.virtual_value(v)
-
-
-def monopoly_reserve(m: Marginal) -> float:
-    return m.monopoly_reserve()
-
-
-def sample_marginal(m: Marginal, rng: np.random.Generator, size=None):
-    """Inverse-quantile sampling; u is drawn in (0, 1]."""
-    u = 1.0 - rng.random(size)
-    return m.ppf_upper(u)
 
 
 # ---------------------------------------------------------------------------

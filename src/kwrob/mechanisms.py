@@ -14,10 +14,16 @@ index.  With equal-revenue marginals the whole support shares one virtual
 value, so the tie rule decides essentially every auction and the two
 policies genuinely differ.
 
-Threshold payments are computed in closed form from each marginal's
-virtual-value inverse rather than by numeric search; for value-tie wins the
-threshold is the infimum (the competitor's value), matching the second-price
-rule even when the tie itself would resolve against the winner.
+One kernel runs both mechanisms: `run_batch` takes a (rows x bidders)
+value matrix, sweeps the bidders once to find each row's winner and its
+strongest eligible competitor, and prices the winners.  Myerson winners pay
+`threshold_payment`, the threshold bid in closed form from the winner's
+marginal's virtual-value inverses; for value-tie wins the threshold is the
+infimum (the competitor's value), matching the second-price rule even when
+the tie itself would resolve against the winner.  `run_mechanism` is the
+one-row call, and `mechanism_payments` returns the kernel's payments for
+Monte Carlo blocks, exact table revenue and the LP objective; the exact
+product sweep calls `threshold_payment` over its whole key grid.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import DiscretePMF, DomainError, Marginal
+from .marginals import DomainError, Marginal
 
 HIGHEST_VALUE = "highest_value"
 LEX = "lex"
@@ -66,38 +72,23 @@ class Myerson:
 Mechanism = AnonymousReserve | Myerson
 
 
-def run_ar(r: float, values) -> Outcome:
-    """Second-price auction with anonymous reserve.  Exact value ties go to
-    the lowest index; revenue does not depend on that choice."""
-    values = np.asarray(values, dtype=float)
-    if np.any(values < 0) or not np.all(np.isfinite(values)):
-        raise DomainError("values must be finite and nonnegative")
-    eligible = values >= r
-    if not eligible.any():
-        return Outcome(None, 0.0)
-    winner = int(np.argmax(values))  # argmax returns the first max
-    others = np.delete(values, winner)
-    second = float(others.max()) if others.size else 0.0
-    return Outcome(winner, max(r, second))
+def virtual_values(m: Marginal, v, i: int):
+    """(Ironed) virtual values of bidder i's values v, elementwise.  Raises
+    DomainError for a value outside the marginal's support and, for a
+    DiscretePMF, for a value that is not one of its points."""
+    lo, hi = m.support
+    outside = (v < lo - 1e-9) | (v > hi + 1e-9)
+    if outside.any():
+        raise DomainError(f"value {v[outside][0]} of bidder {i} outside support [{lo}, {hi}]")
+    return m.virtual_value_vec(v)
 
 
-def ironed_phi(m: Marginal, v: float) -> float:
-    """Virtual value, ironed when the marginal is a discrete pmf."""
-    if isinstance(m, DiscretePMF):
-        return m.ironed_virtual_value(v)
-    return m.virtual_value(v)
-
-
-def _key(mech: Myerson, i: int, phi: float, v: float):
-    if mech.tie_break == HIGHEST_VALUE:
-        return (phi, v, -i)
-    return (phi, -i)
-
-
-def threshold_payment(mech: Myerson, i: int, best_key, tie_break=None) -> float:
-    """inf over bids b of bidder i that still win against the realized
-    competitors, where best_key is the strongest competing key among
-    eligible competitors (None when there is none).
+def threshold_payment(mech: Myerson, i: int, phi_star, val_star, idx_star):
+    """inf over bids b of bidder i that still win against its strongest
+    eligible competitor, elementwise over arrays of that competitor's
+    virtual value phi_star, value val_star and index idx_star.  With no
+    eligible competitor (phi_star = -inf, idx_star = -1) it is the
+    eligibility floor; inf where no bid wins.
 
     Routes to the win: strictly beat the competing virtual value, or match
     it and win the tie.  For highest_value the tie route's infimum is the
@@ -105,59 +96,100 @@ def threshold_payment(mech: Myerson, i: int, best_key, tie_break=None) -> float:
     lex it exists only when i has the smaller index.  Eligibility
     (virtual value >= 0) floors everything.
     """
-    tie_break = tie_break or mech.tie_break
     m = mech.marginals[i]
-    t0 = m.phi_geq_inv(0.0)
-    if t0 is None:
-        raise DomainError(f"marginal {i} never reaches nonnegative virtual value")
-    if best_key is None:
-        return t0
-    phi_star = best_key[0]
-    candidates = []
     t_strict = m.phi_gt_inv(phi_star)
-    if t_strict is not None:
-        candidates.append(t_strict)
     t_geq = m.phi_geq_inv(phi_star)
-    if t_geq is not None:
-        if tie_break == HIGHEST_VALUE:
-            candidates.append(max(t_geq, best_key[1]))
-        elif i < -best_key[-1]:
-            candidates.append(t_geq)
-    if not candidates:
-        return np.inf
-    return max(t0, min(candidates))
+    if mech.tie_break == HIGHEST_VALUE:
+        t_tie = np.maximum(t_geq, val_star)
+    else:
+        t_tie = np.where(i < idx_star, t_geq, np.inf)
+    return np.maximum(m.phi_geq_inv(0.0), np.minimum(t_strict, t_tie))
 
 
-def run_myerson(mech: Myerson, values) -> Outcome:
-    values = np.asarray(values, dtype=float)
-    n = len(mech.marginals)
-    if values.shape != (n,):
-        raise DomainError(f"expected {n} values, got shape {values.shape}")
-    keys = []
-    for i, (m, v) in enumerate(zip(mech.marginals, values)):
-        lo, hi = m.support
-        if not (lo - 1e-9 <= v <= hi + 1e-9):
-            raise DomainError(f"value {v} of bidder {i} outside support [{lo}, {hi}]")
-        phi = ironed_phi(m, v)
-        if phi >= 0.0:
-            keys.append((_key(mech, i, phi, v), i))
-    if not keys:
-        return Outcome(None, 0.0)
-    keys.sort(reverse=True)
-    winner = keys[0][1]
-    best_other = keys[1][0] if len(keys) > 1 else None
-    pay = threshold_payment(mech, winner, best_other)
-    if pay > values[winner] + 1e-9:
-        raise AssertionError(
-            f"threshold {pay} above the winning value {values[winner]}"
-        )
-    return Outcome(winner, min(pay, values[winner]))
+def _columns(V):
+    """(bidder, values) per column of V, each read once into a contiguous
+    array and checked finite and nonnegative."""
+    for i in range(V.shape[1]):
+        v = np.ascontiguousarray(V[:, i])
+        if not ((v >= 0.0) & (v < np.inf)).all():
+            raise DomainError(f"values of bidder {i} must be finite and nonnegative")
+        yield i, v
+
+
+def run_batch(mech: Mechanism, V):
+    """Winners (-1 for no sale) and payments of the auction on each row of
+    a (rows x bidders) value matrix.
+
+    One pass over the bidders keeps, per row, the top two allocation keys:
+    AR ranks bidders by value and sells when the top value reaches r;
+    Myerson ranks eligible bidders (virtual value >= 0) by virtual value,
+    then by value under highest_value, and prices its winner against the
+    second key with threshold_payment.  Remaining ties go to the lower
+    index.  Raises DomainError for a value that is not finite and
+    nonnegative or that its Myerson marginal cannot produce.
+    """
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2:
+        raise DomainError(f"expected a (rows, bidders) value matrix, got shape {V.shape}")
+    rows, n = V.shape
+    NEG = -np.inf
+    if isinstance(mech, AnonymousReserve):
+        top, second, winner = np.full(rows, NEG), np.full(rows, NEG), np.zeros(rows, dtype=int)
+        for i, v in _columns(V):
+            winner[v > top] = i
+            second = np.maximum(second, np.minimum(top, v))
+            top = np.maximum(top, v)
+        winner[top < mech.r] = -1
+        return winner, np.where(winner >= 0, np.maximum(mech.r, second), 0.0)
+
+    if n != len(mech.marginals):
+        raise DomainError(f"expected {len(mech.marginals)} values per row, got {n}")
+    by_value = mech.tie_break == HIGHEST_VALUE
+    b_phi, b_val, b_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
+    s_phi, s_val, s_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
+    for i, v in _columns(V):
+        phi = virtual_values(mech.marginals[i], v, i)
+        phi = np.where(phi >= 0.0, phi, NEG)
+        beats_best = phi > b_phi
+        beats_second = phi > s_phi
+        if by_value:
+            beats_best |= (phi == b_phi) & (v > b_val) & (phi > NEG)
+            beats_second |= (phi == s_phi) & (v > s_val) & (phi > NEG)
+        # demote the old best where the newcomer takes over
+        s_phi = np.where(beats_best, b_phi, np.where(beats_second, phi, s_phi))
+        s_val = np.where(beats_best, b_val, np.where(beats_second, v, s_val))
+        s_idx = np.where(beats_best, b_idx, np.where(beats_second, i, s_idx))
+        b_phi = np.where(beats_best, phi, b_phi)
+        b_val = np.where(beats_best, v, b_val)
+        b_idx = np.where(beats_best, i, b_idx)
+
+    pay = np.zeros(rows)
+    for i in np.unique(b_idx[b_idx >= 0]):
+        won = b_idx == i
+        pay[won] = threshold_payment(mech, i, s_phi[won], s_val[won], s_idx[won])
+    won = np.flatnonzero(b_idx >= 0)
+    value = V[won, b_idx[won]]
+    if np.any(pay[won] > value + 1e-9):
+        k = int(np.argmax(pay[won] - value))
+        raise AssertionError(f"threshold {pay[won][k]} above the winning value {value[k]}")
+    pay[won] = np.minimum(pay[won], value)
+    return b_idx, pay
 
 
 def run_mechanism(mech: Mechanism, values) -> Outcome:
-    if isinstance(mech, AnonymousReserve):
-        return run_ar(mech.r, values)
-    return run_myerson(mech, values)
+    """One auction on a vector of values: the one-row call of run_batch."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise DomainError(f"expected a vector of values, got shape {values.shape}")
+    winners, pays = run_batch(mech, values[None, :])
+    if winners[0] < 0:
+        return Outcome(None, 0.0)
+    return Outcome(int(winners[0]), float(pays[0]))
+
+
+def mechanism_payments(mech: Mechanism, V) -> np.ndarray:
+    """Payment on each row of a (rows x bidders) value matrix (run_batch)."""
+    return run_batch(mech, V)[1]
 
 
 def myerson_iid_equals_ar(marginal: Marginal, values) -> bool:
@@ -165,9 +197,8 @@ def myerson_iid_equals_ar(marginal: Marginal, values) -> bool:
     optimal mechanism is the second-price auction at the monopoly
     reserve; check the two outcomes coincide on this value vector."""
     n = len(values)
-    mech = Myerson([marginal] * n, HIGHEST_VALUE)
-    a = run_myerson(mech, values)
-    b = run_ar(marginal.monopoly_reserve(), values)
+    a = run_mechanism(Myerson([marginal] * n, HIGHEST_VALUE), values)
+    b = run_mechanism(AnonymousReserve(marginal.monopoly_reserve()), values)
     if a.winner != b.winner:
         return False
     return abs(a.payment - b.payment) <= 1e-9 * max(1.0, abs(b.payment))

@@ -307,6 +307,14 @@ class MixturePrior:
         return total
 
 
+def cell_values(supports) -> np.ndarray:
+    """(cells x bidders) matrix of the values of every cell of a product
+    support, cells in C order (the last bidder varies fastest), the order
+    of a table's flattened pmf."""
+    axes = np.meshgrid(*[np.asarray(s, dtype=float) for s in supports], indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
 class TablePrior:
     """Explicit joint pmf on a finite product support."""
 

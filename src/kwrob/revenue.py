@@ -2,7 +2,8 @@
 
 Exact paths:
 
-* tables        - enumerate support cells.
+* tables        - one cell-value matrix of the support cells with mass,
+                  priced by one mechanism_payments call.
 * products      - per-bidder independent distributions; AR revenue via the
                   identity AR(r) = r Q1(r) + integral of Q2 above r, the
                   optimal mechanism via an exact sweep over the global
@@ -10,8 +11,12 @@ Exact paths:
 * mixtures      - branch-wise: within a branch the components are
                   independent, so each branch reduces to a product instance.
 
-Monte Carlo is block-seeded and bit-for-bit reproducible for a fixed
-(seed, block size).  The ex-ante relaxation quantities (threshold level,
+Every Myerson payment comes from the one threshold formula,
+mechanisms.threshold_payment: tables and Monte Carlo blocks reach it through
+the batch kernel behind mechanism_payments (re-exported here), and the
+product sweep calls it once per bidder over the whole key grid.  Monte Carlo
+is block-seeded and bit-for-bit reproducible for a fixed (seed, block
+size).  The ex-ante relaxation quantities (threshold level,
 per-bidder prices/probabilities/revenues) and the associated robustness
 predicates live here as well.
 """
@@ -30,9 +35,9 @@ from .mechanisms import (
     AnonymousReserve,
     Mechanism,
     Myerson,
-    ironed_phi,
-    run_mechanism,
+    mechanism_payments,
     threshold_payment,
+    virtual_values,
 )
 from .priors import (
     Branch,
@@ -42,6 +47,7 @@ from .priors import (
     TablePrior,
     _as_mixture,
     _grid_cells,
+    cell_values,
     component_cell_mass,
     natural_grids,
     q1q2_from_qvec,
@@ -73,13 +79,17 @@ class RevenueEstimate:
 # Exact revenue
 
 
+def _ordered_sum(x) -> float:
+    """x[0] + x[1] + ... added left to right, so the result does not depend
+    on numpy's pairwise blocking."""
+    return float(np.cumsum(np.append(0.0, x))[-1])
+
+
 def revenue_exact_table(table: TablePrior, mech: Mechanism) -> RevenueEstimate:
-    total = 0.0
-    for values, mass in table.cells():
-        if mass == 0.0:
-            continue
-        total += mass * run_mechanism(mech, values).payment
-    return RevenueEstimate(total, 0.0, 0, True)
+    mass = table.pmf.ravel()
+    cells = mass != 0.0
+    pays = mechanism_payments(mech, cell_values(table.supports)[cells])
+    return RevenueEstimate(_ordered_sum(mass[cells] * pays), 0.0, 0, True)
 
 
 def _ar_product_revenue(dists, r):
@@ -114,43 +124,39 @@ def _myerson_product_revenue(mech: Myerson, dists):
     per-bidder key CDFs.
     """
     n = len(dists)
-    entries = []  # (key, bidder, prob)
+    by_value = mech.tie_break == HIGHEST_VALUE
     bottom = np.zeros(n)  # Pr[ineligible]
+    cols = []  # per bidder: eligible (phi, value, bidder, prob)
     for i, (vals, probs) in enumerate(dists):
-        m = mech.marginals[i]
-        for v, p in zip(vals, probs):
-            if p == 0.0:
-                continue
-            phi = ironed_phi(m, float(v))
-            if phi < 0.0:
-                bottom[i] += p
-            else:
-                if mech.tie_break == HIGHEST_VALUE:
-                    key = (phi, float(v), -i)
-                else:
-                    key = (phi, -i)
-                entries.append((key, i, p))
-    entries.sort(key=lambda e: e[0])
+        vals, probs = np.asarray(vals, dtype=float), np.asarray(probs, dtype=float)
+        vals, probs = vals[probs != 0.0], probs[probs != 0.0]
+        phi = virtual_values(mech.marginals[i], vals, i)
+        ok = phi >= 0.0
+        bottom[i] = _ordered_sum(probs[~ok])
+        cols.append((phi[ok], vals[ok], np.full(int(ok.sum()), i), probs[ok]))
+    phi, val, who, p = (np.concatenate(c) for c in zip(*cols))
+    if len(phi) == 0:
+        return 0.0
+    # ascending allocation keys (phi, v, -i) or (phi, -i); lexsort is stable
+    order = np.lexsort((-who, val, phi) if by_value else (-who, phi))
+    phi, val, who, p = phi[order], val[order], who[order], p[order]
     # equal keys can only arise within one bidder (the index is part of the
     # key): e.g. an ironed-flat discrete marginal under lex tie-breaking.
     # Merge them so the key grid is strictly increasing.
-    merged = []
-    for key, i, p in entries:
-        if merged and merged[-1][0] == key:
-            merged[-1][2] += p
-        else:
-            merged.append([key, i, p])
-    entries = [(k, i, p) for k, i, p in merged]
-    N = len(entries)
-    if N == 0:
-        return 0.0
+    dup = (phi[1:] == phi[:-1]) & (who[1:] == who[:-1])
+    if by_value:
+        dup &= val[1:] == val[:-1]
+    keep = np.append(True, ~dup)
+    first = np.maximum.accumulate(np.where(keep, np.arange(len(keep)), 0))
+    for t in np.flatnonzero(~keep):
+        p[first[t]] += p[t]
+    phi, val, who, p = phi[keep], val[keep], who[keep], p[keep]
+    N = len(phi)
 
     # C[i, t] = Pr[bidder i's key is ineligible or <= key_t]
-    C = np.tile(bottom[:, None], (1, N))
     bump = np.zeros((n, N))
-    for t, (_, i, p) in enumerate(entries):
-        bump[i, t] = p
-    C += np.cumsum(bump, axis=1)
+    bump[who, np.arange(N)] = p
+    C = bottom[:, None] + np.cumsum(bump, axis=1)
 
     # leave-one-out products over bidders, per key column
     prefix = np.ones((n + 1, N))
@@ -169,26 +175,20 @@ def _myerson_product_revenue(mech: Myerson, dists):
         bot_suffix[i] = bot_suffix[i + 1] * bottom[i]
     loo_bottom = bot_prefix[:n] * bot_suffix[1:]  # no eligible competitor
 
-    total = 0.0
+    # the strongest competing key, "no eligible competitor" first
+    key_phi, key_val, key_who = np.append(-np.inf, phi), np.append(0.0, val), np.append(-1, who)
+    terms = []
     for i in range(n):
+        thr = threshold_payment(mech, i, key_phi, key_val, key_who)
         win_none = 1.0 - bottom[i]  # Pr[bidder i is eligible at all]
         if loo_bottom[i] > 0.0 and win_none > 0.0:
-            t0 = threshold_payment(mech, i, None)
-            total += loo_bottom[i] * t0 * win_none
-        prev = loo_bottom[i]
-        for t in range(N):
-            p_eq = loo[i, t] - prev
-            prev = loo[i, t]
-            if p_eq <= 1e-18:
-                continue
-            win = 1.0 - C[i, t]
-            if win <= 0.0:
-                continue
-            thr = threshold_payment(mech, i, entries[t][0])
-            if not math.isfinite(thr):
-                continue
-            total += p_eq * thr * win
-    return total
+            terms.append([loo_bottom[i] * thr[0] * win_none])
+        p_eq = np.diff(loo[i], prepend=loo_bottom[i])  # Pr[strongest competing key = key_t]
+        win = 1.0 - C[i]
+        thr = thr[1:]
+        ok = (p_eq > 1e-18) & (win > 0.0) & np.isfinite(thr)
+        terms.append(p_eq[ok] * thr[ok] * win[ok])
+    return _ordered_sum(np.concatenate(terms))
 
 
 def _branch_dists(mix: MixturePrior, branch: Branch, grids, chosen_idx=None):
@@ -280,87 +280,6 @@ def posted_price_lower_bound(marginals) -> float:
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
-
-
-def _ar_payments(r, V):
-    if V.shape[1] == 1:
-        v = V[:, 0]
-        return np.where(v >= r, r, 0.0)
-    part = np.partition(V, V.shape[1] - 2, axis=1)
-    top = part[:, -1]
-    second = part[:, -2]
-    return np.where(top >= r, np.maximum(r, second), 0.0)
-
-
-def _myerson_payments(mech: Myerson, V):
-    """Vectorised batch evaluation: track the best and second-best
-    allocation keys per row, then apply the per-marginal threshold formulas
-    to the winners."""
-    rows, n = V.shape
-    NEG = -np.inf
-    b_phi = np.full(rows, NEG)
-    b_val = np.zeros(rows)
-    b_idx = np.full(rows, -1)
-    s_phi = np.full(rows, NEG)
-    s_val = np.zeros(rows)
-    s_idx = np.full(rows, -1)
-    phis = np.empty((rows, n))
-    for i, m in enumerate(mech.marginals):
-        phi = np.where(
-            np.asarray(m.virtual_value_vec(V[:, i]), dtype=float) >= 0.0,
-            m.virtual_value_vec(V[:, i]),
-            NEG,
-        )
-        phis[:, i] = phi
-        v = V[:, i]
-        if mech.tie_break == HIGHEST_VALUE:
-            beats_best = (phi > b_phi) | ((phi == b_phi) & (v > b_val) & (phi > NEG))
-            beats_second = (phi > s_phi) | ((phi == s_phi) & (v > s_val) & (phi > NEG))
-        else:
-            beats_best = phi > b_phi
-            beats_second = phi > s_phi
-        # demote old best where the newcomer takes over
-        s_phi = np.where(beats_best, b_phi, np.where(beats_second, phi, s_phi))
-        s_val = np.where(beats_best, b_val, np.where(beats_second, v, s_val))
-        s_idx = np.where(beats_best, b_idx, np.where(beats_second, i, s_idx))
-        b_phi = np.where(beats_best, phi, b_phi)
-        b_val = np.where(beats_best, v, b_val)
-        b_idx = np.where(beats_best, i, b_idx)
-
-    pay = np.zeros(rows)
-    for i, m in enumerate(mech.marginals):
-        mask = b_idx == i
-        if not mask.any():
-            continue
-        t0 = m.phi_geq_inv(0.0)
-        phi_star = s_phi[mask]
-        has_comp = phi_star > NEG
-        t_strict = _phi_gt_inv_vec(m, phi_star)
-        t_geq = _phi_geq_inv_vec(m, phi_star)
-        if mech.tie_break == HIGHEST_VALUE:
-            t_tie = np.maximum(t_geq, s_val[mask])
-        else:
-            t_tie = np.where(i < s_idx[mask], t_geq, np.inf)
-        thr = np.maximum(t0, np.minimum(t_strict, t_tie))
-        pay[mask] = np.where(has_comp, thr, t0)
-    return pay
-
-
-def _phi_geq_inv_vec(m: Marginal, y):
-    out = np.array([m.phi_geq_inv(float(x)) for x in np.atleast_1d(y)], dtype=object)
-    return np.array([np.inf if v is None else v for v in out], dtype=float)
-
-
-def _phi_gt_inv_vec(m: Marginal, y):
-    out = np.array([m.phi_gt_inv(float(x)) for x in np.atleast_1d(y)], dtype=object)
-    return np.array([np.inf if v is None else v for v in out], dtype=float)
-
-
-def mechanism_payments(mech: Mechanism, V) -> np.ndarray:
-    V = np.asarray(V, dtype=float)
-    if isinstance(mech, AnonymousReserve):
-        return _ar_payments(mech.r, V)
-    return _myerson_payments(mech, V)
 
 
 def revenue_mc(
@@ -498,8 +417,8 @@ def ex_ante_level(marginals, budget: float = 0.5) -> ExAnteSummary:
         qs = q_at
     v_bar = []
     for m in marginals:
-        v = m.phi_geq_inv(lam)
-        v_bar.append(m.support[1] if v is None else v)
+        v = float(m.phi_geq_inv(lam))
+        v_bar.append(m.support[1] if v == np.inf else v)
     # rev_i is the ex-ante revenue extracted from bidder i at quantity q_i:
     # the hull value of the revenue-quantile curve.  On continuous regular
     # marginals (and at top atoms) it equals v_bar_i * q_i; with interior
@@ -586,7 +505,7 @@ def check_3wise_inequalities(marginals, prior: JointPrior, grids=None) -> ThreeW
 
     marginals = list(marginals)
     if not isinstance(prior, ProductPrior):
-        report = verify_kwise(prior, k=min(3, _n_bidders(prior)), grids=grids)
+        report = verify_kwise(prior, k=min(3, prior.n_bidders), grids=grids)
         if not report.passed:
             raise DomainError(
                 f"prior is not 3-wise independent (max deviation {report.max_deviation})"
@@ -627,7 +546,3 @@ def check_3wise_inequalities(marginals, prior: JointPrior, grids=None) -> ThreeW
         global_ok,
         ea,
     )
-
-
-def _n_bidders(prior: JointPrior) -> int:
-    return prior.n_bidders

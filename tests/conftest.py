@@ -9,7 +9,8 @@ import itertools
 import numpy as np
 import pytest
 
-from kwrob import DiscretePMF, EqualRevenue, Uniform, check_regular
+from kwrob import DiscretePMF, DomainError, EqualRevenue, Uniform, check_regular
+from kwrob.mechanisms import HIGHEST_VALUE
 
 
 def q1q2_enumerate(qs):
@@ -42,6 +43,71 @@ def table_q1q2_enumerate(table, tau):
 
 def table_revenue_enumerate(table, payment_fn):
     return sum(mass * payment_fn(values) for values, mass in table.cells())
+
+
+def phi_inv_scan(points, phis, y, strict):
+    """First point whose virtual value is > y (strict) or >= y, by a linear
+    scan; None when there is none."""
+    for p, ph in zip(points, phis):
+        if (ph > y) if strict else (ph >= y):
+            return p
+    return None
+
+
+def _phi_inv(m, y, strict):
+    if isinstance(m, Uniform):  # phi(v) = 2v - hi is continuous and increasing
+        return None if y > m.hi else min(max((y + m.hi) / 2.0, m.lo), m.hi)
+    if isinstance(m, DiscretePMF):
+        return phi_inv_scan(m.points, m.ironed.phi, y, strict)
+    # (shifted) equal revenue: phi is its shift below the top atom
+    lo, top = m.support
+    return phi_inv_scan((lo, top), (getattr(m, "shift", 0.0), top), y, strict)
+
+
+def threshold_reference(mech, i, best_key):
+    """Scalar threshold bid of bidder i against the strongest competing
+    allocation key (None when no competitor is eligible)."""
+    m = mech.marginals[i]
+    t0 = _phi_inv(m, 0.0, False)
+    if t0 is None:
+        raise DomainError(f"marginal {i} never reaches nonnegative virtual value")
+    if best_key is None:
+        return t0
+    phi_star = best_key[0]
+    candidates = []
+    t_strict = _phi_inv(m, phi_star, True)
+    if t_strict is not None:
+        candidates.append(t_strict)
+    t_geq = _phi_inv(m, phi_star, False)
+    if t_geq is not None:
+        if mech.tie_break == HIGHEST_VALUE:
+            candidates.append(max(t_geq, best_key[1]))
+        elif i < -best_key[-1]:
+            candidates.append(t_geq)
+    if not candidates:
+        return np.inf
+    return max(t0, min(candidates))
+
+
+def myerson_reference(mech, values):
+    """(winner, payment) of the optimal mechanism on one value vector, by
+    sorting the eligible bidders' allocation keys (phi, v, -i) under
+    highest_value or (phi, -i) under lex, one bidder at a time."""
+    keys = []
+    for i, (m, v) in enumerate(zip(mech.marginals, values)):
+        lo, hi = m.support
+        if not (lo - 1e-9 <= v <= hi + 1e-9):
+            raise DomainError(f"value {v} of bidder {i} outside support [{lo}, {hi}]")
+        phi = m.ironed.phi[m._index_of(v)] if isinstance(m, DiscretePMF) else m.virtual_value(v)
+        if phi >= 0.0:
+            keys.append(((phi, v, -i) if mech.tie_break == HIGHEST_VALUE else (phi, -i), i))
+    if not keys:
+        return None, 0.0
+    keys.sort(reverse=True)
+    winner = keys[0][1]
+    pay = threshold_reference(mech, winner, keys[1][0] if len(keys) > 1 else None)
+    assert pay <= values[winner] + 1e-9
+    return winner, min(pay, values[winner])
 
 
 def random_regular_discrete(rng, max_pts=4, lo=0.1, hi=10.0):

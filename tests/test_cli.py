@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from kwrob import DiscretePMF, DomainError, Myerson, TablePrior, Uniform, revenue_exact
 from kwrob.cli import main
 
 
@@ -113,6 +117,29 @@ class TestRevenue:
         row = dict(zip(lines[0].split(","), lines[-3].split(",")))
         assert float(row["tau"]) == pytest.approx(0.8)
 
+    @pytest.mark.parametrize(
+        "marginal, spec, support",
+        [
+            (Uniform(0.0, 1.0), {"type": "uniform", "lo": 0, "hi": 1}, [0.5, 2.0]),
+            (DiscretePMF([1.0, 3.0], [0.5, 0.5]), {"type": "discrete", "points": [1, 3], "masses": [0.5, 0.5]}, [1.0, 2.0]),
+        ],
+        ids=["outside_support", "between_points"],
+    )
+    def test_myerson_table_value_its_marginal_cannot_produce(self, marginal, spec, support, tmp_path, capsys):
+        # every cell has mass, so every table value reaches the mechanism
+        pmf = np.full((2, 2), 0.25)
+        with pytest.raises(DomainError):
+            revenue_exact(TablePrior([support] * 2, pmf), Myerson([marginal] * 2))
+        cfg = {
+            "marginals": [spec] * 2,
+            "prior": {"type": "table", "supports": [support] * 2, "pmf": pmf.tolist()},
+            "mechanism": {"type": "myerson"},
+            "mode": "exact",
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["revenue", "--config", str(path), "--out", str(tmp_path)]) == 1
+
     def test_malformed_config(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mechanism": {"type": "ar", "r": 1}}))
@@ -186,3 +213,23 @@ class TestEntryPoint:
         )
         assert out.returncode == 0
         assert "2.90976" in out.stdout
+
+
+class TestBenchmarkHooks:
+    def test_layer_trace_rebinds_every_hook(self):
+        """bench/layertrace.py wraps program names from outside; removing or
+        renaming one must fail here, not only in the traced benchmark."""
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import numpy as np, kwrob.cli, layertrace\n"
+            "from kwrob import AnonymousReserve, revenue\n"
+            "tracer = layertrace.Tracer()\n"
+            "layertrace.instrument(tracer)\n"
+            "tracer.begin_job()\n"
+            "revenue.mechanism_payments(AnonymousReserve(0.5), np.ones((3, 2)))\n"
+            "assert tracer.end_job()['revenue.mechanism_payments.rows'] == 3\n"
+        )
+        path = [str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr

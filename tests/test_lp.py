@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+import kwrob.lp
 
 from conftest import random_regular_discrete
 from kwrob import (
@@ -71,6 +75,30 @@ class TestBuildPolytope:
         big = (list(range(100)), [0.01] * 100)
         with pytest.raises(DomainError):
             build_polytope([big] * 3, 2)
+
+
+class TestSolve:
+    def test_written_table_meets_the_constraints(self, monkeypatch):
+        # a solver x with an entry of -9e-8 that still meets A x = b: the
+        # product pmf minus a multiple of the three-way interaction
+        # direction, whose single and pairwise marginals are all zero
+        poly = build_polytope([([0.0, 1.0], [0.01, 0.99])] * 3, 2)
+        interaction = ((-1.0) ** np.indices((2, 2, 2)).sum(axis=0)).ravel()
+        p = poly.product_pmf()
+        x = p - (p[0] + 9e-8) * interaction
+        assert x.min() == pytest.approx(-9e-8, rel=1e-6)
+        assert np.max(np.abs(poly.A @ x - poly.b)) < 1e-14
+
+        def fake_linprog(c, **kw):
+            duals = SimpleNamespace(marginals=np.zeros(len(kw["b_eq"])))
+            return SimpleNamespace(success=True, x=x.copy(), eqlin=duals, nit=0, message="")
+
+        monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
+        try:
+            sol = kwrob.lp._solve(poly, np.zeros(poly.n_cells))
+        except RuntimeError:
+            return
+        assert np.max(np.abs(poly.A @ sol.table.pmf.ravel() - poly.b)) <= kwrob.lp.FEAS_TOL
 
 
 class TestMinimizeRevenue:

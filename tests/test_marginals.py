@@ -12,6 +12,7 @@ from kwrob import (
     regular_quantile_bound,
     revenue_curve,
 )
+from conftest import phi_inv_scan, random_discrete
 from kwrob.marginals import revenue_at_quantile
 
 
@@ -174,6 +175,26 @@ class TestIroning:
             ):
                 assert (r2 - r1) * (q3 - q2) >= (r3 - r2) * (q2 - q1) - 1e-9
             assert all(b >= a - 1e-12 for a, b in zip(ic.phi, ic.phi[1:]))
+
+
+class TestPhiInverse:
+    def test_discrete_matches_first_index_scan(self, rng):
+        for _ in range(200):
+            m = random_discrete(rng, max_pts=6)
+            phis = np.asarray(m.ironed.phi)
+            ys = np.concatenate(
+                [phis, phis + 1e-13, phis - 1e-13, (phis[:-1] + phis[1:]) / 2, [-np.inf, np.inf]]
+            )
+            for strict, inv in ((False, m.phi_geq_inv), (True, m.phi_gt_inv)):
+                want = [phi_inv_scan(m.points, m.ironed.phi, y, strict) for y in ys]
+                assert np.array_equal(inv(ys), [np.inf if w is None else w for w in want])
+
+    def test_inf_where_no_support_value_reaches(self):
+        for m in (EqualRevenue(1, 4), ShiftedEqualRevenue(1, 3, 0.5), Uniform(0, 4), DiscretePMF([1, 2], [0.5, 0.5])):
+            lo, top = m.support
+            assert m.phi_geq_inv(top) == top  # the top value's virtual value is itself
+            assert m.phi_gt_inv(top + 1.0) == np.inf
+            assert m.phi_geq_inv(np.array([top + 1.0, -100.0])).tolist() == [np.inf, lo]
 
 
 class TestRegularQuantileBound:

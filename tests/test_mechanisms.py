@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import myerson_reference, random_discrete, random_regular_discrete
 from kwrob import (
     AnonymousReserve,
     DiscretePMF,
@@ -10,33 +11,32 @@ from kwrob import (
     ShiftedEqualRevenue,
     Uniform,
     myerson_iid_equals_ar,
-    run_ar,
-    run_myerson,
+    run_mechanism,
 )
-from kwrob.mechanisms import run_mechanism
+from kwrob.mechanisms import run_batch
 
 
 class TestRunAR:
     def test_reserve_binds(self):
-        o = run_ar(4, [5, 3])
+        o = run_mechanism(AnonymousReserve(4), [5, 3])
         assert (o.winner, o.payment) == (0, 4)
 
     def test_second_price_binds(self):
-        o = run_ar(2, [5, 3])
+        o = run_mechanism(AnonymousReserve(2), [5, 3])
         assert (o.winner, o.payment) == (0, 3)
 
     def test_counterexample_top_reserve(self):
         n, eps = 3, 1e-6
         r = n * n + eps
-        o = run_ar(r, [1.0, 0.4, 0.9, r])
+        o = run_mechanism(AnonymousReserve(r), [1.0, 0.4, 0.9, r])
         assert o.winner == 3 and o.payment == r
 
     def test_no_sale(self):
-        o = run_ar(2, [1.0, 1.5])
+        o = run_mechanism(AnonymousReserve(2), [1.0, 1.5])
         assert o.winner is None and o.payment == 0.0
 
     def test_tie_lowest_index(self):
-        o = run_ar(1, [3.0, 3.0])
+        o = run_mechanism(AnonymousReserve(1), [3.0, 3.0])
         assert o.winner == 0 and o.payment == 3.0
 
     def test_matches_order_statistic_formula(self, rng):
@@ -44,7 +44,7 @@ class TestRunAR:
             n = int(rng.integers(1, 6))
             vals = rng.uniform(0, 10, size=n)
             r = float(rng.uniform(0, 8))
-            o = run_ar(r, vals)
+            o = run_mechanism(AnonymousReserve(r), vals)
             if vals.max() < r:
                 assert o.winner is None
             else:
@@ -54,7 +54,7 @@ class TestRunAR:
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            run_ar(1, [-0.5, 2.0])
+            run_mechanism(AnonymousReserve(1), [-0.5, 2.0])
 
 
 def _construction_mech(n=2, eps=1e-6, tie="highest_value"):
@@ -65,34 +65,34 @@ def _construction_mech(n=2, eps=1e-6, tie="highest_value"):
 
 class TestRunMyerson:
     def test_small_bidder_wins_at_one(self):
-        o = run_myerson(_construction_mech(), [1.0, 0.7, 3.0])
+        o = run_mechanism(_construction_mech(), [1.0, 0.7, 3.0])
         assert o.winner == 0 and o.payment == pytest.approx(1.0, abs=1e-12)
 
     def test_big_bidder_floor_price(self):
         eps = 1e-6
-        o = run_myerson(_construction_mech(), [0.6, 0.7, 3.0])
+        o = run_mechanism(_construction_mech(), [0.6, 0.7, 3.0])
         assert o.winner == 2 and o.payment == pytest.approx(2 + eps, abs=1e-12)
 
     def test_big_bidder_top_price(self):
         eps = 1e-6
-        o = run_myerson(_construction_mech(), [1.0, 0.7, 4 + eps])
+        o = run_mechanism(_construction_mech(), [1.0, 0.7, 4 + eps])
         assert o.winner == 2 and o.payment == pytest.approx(4 + eps, abs=1e-12)
 
     def test_value_outside_support(self):
         with pytest.raises(DomainError):
-            run_myerson(_construction_mech(), [1.5, 0.7, 3.0])
+            run_mechanism(_construction_mech(), [1.5, 0.7, 3.0])
 
     def test_no_winner_when_all_negative(self):
-        o = run_myerson(Myerson([Uniform(0, 1)] * 2), [0.1, 0.2])
+        o = run_mechanism(Myerson([Uniform(0, 1)] * 2), [0.1, 0.2])
         assert o.winner is None and o.payment == 0.0
 
     def test_lex_tie_break(self):
         m = EqualRevenue(1, 10)
         # all interior values tie at virtual value 0; lex gives it to bidder 0
-        o = run_myerson(Myerson([m, m], "lex"), [3.0, 7.0])
+        o = run_mechanism(Myerson([m, m], "lex"), [3.0, 7.0])
         assert o.winner == 0
         assert o.payment == pytest.approx(1.0, abs=1e-12)  # competitor can never beat phi=0 below 10
-        o2 = run_myerson(Myerson([m, m], "highest_value"), [3.0, 7.0])
+        o2 = run_mechanism(Myerson([m, m], "highest_value"), [3.0, 7.0])
         assert o2.winner == 1 and o2.payment == pytest.approx(3.0, abs=1e-12)
 
 
@@ -165,6 +165,50 @@ class TestTruthfulness:
     def test_ar_individual_rationality(self, rng):
         for _ in range(1000):
             vals = rng.uniform(0, 5, size=3)
-            o = run_ar(float(rng.uniform(0, 5)), vals)
+            o = run_mechanism(AnonymousReserve(float(rng.uniform(0, 5))), vals)
             if o.winner is not None:
                 assert o.payment <= vals[o.winner] + 1e-12
+
+
+class TestKernelAgainstReference:
+    """The batch kernel against the scalar key-sort reference, bit for bit."""
+
+    @staticmethod
+    def _instance(rng):
+        pool = [
+            EqualRevenue(1.0, 4.0),
+            EqualRevenue(0.5, 3.0),
+            ShiftedEqualRevenue(1.0, 3.0, 0.5),
+            Uniform(0.0, 4.0),
+            Uniform(1.0, 3.0),
+            random_discrete(rng),  # usually irregular, so ironed flat
+            random_regular_discrete(rng),
+        ]
+        n = int(rng.integers(1, 6))
+        ms = [pool[k] for k in rng.integers(0, len(pool), size=n)]
+        # few values per bidder, shared between bidders, so phi ties
+        # (interior equal-revenue values, ironed-flat points) and value
+        # ties are frequent
+        choices = []
+        for m in ms:
+            if isinstance(m, DiscretePMF):
+                choices.append(np.asarray(m.points))
+            else:
+                lo, hi = m.support
+                shared = [c for c in (1.0, 1.5, 2.0, 3.0) if lo <= c <= hi]
+                choices.append(np.array([lo, hi, float(rng.uniform(lo, hi))] + shared))
+        V = np.column_stack([c[rng.integers(0, len(c), size=40)] for c in choices])
+        return ms, V
+
+    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
+    def test_random_vectors(self, tie, rng):
+        ties = 0
+        for _ in range(200):
+            ms, V = self._instance(rng)
+            mech = Myerson(ms, tie)
+            winners, pays = run_batch(mech, V)
+            for row, w, pay in zip(V, winners, pays):
+                ref_w, ref_pay = myerson_reference(mech, row.tolist())
+                assert (None if w < 0 else int(w), float(pay)) == (ref_w, ref_pay)
+            ties += int(np.sum([len(set(row.tolist())) < len(row) for row in V]))
+        assert ties > 1000
