@@ -39,7 +39,6 @@ from .priors import (
     discretize,
     myerson_counterexample,
     natural_grids,
-    product_prior,
     q1q2_from_qvec,
     sample,
     threshold_probs,
@@ -75,7 +74,6 @@ from .bounds import (
     split_integral_identity,
     lb1,
     lb2,
-    q1_ratio_constant,
     q2_ratio_lower_bound,
     q2_ind_near_bound,
     q2_ind_far_bound,

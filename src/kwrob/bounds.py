@@ -85,10 +85,6 @@ def lb2_vec(s):
     return np.where(s > 1.0, out, 0.0)
 
 
-def q1_ratio_constant() -> float:
-    return Q1_RATIO
-
-
 def check_q1_ratio(q1_pairwise: float, q1_independent: float) -> BoundReport:
     lhs = Q1_RATIO * q1_pairwise
     return BoundReport(
@@ -443,5 +439,5 @@ def bounds_table_rows(s_grid=None, s0_grid=None):
         rows.append(("q2_ratio_lower_bound", f"p_bar={p:.17g}", q2_ratio_lower_bound(float(p))))
         rows.append(("tail_core_case2b", f"p_bar={p:.17g}", tail_core_case2b(float(p))))
     rows.append(("tail_core_case1", "", tail_core_case1()))
-    rows.append(("q1_ratio", "", q1_ratio_constant()))
+    rows.append(("q1_ratio", "", Q1_RATIO))
     return rows

@@ -5,15 +5,21 @@ whose every subset of at most k coordinates has product-form marginals
 (k-wise independence with the given per-bidder masses).  Minimising a
 mechanism's expected payment, or the probability of a threshold event, over
 that polytope gives exact worst-case instances with a duality certificate.
+
+The constraints are sparse rows Pr[x_S = c] = prod masses for |S| <= k.  The
+solver gets their closed-form basis, the rows whose c avoids each bidder's
+last support point (rank 1 + sum_{1<=|S|<=k} prod_{i in S} (m_i - 1)); the
+others follow by inclusion-exclusion, and all re-check the written table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 from scipy.optimize import linprog
 
 from .marginals import DomainError
@@ -30,16 +36,16 @@ class KwisePolytope:
     supports: list  # active (non-degenerate) bidders only
     masses: list
     k: int
-    A: np.ndarray  # full constraint rows, A p = b
+    A: scipy.sparse.csr_array  # full constraint family, A p = b
     b: np.ndarray
-    A_red: np.ndarray  # rank-reduced rows actually handed to the solver
+    A_red: scipy.sparse.csr_array  # its basis, the rows handed to the solver
     b_red: np.ndarray
     fixed: dict  # bidder index -> fixed value (conditioned out)
     order: list  # original indices of the active bidders
 
     @property
     def n_cells(self):
-        return int(np.prod([len(s) for s in self.supports])) if self.supports else 1
+        return math.prod(len(s) for s in self.supports)
 
     @property
     def full_supports(self):
@@ -90,42 +96,38 @@ def build_polytope(marginal_tables, k: int) -> KwisePolytope:
         supports.append([v for v, _ in keep])
         masses.append(np.array([m for _, m in keep]))
         order.append(i)
-    n = len(supports)
     shape = tuple(len(s) for s in supports)
-    n_cells = int(np.prod(shape)) if n else 1
-    if n_cells > CELL_CAP:
-        raise DomainError(f"{n_cells} cells exceeds the cap {CELL_CAP}")
+    if math.prod(shape) > CELL_CAP:
+        raise DomainError(f"{math.prod(shape)} cells exceeds the cap {CELL_CAP}")
+    A, b = _rows(shape, masses, k, drop=0)
+    A_red, b_red = _rows(shape, masses, k, drop=1)
+    return KwisePolytope(supports, masses, k, A, b, A_red, b_red, fixed, order)
 
-    rows, rhs = [], []
-    k_eff = min(k, n) if n else 0
-    for size in range(1, k_eff + 1):
+
+def _rows(shape, masses, k, drop):
+    """Rows Pr[x_S = c] = prod_{i in S} masses[i][c_i] over the C-order cells
+    of `shape`, for S the empty set (total mass) and then every subset with
+    |S| <= k, each block in C order over the c with c_i < shape[i] - drop.
+    drop = 0 gives the full family; drop = 1 gives a basis of it."""
+    n, n_cells = len(shape), math.prod(shape)
+    cells = np.indices(shape).reshape(n, n_cells)
+    rows, cols, rhs = [np.zeros(n_cells, dtype=np.int64)], [np.arange(n_cells)], [np.ones(1)]
+    n_rows = 1
+    for size in range(1, k + 1):
         for subset in itertools.combinations(range(n), size):
-            for combo in itertools.product(*[range(shape[i]) for i in subset]):
-                mask = np.ones(shape, dtype=bool)
-                for i, ci in zip(subset, combo):
-                    sel = np.zeros(shape[i], dtype=bool)
-                    sel[ci] = True
-                    expand = [1] * n
-                    expand[i] = shape[i]
-                    mask &= sel.reshape(expand)
-                rows.append(mask.ravel().astype(float))
-                rhs.append(float(np.prod([masses[i][ci] for i, ci in zip(subset, combo)])))
-    if not rows:  # all bidders degenerate
-        rows = [np.ones(1)]
-        rhs = [1.0]
-    A = np.array(rows)
-    b = np.array(rhs)
-    # always pin total mass (implied by any |S|=1 family, but keep explicit
-    # so rank reduction has an anchor even in corner cases)
-    A = np.vstack([np.ones((1, A.shape[1])), A])
-    b = np.concatenate([[1.0], b])
-
-    # rank-reduce rows: QR with column pivoting on A^T picks independent rows
-    q, r, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int((diag > diag[0] * 1e-12).sum()) if diag.size else 0
-    sel = np.sort(piv[:rank])
-    return KwisePolytope(supports, masses, k, A, b, A[sel], b[sel], fixed, order)
+            dims = tuple(shape[i] - drop for i in subset)
+            coords = cells[list(subset)]
+            keep = np.flatnonzero((coords < np.array(dims)[:, None]).all(axis=0))
+            rows.append(n_rows + np.ravel_multi_index(coords[:, keep], dims))
+            cols.append(keep)
+            block = np.ones(1)
+            for i, d in zip(subset, dims):
+                block = np.multiply.outer(block, masses[i][:d]).ravel()
+            rhs.append(block)
+            n_rows += block.size
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    A = scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(n_rows, n_cells))
+    return A, np.concatenate(rhs)
 
 
 def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:

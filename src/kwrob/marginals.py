@@ -136,7 +136,7 @@ class ShiftedEqualRevenue:
                 f"need 0 < lo <= hi and shift >= 0, got {self.lo}, {self.hi}, {self.shift}"
             )
 
-    @property
+    @cached_property
     def _base(self):
         return EqualRevenue(self.lo, self.hi)
 
@@ -246,8 +246,8 @@ class Uniform:
         return np.where(y > self.hi, np.inf, np.clip((y + self.hi) / 2.0, self.lo, self.hi))
 
     def phi_gt_inv(self, y):
-        # phi is continuous and strictly increasing; the inf coincides.
-        return self.phi_geq_inv(y)
+        # phi is continuous and increasing up to phi(hi) = hi
+        return np.where(np.asarray(y, dtype=float) >= self.hi, np.inf, self.phi_geq_inv(y))
 
     def prob_phi_geq(self, nu):
         return self.quantile_q((nu + self.hi) / 2.0)

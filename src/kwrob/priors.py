@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class ConditionalBelow:
         if self.marginal.quantile_q(self.cutoff) >= 1.0:
             raise DomainError("conditioning event v < cutoff has zero probability")
 
-    @property
+    @cached_property
     def _qc(self):
         return self.marginal.quantile_q(self.cutoff)
 
@@ -115,7 +116,7 @@ class ConditionalAtLeast:
         if self.marginal.quantile_q(self.cutoff) <= 0.0:
             raise DomainError("conditioning event v >= cutoff has zero probability")
 
-    @property
+    @cached_property
     def _qc(self):
         return self.marginal.quantile_q(self.cutoff)
 
@@ -363,10 +364,6 @@ class TablePrior:
 
 
 JointPrior = ProductPrior | MixturePrior | TablePrior
-
-
-def product_prior(marginals) -> ProductPrior:
-    return ProductPrior(marginals)
 
 
 def _as_mixture(prior: ProductPrior) -> MixturePrior:

@@ -251,7 +251,9 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
             continue
         if branch.slot is None:
             rev = _myerson_product_revenue(mech, _branch_dists(mix, branch, grids))
-        elif _slot_members_identical(mix, branch):
+        elif mech.tie_break == HIGHEST_VALUE and _slot_members_identical(mix, branch):
+            # one member's revenue stands for all; not under lex, where the
+            # threshold depends on the chosen member's index
             idx = branch.slot.indices[0]
             rev = _myerson_product_revenue(
                 mech, _branch_dists(mix, branch, grids, chosen_idx=idx)

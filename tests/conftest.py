@@ -56,7 +56,9 @@ def phi_inv_scan(points, phis, y, strict):
 
 def _phi_inv(m, y, strict):
     if isinstance(m, Uniform):  # phi(v) = 2v - hi is continuous and increasing
-        return None if y > m.hi else min(max((y + m.hi) / 2.0, m.lo), m.hi)
+        if (y >= m.hi) if strict else (y > m.hi):
+            return None
+        return min(max((y + m.hi) / 2.0, m.lo), m.hi)
     if isinstance(m, DiscretePMF):
         return phi_inv_scan(m.points, m.ironed.phi, y, strict)
     # (shifted) equal revenue: phi is its shift below the top atom
@@ -108,6 +110,28 @@ def myerson_reference(mech, values):
     pay = threshold_reference(mech, winner, keys[1][0] if len(keys) > 1 else None)
     assert pay <= values[winner] + 1e-9
     return winner, min(pay, values[winner])
+
+
+def kwise_rows_reference(shape, masses, k):
+    """The k-wise constraint family A p = b on the C-order cells of `shape`,
+    one dense 0/1 mask at a time: the total-mass row, then a row per subset
+    S with |S| <= k (in combinations order) and per cell c of S (in C
+    order), whose right-hand side is prod_{i in S} masses[i][c_i]."""
+    n = len(shape)
+    rows, rhs = [np.ones(int(np.prod(shape)))], [1.0]
+    for size in range(1, min(k, n) + 1):
+        for subset in itertools.combinations(range(n), size):
+            for combo in itertools.product(*[range(shape[i]) for i in subset]):
+                mask = np.ones(shape, dtype=bool)
+                for i, ci in zip(subset, combo):
+                    sel = np.zeros(shape[i], dtype=bool)
+                    sel[ci] = True
+                    expand = [1] * n
+                    expand[i] = shape[i]
+                    mask &= sel.reshape(expand)
+                rows.append(mask.ravel().astype(float))
+                rhs.append(float(np.prod([masses[i][ci] for i, ci in zip(subset, combo)])))
+    return np.array(rows), np.array(rhs)
 
 
 def random_regular_discrete(rng, max_pts=4, lo=0.1, hi=10.0):

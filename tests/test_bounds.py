@@ -14,7 +14,6 @@ from kwrob import (
     split_integral_identity,
     lb1,
     lb2,
-    q1_ratio_constant,
     q2_ind,
     q2_ratio_lower_bound,
     q2_ind_near_bound,
@@ -25,7 +24,7 @@ from kwrob import (
     tail_upper,
     q1_count_bound,
 )
-from kwrob.bounds import q2_ind_upper_objective
+from kwrob.bounds import Q1_RATIO, q2_ind_upper_objective
 from kwrob.quadrature import integrate
 
 E = math.e
@@ -110,7 +109,7 @@ class TestSimpleBounds:
         assert q * q == pytest.approx(q2_ind_far_bound(s0, tau), abs=1e-12)
 
     def test_q1_ratio(self):
-        assert q1_ratio_constant() == 1.299
+        assert Q1_RATIO == 1.299
 
 
 class TestQRLB:

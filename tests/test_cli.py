@@ -217,17 +217,21 @@ class TestEntryPoint:
 
 class TestBenchmarkHooks:
     def test_layer_trace_rebinds_every_hook(self):
-        """bench/layertrace.py wraps program names from outside; removing or
-        renaming one must fail here, not only in the traced benchmark."""
+        """bench/layertrace.py wraps program names from outside and reads the
+        sizes of a built polytope; removing or renaming one must fail here,
+        not only in the traced benchmark."""
         root = Path(__file__).resolve().parents[1]
         code = (
-            "import numpy as np, kwrob.cli, layertrace\n"
+            "import numpy as np, kwrob.cli, kwrob.lp, layertrace\n"
             "from kwrob import AnonymousReserve, revenue\n"
             "tracer = layertrace.Tracer()\n"
             "layertrace.instrument(tracer)\n"
             "tracer.begin_job()\n"
             "revenue.mechanism_payments(AnonymousReserve(0.5), np.ones((3, 2)))\n"
-            "assert tracer.end_job()['revenue.mechanism_payments.rows'] == 3\n"
+            "kwrob.lp.build_polytope([([0.0, 1.0], [0.5, 0.5])] * 3, 2)\n"
+            "m = tracer.end_job()\n"
+            "assert m['revenue.mechanism_payments.rows'] == 3\n"
+            "assert (m['lp.cells'], m['lp.rows_full'], m['lp.rows_solver']) == (8, 19, 7)\n"
         )
         path = [str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))

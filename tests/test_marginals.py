@@ -193,6 +193,7 @@ class TestPhiInverse:
         for m in (EqualRevenue(1, 4), ShiftedEqualRevenue(1, 3, 0.5), Uniform(0, 4), DiscretePMF([1, 2], [0.5, 0.5])):
             lo, top = m.support
             assert m.phi_geq_inv(top) == top  # the top value's virtual value is itself
+            assert m.phi_gt_inv(top) == np.inf
             assert m.phi_gt_inv(top + 1.0) == np.inf
             assert m.phi_geq_inv(np.array([top + 1.0, -100.0])).tolist() == [np.inf, lo]
 

@@ -8,12 +8,12 @@ from kwrob import (
     DiscretePMF,
     DomainError,
     EqualRevenue,
+    ProductPrior,
     ShiftedEqualRevenue,
     TablePrior,
     Uniform,
     discretize,
     myerson_counterexample,
-    product_prior,
     sample,
     threshold_probs,
     uniform_q2_counterexample,
@@ -24,7 +24,7 @@ from kwrob.io import table_from_csv, table_to_csv
 
 class TestProductPrior:
     def test_two_uniforms_joint(self):
-        p = product_prior([Uniform(0, 1)] * 2)
+        p = ProductPrior([Uniform(0, 1)] * 2)
         q1, q2 = threshold_probs(p, 0.5)
         assert q2 == pytest.approx(0.25)
 
@@ -33,7 +33,7 @@ class TestProductPrior:
         assert p.n_bidders == 3
 
     def test_single_marginal(self):
-        p = product_prior([EqualRevenue(0.5, 1.0)])
+        p = ProductPrior([EqualRevenue(0.5, 1.0)])
         assert threshold_probs(p, 0.75)[0] == pytest.approx(2 / 3)
 
 
@@ -92,7 +92,7 @@ class TestUniformQ2Counterexample:
 
 class TestVerifyKwise:
     def test_product_passes(self):
-        p = product_prior([Uniform(0, 1), EqualRevenue(0.5, 1.0)])
+        p = ProductPrior([Uniform(0, 1), EqualRevenue(0.5, 1.0)])
         rep = verify_kwise(p, 2)
         assert rep.passed and rep.max_deviation <= 1e-12
 
@@ -110,7 +110,7 @@ class TestVerifyKwise:
 
     def test_k_above_n_rejected(self):
         with pytest.raises(DomainError):
-            verify_kwise(product_prior([Uniform(0, 1)] * 2), 3)
+            verify_kwise(ProductPrior([Uniform(0, 1)] * 2), 3)
 
     def test_perturbed_two_bidder_table_fails(self):
         # with two bidders pairwise = mutual: any feasible perturbation of
@@ -126,7 +126,7 @@ class TestVerifyKwise:
 
 class TestDiscretize:
     def test_product_uniform_grid(self):
-        p = product_prior([Uniform(0, 1)] * 2)
+        p = ProductPrior([Uniform(0, 1)] * 2)
         t = discretize(p, [[0.0, 0.5, 1.0]] * 2)
         assert t.pmf.shape == (2, 2)
         assert np.allclose(t.pmf, 0.25)
@@ -171,13 +171,13 @@ class TestDiscretize:
 
 class TestThresholdProbs:
     def test_product_uniforms(self):
-        assert threshold_probs(product_prior([Uniform(0, 1)] * 2), 0.5) == pytest.approx(
+        assert threshold_probs(ProductPrior([Uniform(0, 1)] * 2), 0.5) == pytest.approx(
             (0.75, 0.25)
         )
 
     def test_independent_closed_form_vs_enumeration(self):
         marginals = [Uniform(0, 1), EqualRevenue(0.5, 2.0), Uniform(0.2, 1.5)]
-        p = product_prior(marginals)
+        p = ProductPrior(marginals)
         for tau in [0.3, 0.8, 1.2]:
             qs = [m.quantile_q(tau) for m in marginals]
             assert threshold_probs(p, tau) == pytest.approx(q1q2_enumerate(qs), abs=1e-14)
@@ -202,7 +202,7 @@ class TestThresholdProbs:
 
 class TestSampling:
     def test_point_mass_product(self):
-        p = product_prior([DiscretePMF([2.0], [1.0]), DiscretePMF([3.0], [1.0])])
+        p = ProductPrior([DiscretePMF([2.0], [1.0]), DiscretePMF([3.0], [1.0])])
         assert sample(p, 0).tolist() == [2.0, 3.0]
 
     def test_counterexample_support(self):

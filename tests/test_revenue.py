@@ -6,10 +6,14 @@ import pytest
 from conftest import q1q2_enumerate, random_regular_discrete, table_q1q2_enumerate
 from kwrob import (
     AnonymousReserve,
+    Branch,
     DiscretePMF,
     DomainError,
+    FixedValue,
+    MixturePrior,
     Myerson,
     ProductPrior,
+    RandomIndexSlot,
     TablePrior,
     Uniform,
     ar_revenue_integral,
@@ -51,6 +55,17 @@ class TestExactTable:
         product = ProductPrior(prior.marginals)
         rev = revenue_exact(discretize(product), AnonymousReserve(r)).mean
         assert rev == pytest.approx(n + eps / n, abs=1e-9)
+
+    def test_lex_prices_each_slot_member(self):
+        # under lex the chosen member's threshold depends on its index, so
+        # identical slot members cannot share one member's price
+        m = DiscretePMF([1, 2, 3], [0.2, 0.3, 0.5])
+        slot = RandomIndexSlot((0, 1), (FixedValue(3),) * 2, (FixedValue(2),) * 2)
+        prior = MixturePrior([m, m], [Branch(1.0, (None, None), slot)])
+        mech = Myerson([m, m], "lex")
+        via_table = revenue_exact_table(discretize(prior), mech).mean
+        assert via_table == pytest.approx(2.5, abs=1e-12)
+        assert revenue_exact(prior, mech).mean == pytest.approx(via_table, abs=1e-12)
 
     def test_exact_flag(self):
         t = TablePrior([(1.0,)], np.array([1.0]))
