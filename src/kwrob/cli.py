@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: counterexample, reproduce, revenue, lp, bounds, figure.
+Subcommands: counterexample, reproduce, revenue, lp, bounds.
 Exit codes: 0 success, 1 error (bad config / runtime failure), 2 when a
 certified inequality check fails.  All outputs are deterministic for a
 fixed config: floats at 17 significant digits, sorted JSON keys, LF
@@ -28,11 +28,19 @@ from .io import (
     table_to_csv,
     write_csv,
 )
-from .marginals import DomainError, EqualRevenue, Uniform, regular_quantile_bound, revenue_curve
+from .marginals import (
+    DiscretePMF,
+    DomainError,
+    EqualRevenue,
+    Uniform,
+    regular_quantile_bound,
+    revenue_curve,
+)
 from .mechanisms import AnonymousReserve, Myerson
 from .priors import (
     ProductPrior,
     myerson_counterexample,
+    q1q2_from_qvec,
     threshold_probs,
     uniform_q2_counterexample,
     verify_kwise,
@@ -239,8 +247,6 @@ def cmd_revenue(args):
 
 def _write_threshold_curve(args, spec, prior, marginals):
     """Columns tau, q1, q2, q1_ind, q2_ind on the requested grid."""
-    from .revenue import q1_ind as _q1i, q2_ind as _q2i
-
     if "taus" in spec:
         taus = [float(t) for t in spec["taus"]]
     else:
@@ -250,7 +256,8 @@ def _write_threshold_curve(args, spec, prior, marginals):
     rows = []
     for tau in taus:
         q1, q2 = threshold_probs(prior, tau)
-        rows.append((tau, q1, q2, _q1i(marginals, tau), _q2i(marginals, tau)))
+        q1i, q2i = q1q2_from_qvec([m.quantile_q(tau) for m in marginals])
+        rows.append((tau, q1, q2, q1i, q2i))
     write_csv(_outdir(args) / "threshold_curve.csv", ["tau", "q1", "q2", "q1_ind", "q2_ind"], rows)
 
 
@@ -260,8 +267,6 @@ def cmd_lp(args):
     marginals = [marginal_from_dict(d) for d in cfg["marginals"]]
     tables = []
     for m in marginals:
-        from .marginals import DiscretePMF
-
         if not isinstance(m, DiscretePMF):
             raise ConfigError("lp instances need discrete marginals")
         tables.append((list(m.points), list(m.masses)))
@@ -300,14 +305,6 @@ def cmd_bounds(args):
     rows = bl.bounds_table_rows()
     write_csv(out / "bounds.csv", ["bound_id", "inputs", "value"], rows)
     print(f"wrote {len(rows)} rows to {out / 'bounds.csv'}")
-    return EXIT_OK
-
-
-def cmd_figure(args):
-    out = _outdir(args)
-    rows = bl.iid_ratio_curve(1000)
-    _write_ratio_curve(out, rows)
-    print(f"wrote {len(rows)} rows to {out / 'ratio_curve.csv'}")
     return EXIT_OK
 
 
@@ -361,11 +358,6 @@ def build_parser():
     bd.add_argument("action", choices=["table"])
     bd.add_argument("--out", default="out")
     bd.set_defaults(func=cmd_bounds)
-
-    fg = sub.add_parser("figure", help="emit figure data")
-    fg.add_argument("action", choices=["ratio-curve"])
-    fg.add_argument("--out", default="out")
-    fg.set_defaults(func=cmd_figure)
     return p
 
 

@@ -14,11 +14,16 @@ Three representations:
 
 Everything needed downstream (threshold probabilities, discretization,
 independence checks, sampling) is computed branch-wise in closed form; no
-construction is ever verified by sampling.
+construction is ever verified by sampling.  A branch with a slot is a
+mixture of product-form parts, one per chosen member; _branch_parts is the
+one place that expands (or, for symmetric quantities, merges) them, and
+_cell_masses holds each bidder's plain and chosen cell masses per branch.
+Sampling draws the chosen member directly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -164,17 +169,6 @@ class FixedValue:
         return np.full(size, self.value)
 
 
-Component = FullMarginal | ConditionalBelow | ConditionalAtLeast | FixedValue
-
-
-def component_cell_mass(comp: Component, cell) -> float:
-    """Exact probability of a grid cell.  cell = (lo, hi, singleton)."""
-    lo, hi, singleton = cell
-    if singleton:
-        return comp.atom_mass(lo)
-    return comp.quantile_q(lo) - comp.quantile_q(hi)
-
-
 @dataclass(frozen=True)
 class RandomIndexSlot:
     """One index in `indices` is drawn uniformly; it receives chosen[j],
@@ -188,8 +182,13 @@ class RandomIndexSlot:
         if not (len(self.indices) == len(self.chosen) == len(self.unchosen)):
             raise DomainError("slot arrays must be aligned")
 
+    @cached_property
+    def _positions(self):
+        return {b: j for j, b in enumerate(self.indices)}
+
     def position(self, bidder):
-        return self.indices.index(bidder)
+        """Slot position of `bidder`, or None when it is not a member."""
+        return self._positions.get(bidder)
 
 
 @dataclass(frozen=True)
@@ -234,15 +233,15 @@ class Branch:
 
     def bidder_event_prob(self, i, prob_plain, prob_chosen):
         """Single-bidder marginal event probability within this branch."""
-        if self.slot and i in self.slot.indices:
+        if self.slot and self.slot.position(i) is not None:
             k = len(self.slot.indices)
             return (prob_chosen + (k - 1) * prob_plain) / k
         return prob_plain
 
     def component_pair(self, i):
         """(plain_or_unchosen, chosen_or_None) component for bidder i."""
-        if self.slot and i in self.slot.indices:
-            j = self.slot.position(i)
+        j = self.slot.position(i) if self.slot else None
+        if j is not None:
             return self.slot.unchosen[j], self.slot.chosen[j]
         return self.components[i], None
 
@@ -287,6 +286,19 @@ class MixturePrior:
     @property
     def n_bidders(self):
         return len(self.marginals)
+
+    @cached_property
+    def _class_of(self):
+        """Per bidder, the index of its exchangeability class: bidders with
+        the same marginal and the same (plain, chosen) components in every
+        branch can be swapped without changing the prior."""
+        ids = {}
+        return tuple(
+            ids.setdefault(
+                (m,) + tuple(b.component_pair(i) for b in self.branches), len(ids)
+            )
+            for i, m in enumerate(self.marginals)
+        )
 
     def marginal_quantile(self, i, tau):
         """Pr[v_i >= tau] implied by the mixture (closed form)."""
@@ -369,6 +381,64 @@ JointPrior = ProductPrior | MixturePrior | TablePrior
 def _as_mixture(prior: ProductPrior) -> MixturePrior:
     comps = tuple(FullMarginal(m) for m in prior.marginals)
     return MixturePrior(prior.marginals, (Branch(1.0, comps),))
+
+
+# ---------------------------------------------------------------------------
+# Product-form parts of a branch
+
+
+def _branch_parts(mix: MixturePrior, branch: Branch, symmetric: bool):
+    """The branch as a mixture of product-form parts: yields (share, chosen
+    slot member or None), where the chosen member gets its chosen component
+    and every other bidder its plain (or unchosen) one.  A branch without a
+    slot is one part; a slot gives one part per member with share 1/k.
+    When the caller's quantity is symmetric in the bidders, members of one
+    exchangeability class give equal parts, so each class is one part
+    carrying the members' summed share."""
+    slot = branch.slot
+    if slot is None:
+        yield 1.0, None
+        return
+    k = len(slot.indices)
+    if not symmetric:
+        for m in slot.indices:
+            yield 1.0 / k, m
+        return
+    classes = {}
+    for m in slot.indices:
+        classes.setdefault(mix._class_of[m], []).append(m)
+    for members in classes.values():
+        yield len(members) / k, members[0]
+
+
+def _cell_masses(mix: MixturePrior, cells):
+    """Per branch, per bidder i: the (plain, chosen) arrays of exact masses
+    of the cells in cells[i] under bidder i's plain (or unchosen) and chosen
+    components; chosen is None off the slot.  A cell is (lo, hi, singleton):
+    the half-open [lo, hi), or the atom at lo.  Each component object is
+    evaluated once per distinct cell list, since the constructions share
+    one component object across their bidders."""
+    grid_ids = {}
+    grid_of = [grid_ids.setdefault(tuple(c), len(grid_ids)) for c in cells]
+    memo = {}
+
+    def masses(comp, i):
+        if comp is None:
+            return None
+        key = (id(comp), grid_of[i])
+        if key not in memo:
+            memo[key] = np.array(
+                [
+                    comp.atom_mass(lo) if single else comp.quantile_q(lo) - comp.quantile_q(hi)
+                    for lo, hi, single in cells[i]
+                ]
+            )
+        return memo[key]
+
+    return [
+        [tuple(masses(comp, i) for comp in b.component_pair(i)) for i in range(mix.n_bidders)]
+        for b in mix.branches
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -567,36 +637,11 @@ def discretize(prior: JointPrior, grids=None) -> TablePrior:
     shape = tuple(len(c) for c in kept)
     if math.prod(shape) > TABLE_CELL_CAP:
         raise DomainError(f"discretization would need {math.prod(shape)} cells")
-    n = mix.n_bidders
     pmf = np.zeros(shape)
-    for branch in mix.branches:
-        plain_vecs, chosen_vecs = [], []
-        for i in range(n):
-            plain, chosen = branch.component_pair(i)
-            plain_vecs.append(np.array([component_cell_mass(plain, c) for c in kept[i]]))
-            chosen_vecs.append(
-                np.array([component_cell_mass(chosen, c) for c in kept[i]])
-                if chosen is not None
-                else None
-            )
-
-        def outer(vectors):
-            out = vectors[0]
-            for v in vectors[1:]:
-                out = np.multiply.outer(out, v)
-            return out
-
-        if branch.slot is None:
-            pmf += branch.weight * outer(plain_vecs)
-        else:
-            k = len(branch.slot.indices)
-            acc = np.zeros(shape)
-            for m_idx in branch.slot.indices:
-                vecs = [
-                    chosen_vecs[i] if i == m_idx else plain_vecs[i] for i in range(n)
-                ]
-                acc += outer(vecs)
-            pmf += branch.weight * acc / k
+    for branch, masses in zip(mix.branches, _cell_masses(mix, kept)):
+        for share, chosen in _branch_parts(mix, branch, symmetric=False):
+            vecs = [c if i == chosen else p for i, (p, c) in enumerate(masses)]
+            pmf += branch.weight * share * functools.reduce(np.multiply.outer, vecs)
     supports = [tuple(c[0] for c in kc) for kc in kept]
     return TablePrior(supports, pmf)
 
@@ -607,27 +652,22 @@ def discretize(prior: JointPrior, grids=None) -> TablePrior:
 
 def q1q2_from_qvec(qs) -> tuple:
     """(Pr[at least one above], Pr[at least two above]) for independent
-    events with probabilities qs; certain events handled by factoring."""
-    qs = np.asarray(qs, dtype=float)
-    ones = qs >= 1.0 - 1e-15
-    n_ones = int(ones.sum())
-    if n_ones >= 2:
-        return 1.0, 1.0
-    rest = qs[~ones]
-    rest = rest[rest > 0.0]
-    log_prod = np.prod(1.0 - rest)
-    q1_rest = 1.0 - log_prod
-    ratio = rest / (1.0 - rest)
-    q2_rest = 1.0 - log_prod * (1.0 + float(ratio.sum()))
-    if n_ones == 1:
-        return 1.0, q1_rest
-    return float(q1_rest), float(max(q2_rest, 0.0))
+    events with probabilities qs, to full relative precision in the tails.
+
+    Q1 = 1 - prod(1 - q_i) comes from expm1 of the summed log1p(-q_i); Q2
+    sums, over the last event i that occurs, q_i * Pr[one of j < i occurs]
+    * prod_{j > i}(1 - q_j).  Every term is nonnegative, and a certain
+    event (q = 1) gives log1p(-1) = -inf and a factor exactly 0."""
+    q = np.clip(np.asarray(qs, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        logs = np.log1p(-q)
+    any_before = 0.0 - np.expm1(np.concatenate(([0.0], np.cumsum(logs[:-1]))))
+    none_after = np.append(np.cumprod((1.0 - q)[:0:-1])[::-1], 1.0)
+    return float(0.0 - np.expm1(logs.sum())), float(np.sum(q * any_before * none_after))
 
 
 def threshold_probs(prior: JointPrior, tau: float) -> tuple:
     """Exact (Q1, Q2) = Pr[>=1 value >= tau], Pr[>=2 values >= tau]."""
-    if isinstance(prior, ProductPrior):
-        return q1q2_from_qvec([m.quantile_q(tau) for m in prior.marginals])
     if isinstance(prior, TablePrior):
         counts = np.zeros(prior.pmf.shape, dtype=int)
         for j, s in enumerate(prior.supports):
@@ -638,24 +678,19 @@ def threshold_probs(prior: JointPrior, tau: float) -> tuple:
         q1 = float(prior.pmf[counts >= 1].sum())
         q2 = float(prior.pmf[counts >= 2].sum())
         return q1, q2
+    mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
     q1 = q2 = 0.0
-    n = prior.n_bidders
-    for branch in prior.branches:
-        pairs = [branch.component_pair(i) for i in range(n)]
+    for branch in mix.branches:
+        pairs = [branch.component_pair(i) for i in range(mix.n_bidders)]
         q_plain = np.array([p.quantile_q(tau) for p, _ in pairs])
-        if branch.slot is None:
-            b1, b2 = q1q2_from_qvec(q_plain)
-        else:
-            k = len(branch.slot.indices)
-            b1 = b2 = 0.0
-            for m_idx in branch.slot.indices:
+        for share, chosen in _branch_parts(mix, branch, symmetric=True):
+            qs = q_plain
+            if chosen is not None:
                 qs = q_plain.copy()
-                qs[m_idx] = pairs[m_idx][1].quantile_q(tau)
-                t1, t2 = q1q2_from_qvec(qs)
-                b1 += t1 / k
-                b2 += t2 / k
-        q1 += branch.weight * b1
-        q2 += branch.weight * b2
+                qs[chosen] = pairs[chosen][1].quantile_q(tau)
+            t1, t2 = q1q2_from_qvec(qs)
+            q1 += branch.weight * share * t1
+            q2 += branch.weight * share * t2
     return q1, q2
 
 
@@ -685,25 +720,14 @@ class KwiseReport:
 _MAX_RECORDED = 50
 
 
-def _bidder_class_key(mix: MixturePrior, i):
-    parts = [mix.marginals[i]]
-    for bi, b in enumerate(mix.branches):
-        if b.slot and i in b.slot.indices:
-            j = b.slot.position(i)
-            parts.append((bi, "slot", b.slot.chosen[j], b.slot.unchosen[j]))
-        else:
-            parts.append((bi, b.components[i]))
-    return tuple(parts)
-
-
 def verify_kwise(prior: JointPrior, k: int, grids=None) -> KwiseReport:
     """Check |Pr_joint - prod Pr_marginal| over every bidder subset of size
     <= k and every grid-cell combination.
 
-    Exchangeable bidders (identical marginal and identical per-branch
-    components) are grouped, so the check is exhaustive over subsets while
-    the work is exhaustive only over equivalence classes; the shipped
-    constructions have two classes regardless of n.
+    Exchangeable bidders (MixturePrior._class_of) are grouped, so the check
+    is exhaustive over subsets while the work is exhaustive only over
+    equivalence classes; the shipped constructions have two classes
+    regardless of n.
     """
     if isinstance(prior, TablePrior):
         return _verify_kwise_table(prior, k)
@@ -715,10 +739,11 @@ def verify_kwise(prior: JointPrior, k: int, grids=None) -> KwiseReport:
         grids = natural_grids(mix)
     _check_grid(mix, grids)
     kept, kept_mass = _kept_cells(mix, grids)
+    masses = _cell_masses(mix, kept)
 
     classes = {}
-    for i in range(n):
-        classes.setdefault(_bidder_class_key(mix, i), []).append(i)
+    for i, c in enumerate(mix._class_of):
+        classes.setdefault(c, []).append(i)
     class_members = list(classes.values())
 
     max_dev = 0.0
@@ -739,17 +764,15 @@ def verify_kwise(prior: JointPrior, k: int, grids=None) -> KwiseReport:
             for c in counts:
                 multiplicity *= math.comb(len(class_members[c]), counts[c])
             for cell_idx in itertools.product(*[range(len(kept[i])) for i in reps]):
-                plain = {}
-                chosen = {}
                 prod = 1.0
                 for i, ci in zip(reps, cell_idx):
-                    cell = kept[i][ci]
                     prod *= kept_mass[i][ci]
-                    plain[i], chosen[i] = _cell_probs_for(mix, i, cell)
                 joint = 0.0
-                for bi, b in enumerate(mix.branches):
-                    p_plain = {i: plain[i][bi] for i in reps}
-                    p_chosen = {i: chosen[i][bi] for i in reps}
+                for b, bm in zip(mix.branches, masses):
+                    p_plain = {i: bm[i][0][ci] for i, ci in zip(reps, cell_idx)}
+                    p_chosen = {
+                        i: bm[i][1][ci] for i, ci in zip(reps, cell_idx) if bm[i][1] is not None
+                    }
                     joint += b.weight * b.subset_prob(reps, p_plain, p_chosen)
                 dev = abs(joint - prod)
                 n_checked += multiplicity
@@ -766,16 +789,6 @@ def verify_kwise(prior: JointPrior, k: int, grids=None) -> KwiseReport:
                         )
                     )
     return KwiseReport(k, max_dev, max_dev <= KWISE_TOL, violations, n_checked)
-
-
-def _cell_probs_for(mix: MixturePrior, i, cell):
-    """Per-branch (plain, chosen) probabilities of bidder i's cell."""
-    plains, chosens = [], []
-    for b in mix.branches:
-        plain, chosen = b.component_pair(i)
-        plains.append(component_cell_mass(plain, cell))
-        chosens.append(component_cell_mass(chosen, cell) if chosen is not None else 0.0)
-    return plains, chosens
 
 
 def _verify_kwise_table(table: TablePrior, k: int) -> KwiseReport:

@@ -9,7 +9,11 @@ Exact paths:
                   optimal mechanism via an exact sweep over the global
                   "competing key" grid (see _myerson_product_revenue).
 * mixtures      - branch-wise: within a branch the components are
-                  independent, so each branch reduces to a product instance.
+                  independent, so each branch reduces to product instances,
+                  one per part from priors._branch_parts (a random-index
+                  slot gives one part per chosen member, merged per
+                  exchangeability class where the quantity is symmetric),
+                  with cell masses from priors._cell_masses.
 
 Every Myerson payment comes from the one threshold formula,
 mechanisms.threshold_payment: tables and Monte Carlo blocks reach it through
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import DiscretePMF, DomainError, Marginal, revenue_at_quantile
+from .marginals import DiscretePMF, DomainError, Marginal, check_regular, revenue_at_quantile
 from .mechanisms import (
     HIGHEST_VALUE,
     AnonymousReserve,
@@ -40,19 +44,19 @@ from .mechanisms import (
     virtual_values,
 )
 from .priors import (
-    Branch,
     JointPrior,
-    MixturePrior,
     ProductPrior,
     TablePrior,
     _as_mixture,
+    _branch_parts,
+    _cell_masses,
     _grid_cells,
     cell_values,
-    component_cell_mass,
     natural_grids,
     q1q2_from_qvec,
     sample,
     threshold_probs,
+    verify_kwise,
 )
 from .quadrature import integrate
 
@@ -92,29 +96,12 @@ def revenue_exact_table(table: TablePrior, mech: Mechanism) -> RevenueEstimate:
     return RevenueEstimate(_ordered_sum(mass[cells] * pays), 0.0, 0, True)
 
 
-def _ar_product_revenue(dists, r):
-    """Exact AR(r) revenue for independent discrete per-bidder value
-    distributions [(values, probs), ...]."""
-    points = sorted({v for vals, _ in dists for v in vals if v > r})
-
-    def qvec(tau):
-        return [float(probs[np.asarray(vals) >= tau].sum()) for vals, probs in dists]
-
-    q1_r, _ = q1q2_from_qvec(qvec(r))
-    total = r * q1_r
-    prev = r
-    for t in points:
-        _, q2 = q1q2_from_qvec(qvec(t))
-        total += (t - prev) * q2
-        prev = t
-    return total
-
-
 def _myerson_product_revenue(mech: Myerson, dists):
     """Exact expected revenue of the virtual-value mechanism when bidder i's
     value is drawn independently from the discrete distribution dists[i]
     (which need not equal the marginal the mechanism was designed for -
-    that is the whole point when evaluating adversarial mixtures).
+    that is the whole point when evaluating adversarial mixtures).  Values
+    of mass at most 1e-18 are dropped.
 
     Sweep: sort every (bidder, support value) pair by its allocation key.
     Conditional on the strongest competing key kappa, bidder i wins iff its
@@ -129,7 +116,7 @@ def _myerson_product_revenue(mech: Myerson, dists):
     cols = []  # per bidder: eligible (phi, value, bidder, prob)
     for i, (vals, probs) in enumerate(dists):
         vals, probs = np.asarray(vals, dtype=float), np.asarray(probs, dtype=float)
-        vals, probs = vals[probs != 0.0], probs[probs != 0.0]
+        vals, probs = vals[probs > 1e-18], probs[probs > 1e-18]
         phi = virtual_values(mech.marginals[i], vals, i)
         ok = phi >= 0.0
         bottom[i] = _ordered_sum(probs[~ok])
@@ -191,34 +178,6 @@ def _myerson_product_revenue(mech: Myerson, dists):
     return _ordered_sum(np.concatenate(terms))
 
 
-def _branch_dists(mix: MixturePrior, branch: Branch, grids, chosen_idx=None):
-    """Per-bidder (values, probs) after discretizing the branch components
-    on the grids; chosen_idx picks the slot member that gets the chosen
-    component."""
-    dists = []
-    for i in range(mix.n_bidders):
-        plain, chosen = branch.component_pair(i)
-        comp = chosen if (chosen is not None and i == chosen_idx) else plain
-        cells = _grid_cells(grids[i])
-        vals, probs = [], []
-        for cell in cells:
-            w = component_cell_mass(comp, cell)
-            if w > 1e-18:
-                vals.append(cell[0])
-                probs.append(w)
-        dists.append((np.array(vals), np.array(probs)))
-    return dists
-
-
-def _slot_members_identical(mix: MixturePrior, branch: Branch):
-    slot = branch.slot
-    keys = {
-        (mix.marginals[i], slot.chosen[j], slot.unchosen[j])
-        for j, i in enumerate(slot.indices)
-    }
-    return len(keys) == 1
-
-
 def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEstimate:
     """Exact expected revenue.
 
@@ -245,30 +204,19 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
         tail = integrate(q2, mech.r, hi, abs_tol=1e-10, breakpoints=breaks)
         return RevenueEstimate(mech.r * q1_r + tail, 0.0, 0, True)
 
+    cells = [_grid_cells(g) for g in grids]
+    vals = [np.array([c[0] for c in cs]) for cs in cells]
+    # one part per exchangeability class only under highest_value: under lex
+    # the threshold depends on the chosen member's index
+    symmetric = mech.tie_break == HIGHEST_VALUE
     total = 0.0
-    for branch in mix.branches:
+    for branch, masses in zip(mix.branches, _cell_masses(mix, cells)):
         if branch.weight == 0.0:
             continue
-        if branch.slot is None:
-            rev = _myerson_product_revenue(mech, _branch_dists(mix, branch, grids))
-        elif mech.tie_break == HIGHEST_VALUE and _slot_members_identical(mix, branch):
-            # one member's revenue stands for all; not under lex, where the
-            # threshold depends on the chosen member's index
-            idx = branch.slot.indices[0]
-            rev = _myerson_product_revenue(
-                mech, _branch_dists(mix, branch, grids, chosen_idx=idx)
-            )
-        else:
-            k = len(branch.slot.indices)
-            rev = (
-                sum(
-                    _myerson_product_revenue(
-                        mech, _branch_dists(mix, branch, grids, chosen_idx=idx)
-                    )
-                    for idx in branch.slot.indices
-                )
-                / k
-            )
+        rev = 0.0
+        for share, chosen in _branch_parts(mix, branch, symmetric):
+            dists = [(vals[i], c if i == chosen else p) for i, (p, c) in enumerate(masses)]
+            rev += share * _myerson_product_revenue(mech, dists)
         total += branch.weight * rev
     return RevenueEstimate(total, 0.0, 0, True)
 
@@ -485,8 +433,6 @@ def myerson_ind_revenue(marginals, grids=None) -> float:
         return revenue_exact(ProductPrior(marginals), mech, grids=grids).mean
     first = marginals[0]
     if all(m == first for m in marginals):
-        from .marginals import check_regular
-
         if not check_regular(first):
             raise DomainError("identical continuous marginals must be regular")
         prior = ProductPrior(marginals)
@@ -503,8 +449,6 @@ def check_3wise_inequalities(marginals, prior: JointPrior, grids=None) -> ThreeW
     (2 sum rev_i >= optimal independent revenue), the per-case constant
     (cases split on the budget level's sign, the largest selling
     probability, and its revenue share), and the global factor 64."""
-    from .priors import verify_kwise
-
     marginals = list(marginals)
     if not isinstance(prior, ProductPrior):
         report = verify_kwise(prior, k=min(3, prior.n_bidders), grids=grids)

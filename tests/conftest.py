@@ -15,13 +15,13 @@ from kwrob.mechanisms import HIGHEST_VALUE
 
 def q1q2_enumerate(qs):
     """Pr[>=1], Pr[>=2] for independent Bernoulli events, by enumerating
-    all 2^n outcomes."""
+    all 2^n outcomes; exact when qs are Fractions."""
     n = len(qs)
-    q1 = q2 = 0.0
+    q1 = q2 = 0
     for bits in itertools.product([0, 1], repeat=n):
-        p = 1.0
+        p = 1
         for b, q in zip(bits, qs):
-            p *= q if b else (1.0 - q)
+            p *= q if b else (1 - q)
         c = sum(bits)
         if c >= 1:
             q1 += p

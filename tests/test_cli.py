@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kwrob import DiscretePMF, DomainError, Myerson, TablePrior, Uniform, revenue_exact
-from kwrob.cli import main
+from kwrob.cli import build_parser, main
 
 
 def run_cli(args):
@@ -202,6 +202,19 @@ class TestDeterminism:
         run_cli(["bounds", "table", "--out", str(a)])
         run_cli(["bounds", "table", "--out", str(b)])
         assert (a / "bounds.csv").read_bytes() == (b / "bounds.csv").read_bytes()
+
+
+class TestReadme:
+    def test_cli_block_parses(self):
+        """Every `kwrob ...` line of the README's CLI block is a valid
+        command line, so a removed subcommand cannot stay documented."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+        commands = [argv[1:] for argv in lines if argv and argv[0] == "kwrob"]
+        assert len(commands) >= 10
+        for argv in commands:
+            build_parser().parse_args(argv)
 
 
 class TestEntryPoint:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kwrob import (
     Uniform,
     discretize,
     myerson_counterexample,
+    q1q2_from_qvec,
     sample,
     threshold_probs,
     uniform_q2_counterexample,
@@ -181,6 +183,19 @@ class TestThresholdProbs:
         for tau in [0.3, 0.8, 1.2]:
             qs = [m.quantile_q(tau) for m in marginals]
             assert threshold_probs(p, tau) == pytest.approx(q1q2_enumerate(qs), abs=1e-14)
+
+    def test_q1q2_full_relative_precision(self, rng):
+        # exact rational enumeration of the same float inputs: tails far
+        # below 1e-8, near-certain events, and one or two certain events
+        vectors = [[1e-9, 1e-9], [1e-6, 1e-6], [0.4, 0.0], [1.0], [1.0, 0.3, 1e-9], [0.2, 1.0, 1e-7, 1.0]]
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            tails = 10.0 ** rng.uniform(-12.0, 0.0, n)
+            vectors += [tails.tolist(), (1.0 - tails).tolist(), rng.uniform(0.0, 1.0, n).tolist()]
+        for qs in vectors:
+            want = q1q2_enumerate([Fraction(q) for q in qs])
+            for got, exact in zip(q1q2_from_qvec(qs), want):
+                assert abs(Fraction(got) - exact) <= Fraction(1, 10**13) * exact, (qs, got, float(exact))
 
     def test_table_matches_enumeration(self, rng):
         supports = [(0.0, 1.0, 2.0), (0.5, 1.5)]

@@ -2,14 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import q1q2_enumerate, random_regular_discrete, table_q1q2_enumerate
 from kwrob import (
     AnonymousReserve,
     Branch,
+    ConditionalAtLeast,
+    ConditionalBelow,
     DiscretePMF,
     DomainError,
     FixedValue,
+    FullMarginal,
     MixturePrior,
     Myerson,
     ProductPrior,
@@ -21,6 +26,7 @@ from kwrob import (
     discretize,
     ex_ante_level,
     myerson_counterexample,
+    natural_grids,
     q1_ind,
     q2_ind,
     revenue_exact,
@@ -30,7 +36,7 @@ from kwrob import (
     threshold_probs,
     uniform_q2_counterexample,
 )
-from kwrob.revenue import _ar_product_revenue, _myerson_product_revenue, posted_price_lower_bound
+from kwrob.revenue import _myerson_product_revenue, posted_price_lower_bound
 
 
 class TestExactTable:
@@ -73,6 +79,72 @@ class TestExactTable:
         assert est.exact and est.half_width_95 == 0.0
 
 
+@st.composite
+def slot_mixtures(draw):
+    """2-4 bidders on DiscretePMF marginals: a plain branch and a branch
+    with a random-index slot whose members come from two classes of
+    identical bidders, sometimes told apart only by their chosen component
+    (a third class, when drawn, stays outside the slot).  Every component's
+    values are points of its bidder's marginal."""
+
+    def marginal():
+        k = draw(st.integers(2, 4))
+        pts = sorted(draw(st.lists(st.integers(1, 40), min_size=k, max_size=k, unique=True)))
+        w = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        return DiscretePMF([p / 4 for p in pts], [x / sum(w) for x in w])
+
+    def component(m):
+        kind = draw(st.sampled_from(["full", "fixed", "below", "at_least"]))
+        if kind == "full":
+            return FullMarginal(m)
+        if kind == "fixed":
+            return FixedValue(draw(st.sampled_from(m.points)))
+        cut = draw(st.sampled_from(m.points[1:]))
+        return ConditionalBelow(m, cut) if kind == "below" else ConditionalAtLeast(m, cut)
+
+    n_classes = draw(st.integers(2, 3))
+    n = draw(st.integers(n_classes, 4))
+    extra = st.lists(st.integers(0, n_classes - 1), min_size=n - n_classes, max_size=n - n_classes)
+    of = draw(st.permutations(list(range(n_classes)) + draw(extra)))  # class of each bidder
+    classes = []  # (marginal, plain, chosen, unchosen)
+    for c in range(n_classes):
+        if c == 1 and draw(st.booleans()):
+            # differs from class 0 only in its chosen component
+            m, plain, _, unchosen = classes[0]
+            classes.append((m, plain, component(m), unchosen))
+        else:
+            m = marginal()
+            classes.append((m, component(m), component(m), component(m)))
+    members = tuple(i for i in range(n) if of[i] < 2)
+    chosen = tuple(classes[of[i]][2] for i in members)
+    unchosen = tuple(classes[of[i]][3] for i in members)
+    w = draw(st.integers(1, 9)) / 10
+    plain = Branch(w, tuple(classes[c][1] for c in of))
+    off_slot = tuple(None if i in members else classes[of[i]][1] for i in range(n))
+    slotted = Branch(1.0 - w, off_slot, RandomIndexSlot(members, chosen, unchosen))
+    return MixturePrior([classes[c][0] for c in of], [plain, slotted])
+
+
+class TestSlotParts:
+    """Slot parts, merged per exchangeability class or expanded per member,
+    against the discretized table."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(slot_mixtures())
+    def test_mixture_matches_its_table(self, mix):
+        grids = natural_grids(mix)
+        table = discretize(mix, grids)
+        for tau in sorted({x for g in grids for x in g}):
+            assert threshold_probs(mix, tau) == pytest.approx(
+                threshold_probs(table, tau), rel=1e-12, abs=1e-12
+            )
+        for tie in ("highest_value", "lex"):
+            mech = Myerson(list(mix.marginals), tie)
+            assert revenue_exact(mix, mech).mean == pytest.approx(
+                revenue_exact_table(table, mech).mean, rel=1e-12, abs=1e-12
+            )
+
+
 class TestProductSweep:
     """The key-grid sweep against brute-force enumeration."""
 
@@ -99,7 +171,8 @@ class TestProductSweep:
                 self.brute(mech, dists), abs=1e-10
             )
             r = float(rng.uniform(0, 5))
-            assert _ar_product_revenue(dists, r) == pytest.approx(
+            product = ProductPrior([DiscretePMF(points, w) for points, w in dists])
+            assert revenue_exact(product, AnonymousReserve(r)).mean == pytest.approx(
                 self.brute(AnonymousReserve(r), dists), abs=1e-10
             )
 
