@@ -24,9 +24,8 @@ from scipy.optimize import linprog
 
 from .marginals import DomainError
 from .mechanisms import Mechanism, mechanism_payments
-from .priors import TablePrior, cell_values
+from .priors import CELL_CAP, TablePrior, cell_values
 
-CELL_CAP = 100_000
 FEAS_TOL = 1e-9
 GAP_TOL = 1e-7
 

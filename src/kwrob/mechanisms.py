@@ -108,7 +108,8 @@ def threshold_payment(mech: Myerson, i: int, phi_star, val_star, idx_star):
 
 def _columns(V):
     """(bidder, values) per column of V, each read once into a contiguous
-    array and checked finite and nonnegative."""
+    array (a view when V is column-major, as `priors.sample` returns it)
+    and checked finite and nonnegative."""
     for i in range(V.shape[1]):
         v = np.ascontiguousarray(V[:, i])
         if not ((v >= 0.0) & (v < np.inf)).all():
@@ -125,8 +126,10 @@ def run_batch(mech: Mechanism, V):
     Myerson ranks eligible bidders (virtual value >= 0) by virtual value,
     then by value under highest_value, and prices its winner against the
     second key with threshold_payment.  Remaining ties go to the lower
-    index.  Raises DomainError for a value that is not finite and
-    nonnegative or that its Myerson marginal cannot produce.
+    index.  Myerson's top two are updated only on the rows where the
+    bidder enters them, a few per row over the whole sweep.  Raises
+    DomainError for a value that is not finite and nonnegative or that its
+    Myerson marginal cannot produce.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
@@ -155,13 +158,16 @@ def run_batch(mech: Mechanism, V):
         if by_value:
             beats_best |= (phi == b_phi) & (v > b_val) & (phi > NEG)
             beats_second |= (phi == s_phi) & (v > s_val) & (phi > NEG)
-        # demote the old best where the newcomer takes over
-        s_phi = np.where(beats_best, b_phi, np.where(beats_second, phi, s_phi))
-        s_val = np.where(beats_best, b_val, np.where(beats_second, v, s_val))
-        s_idx = np.where(beats_best, b_idx, np.where(beats_second, i, s_idx))
-        b_phi = np.where(beats_best, phi, b_phi)
-        b_val = np.where(beats_best, v, b_val)
-        b_idx = np.where(beats_best, i, b_idx)
+        # only rows where the newcomer enters the top two change: where it
+        # beats the best, the old best is demoted to second (one gathered
+        # array at a time, to keep the block's peak memory down); elsewhere
+        # it may take second place
+        top = np.flatnonzero(beats_best)
+        sec = np.flatnonzero(beats_second & ~beats_best)
+        for second, best in ((s_phi, b_phi), (s_val, b_val), (s_idx, b_idx)):
+            second[top] = best[top]
+        b_phi[top], b_val[top], b_idx[top] = phi[top], v[top], i
+        s_phi[sec], s_val[sec], s_idx[sec] = phi[sec], v[sec], i
 
     pay = np.zeros(rows)
     for i in np.unique(b_idx[b_idx >= 0]):

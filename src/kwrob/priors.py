@@ -18,7 +18,12 @@ construction is ever verified by sampling.  A branch with a slot is a
 mixture of product-form parts, one per chosen member; _branch_parts is the
 one place that expands (or, for symmetric quantities, merges) them, and
 _cell_masses holds each bidder's plain and chosen cell masses per branch.
-Sampling draws the chosen member directly.
+Sampling draws the chosen member directly, and draws its chosen component
+only for the rows that picked it.  Samples are column-major: `sample`
+fills a bidder-major (n, rows) buffer, one contiguous row per draw, and
+returns its (rows, n) transpose, so every bidder's column is contiguous.
+Product and table priors come back in the same layout; a ProductPrior
+samples as its one-branch mixture.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .marginals import (
     Uniform,
 )
 
-TABLE_CELL_CAP = 100_000
+CELL_CAP = 100_000
 KWISE_TOL = 1e-10
 
 
@@ -337,8 +342,8 @@ class TablePrior:
         shape = tuple(len(s) for s in self.supports)
         if pmf.shape != shape:
             pmf = pmf.reshape(shape)
-        if pmf.size > TABLE_CELL_CAP:
-            raise DomainError(f"table has {pmf.size} cells, cap is {TABLE_CELL_CAP}")
+        if pmf.size > CELL_CAP:
+            raise DomainError(f"table has {pmf.size} cells, cap is {CELL_CAP}")
         if np.any(pmf < -1e-15):
             raise DomainError("pmf must be nonnegative")
         if abs(float(pmf.sum()) - 1.0) > 1e-12:
@@ -512,39 +517,45 @@ def uniform_q2_counterexample(n: int) -> MixturePrior:
 
 def sample(prior: JointPrior, seed, size=None) -> np.ndarray:
     """Draw from the prior; deterministic for a fixed seed.  Returns an
-    (size, n) matrix, or a single length-n vector when size is None."""
+    (size, n) matrix, or a single length-n vector when size is None.
+
+    The matrix is the transpose of a bidder-major (n, size) buffer, so each
+    bidder's column is contiguous (Fortran order) and the mechanism sweeps
+    read it without a copy.  A mixture draws its branch per row (skipped
+    when there is one branch, so a ProductPrior gets one draw per marginal
+    in bidder order), then per branch the slot pick, then per bidder one
+    draw of its plain component for the branch's rows and one of its chosen
+    component for the rows that picked it."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m = 1 if size is None else int(size)
-    if isinstance(prior, ProductPrior):
-        cols = [comp.sample(rng, m) for comp in (FullMarginal(mg) for mg in prior.marginals)]
-        out = np.column_stack(cols)
-    elif isinstance(prior, TablePrior):
+    if isinstance(prior, TablePrior):
         flat = prior.pmf.ravel()
         idx = rng.choice(flat.size, size=m, p=flat / flat.sum())
         multi = np.unravel_index(idx, prior.pmf.shape)
-        out = np.column_stack(
-            [np.asarray(prior.supports[j])[multi[j]] for j in range(prior.n_bidders)]
-        )
+        out = np.stack([np.asarray(s)[j] for s, j in zip(prior.supports, multi)])
     else:
-        n = prior.n_bidders
-        weights = np.array([b.weight for b in prior.branches])
-        branch_idx = rng.choice(len(weights), size=m, p=weights / weights.sum())
-        out = np.empty((m, n))
-        for bi, branch in enumerate(prior.branches):
-            rows = np.nonzero(branch_idx == bi)[0]
+        mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
+        out = np.empty((mix.n_bidders, m))
+        if len(mix.branches) == 1:
+            branch_rows = [np.arange(m)]
+        else:
+            weights = np.array([b.weight for b in mix.branches])
+            branch_idx = rng.choice(len(weights), size=m, p=weights / weights.sum())
+            branch_rows = [np.flatnonzero(branch_idx == bi) for bi in range(len(weights))]
+        for branch, rows in zip(mix.branches, branch_rows):
             if rows.size == 0:
                 continue
-            if branch.slot:
-                pick = rng.integers(0, len(branch.slot.indices), size=rows.size)
-            for i in range(n):
+            slot = branch.slot
+            if slot is not None:
+                pick = rng.integers(0, len(slot.indices), size=rows.size)
+            for i in range(mix.n_bidders):
                 plain, chosen = branch.component_pair(i)
-                vals = plain.sample(rng, rows.size)
+                out[i, rows] = plain.sample(rng, rows.size)
                 if chosen is not None:
-                    mine = pick == branch.slot.position(i)
-                    if np.any(mine):
-                        vals = np.where(mine, chosen.sample(rng, rows.size), vals)
-                out[rows, i] = vals
-    return out[0] if size is None else out
+                    mine = rows[pick == slot.position(i)]
+                    if mine.size:
+                        out[i, mine] = chosen.sample(rng, mine.size)
+    return out[:, 0] if size is None else out.T
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +599,15 @@ def _grid_cells(grid):
 
 
 def _check_grid(prior_mix: MixturePrior, grids):
+    """Raise DomainError naming the first bidder whose grid misses its
+    support, an atom or a cutoff.  Bidders of one exchangeability class
+    share all three, so each (class, grid) is checked once."""
+    checked = set()
     for i, mg in enumerate(prior_mix.marginals):
+        key = (prior_mix._class_of[i], tuple(grids[i]))
+        if key in checked:
+            continue
+        checked.add(key)
         g = set(grids[i])
         lo, hi = mg.support
         if min(grids[i]) > lo + 1e-12 or max(grids[i]) < hi - 1e-12:
@@ -635,7 +654,7 @@ def discretize(prior: JointPrior, grids=None) -> TablePrior:
     _check_grid(mix, grids)
     kept, _ = _kept_cells(mix, grids)
     shape = tuple(len(c) for c in kept)
-    if math.prod(shape) > TABLE_CELL_CAP:
+    if math.prod(shape) > CELL_CAP:
         raise DomainError(f"discretization would need {math.prod(shape)} cells")
     pmf = np.zeros(shape)
     for branch, masses in zip(mix.branches, _cell_masses(mix, kept)):

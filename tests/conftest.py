@@ -9,8 +9,9 @@ import itertools
 import numpy as np
 import pytest
 
-from kwrob import DiscretePMF, DomainError, EqualRevenue, Uniform, check_regular
+from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, Uniform, check_regular
 from kwrob.mechanisms import HIGHEST_VALUE
+from kwrob.priors import FullMarginal
 
 
 def q1q2_enumerate(qs):
@@ -110,6 +111,37 @@ def myerson_reference(mech, values):
     pay = threshold_reference(mech, winner, keys[1][0] if len(keys) > 1 else None)
     assert pay <= values[winner] + 1e-9
     return winner, min(pay, values[winner])
+
+
+def sample_reference(prior, seed, size):
+    """(size x n) draws from a product or mixture prior, one bidder column
+    at a time: a product draws each marginal in bidder order; a mixture
+    draws every row's branch, then per branch the slot pick and per bidder
+    its plain component for all the branch's rows and, when any row picked
+    it, its chosen component for all of them too, keeping the picked rows'
+    chosen draws."""
+    rng = np.random.default_rng(seed)
+    if isinstance(prior, ProductPrior):
+        return np.column_stack([FullMarginal(m).sample(rng, size) for m in prior.marginals])
+    n = prior.n_bidders
+    weights = np.array([b.weight for b in prior.branches])
+    branch_idx = rng.choice(len(weights), size=size, p=weights / weights.sum())
+    out = np.empty((size, n))
+    for bi, branch in enumerate(prior.branches):
+        rows = np.nonzero(branch_idx == bi)[0]
+        if rows.size == 0:
+            continue
+        if branch.slot:
+            pick = rng.integers(0, len(branch.slot.indices), size=rows.size)
+        for i in range(n):
+            plain, chosen = branch.component_pair(i)
+            vals = plain.sample(rng, rows.size)
+            if chosen is not None:
+                mine = pick == branch.slot.position(i)
+                if np.any(mine):
+                    vals = np.where(mine, chosen.sample(rng, rows.size), vals)
+            out[rows, i] = vals
+    return out
 
 
 def kwise_rows_reference(shape, masses, k):

@@ -219,8 +219,13 @@ class TestReadme:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the checkout's src/ goes on the child's path too, so this also runs
+        # from a checkout that is not installed
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
             [sys.executable, "-m", "kwrob.cli", "reproduce", "case1-2.91", "--out", str(tmp_path)],
+            env=env,
             capture_output=True,
             text=True,
         )

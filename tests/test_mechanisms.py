@@ -174,7 +174,7 @@ class TestKernelAgainstReference:
     """The batch kernel against the scalar key-sort reference, bit for bit."""
 
     @staticmethod
-    def _instance(rng):
+    def _instance(rng, n=None, rows=40):
         pool = [
             EqualRevenue(1.0, 4.0),
             EqualRevenue(0.5, 3.0),
@@ -184,7 +184,7 @@ class TestKernelAgainstReference:
             random_discrete(rng),  # usually irregular, so ironed flat
             random_regular_discrete(rng),
         ]
-        n = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 6)) if n is None else n
         ms = [pool[k] for k in rng.integers(0, len(pool), size=n)]
         # few values per bidder, shared between bidders, so phi ties
         # (interior equal-revenue values, ironed-flat points) and value
@@ -197,18 +197,35 @@ class TestKernelAgainstReference:
                 lo, hi = m.support
                 shared = [c for c in (1.0, 1.5, 2.0, 3.0) if lo <= c <= hi]
                 choices.append(np.array([lo, hi, float(rng.uniform(lo, hi))] + shared))
-        V = np.column_stack([c[rng.integers(0, len(c), size=40)] for c in choices])
+        V = np.column_stack([c[rng.integers(0, len(c), size=rows)] for c in choices])
         return ms, V
+
+    @staticmethod
+    def _check(mech, V):
+        """Winners and payments of the C-order V equal the reference on
+        every row, and an F-order copy of V gives the same bits."""
+        assert V.flags.c_contiguous
+        winners, pays = run_batch(mech, V)
+        for row, w, pay in zip(V, winners, pays):
+            ref_w, ref_pay = myerson_reference(mech, row.tolist())
+            assert (None if w < 0 else int(w), float(pay)) == (ref_w, ref_pay)
+        w2, pay2 = run_batch(mech, np.asfortranarray(V))
+        assert np.array_equal(w2, winners) and np.array_equal(pay2, pays)
+        return winners
 
     @pytest.mark.parametrize("tie", ["highest_value", "lex"])
     def test_random_vectors(self, tie, rng):
         ties = 0
         for _ in range(200):
             ms, V = self._instance(rng)
-            mech = Myerson(ms, tie)
-            winners, pays = run_batch(mech, V)
-            for row, w, pay in zip(V, winners, pays):
-                ref_w, ref_pay = myerson_reference(mech, row.tolist())
-                assert (None if w < 0 else int(w), float(pay)) == (ref_w, ref_pay)
+            self._check(Myerson(ms, tie), V)
             ties += int(np.sum([len(set(row.tolist())) < len(row) for row in V]))
         assert ties > 1000
+
+    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
+    def test_large_block(self, tie, rng):
+        # one 4,096-row block on 8 bidders: the top two change on many rows
+        # at many columns, so the sparse top-two update runs over many changes
+        ms, V = self._instance(rng, n=8, rows=4096)
+        winners = self._check(Myerson(ms, tie), V)
+        assert len(np.unique(winners)) >= 3

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import q1q2_enumerate, table_q1q2_enumerate
+from conftest import q1q2_enumerate, random_discrete, sample_reference, table_q1q2_enumerate
 from kwrob import (
     DiscretePMF,
     DomainError,
@@ -22,6 +22,7 @@ from kwrob import (
     verify_kwise,
 )
 from kwrob.io import table_from_csv, table_to_csv
+from kwrob.priors import Branch, FixedValue, FullMarginal, MixturePrior, RandomIndexSlot
 
 
 class TestProductPrior:
@@ -170,6 +171,18 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             discretize(p, bad)
 
+    def test_grid_errors_name_the_first_bad_bidder(self):
+        # one exchangeability class, checked once per distinct grid: bidder
+        # 2 repeats bidder 0's grid, and bidder 3's differs and misses a cutoff
+        p = uniform_q2_counterexample(4)
+        good = [0.0, 0.75, 1.0]
+        grids = [good, [0.0, 0.5, 0.75, 1.0], good, [0.0, 1.0], [0.0, 0.5, 1.0]]
+        with pytest.raises(DomainError, match=r"^grid for bidder 3 misses cutoff 0\.75$"):
+            verify_kwise(p, 2, grids)
+        grids[2] = [0.0, 0.75]
+        with pytest.raises(DomainError, match=r"^grid for bidder 2 does not cover the support$"):
+            discretize(p, grids)
+
 
 class TestThresholdProbs:
     def test_product_uniforms(self):
@@ -230,6 +243,70 @@ class TestSampling:
         smalls = V[:, :2]
         assert np.all((smalls >= 1 / n - 1e-12) & (smalls <= 1.0 + 1e-12))
 
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_myerson_construction_matches_reference(self, n):
+        p = myerson_counterexample(n, 1e-6)
+        for seed, size in ((3, 1), (5, 999), ([7, 1], 1 << 14)):
+            V = sample(p, seed, size=size)
+            assert np.array_equal(V, sample_reference(p, seed, size))
+            assert V.T.flags.c_contiguous
+
+    def test_product_matches_reference(self, rng):
+        pool = [
+            EqualRevenue(1.0, 4.0),
+            ShiftedEqualRevenue(1.0, 3.0, 0.5),
+            Uniform(0.0, 2.0),
+        ]
+        for trial in range(20):
+            n = int(rng.integers(1, 7))
+            ms = [
+                pool[k] if k < len(pool) else random_discrete(rng)
+                for k in rng.integers(0, len(pool) + 1, size=n)
+            ]
+            p = ProductPrior(ms)
+            size = int(rng.integers(1, 3000))
+            V = sample(p, trial, size=size)
+            assert np.array_equal(V, sample_reference(p, trial, size))
+            assert V.T.flags.c_contiguous
+
+    def test_uniform_q2_chosen_draws(self):
+        # the chosen component draws randomness here, so the stream differs
+        # from the reference; check the law instead: a row has exactly one
+        # bidder at or above (n-1)/n (slot branch) or all of them (the 1/n^2
+        # branch), and each bidder's Pr[v >= tau] matches its marginal
+        n, size = 5, 100_000
+        p = uniform_q2_counterexample(n)
+        cut = (n - 1) / n
+        V = sample(p, 2024, size=size)
+        assert V.T.flags.c_contiguous
+        high = np.sum(V >= cut, axis=1)
+        assert np.all((high == 1) | (high == n + 1))
+        assert 0 < np.sum(high == n + 1) < size
+        for tau in (0.3, cut, 0.9, 0.97):
+            for i in range(n + 1):
+                q = p.marginal_quantile(i, tau)
+                se = math.sqrt(q * (1 - q) / size)
+                assert abs(np.mean(V[:, i] >= tau) - q) < 4 * se
+
+    def test_chosen_component_drawn_only_for_picking_rows(self):
+        class Counted(FixedValue):
+            def sample(self, rng, size):
+                sizes.append(size)
+                return super().sample(rng, size)
+
+        sizes = []
+        chosen, unchosen = Counted(0.9), FixedValue(0.2)
+        slot = RandomIndexSlot((0, 1, 2), (chosen,) * 3, (unchosen,) * 3)
+        p = MixturePrior(
+            [Uniform(0.0, 1.0)] * 3,
+            [Branch(0.5, (FullMarginal(Uniform(0.0, 1.0)),) * 3), Branch(0.5, (None,) * 3, slot)],
+        )
+        V = sample(p, 11, size=1000)
+        in_slot = np.all(np.isin(V, [0.2, 0.9]), axis=1)
+        assert 0 < in_slot.sum() < 1000
+        assert np.all(np.sum(V[in_slot] == 0.9, axis=1) == 1)
+        assert sum(sizes) == in_slot.sum()
+
     def test_deterministic(self):
         p = uniform_q2_counterexample(3)
         a = sample(p, 7, size=100)
@@ -240,6 +317,7 @@ class TestSampling:
         pmf = np.array([[0.1, 0.2], [0.3, 0.4]])
         t = TablePrior([(0.0, 1.0), (0.0, 1.0)], pmf)
         V = sample(t, 99, size=100_000)
+        assert V.T.flags.c_contiguous
         for i, vi in enumerate((0.0, 1.0)):
             for j, vj in enumerate((0.0, 1.0)):
                 freq = np.mean((V[:, 0] == vi) & (V[:, 1] == vj))
@@ -266,7 +344,7 @@ class TestVerifierCrossValidation:
             EqualRevenue as ER,
             MixturePrior,
         )
-        from kwrob.priors import Branch, ConditionalBelow, FixedValue, FullMarginal, RandomIndexSlot
+        from kwrob.priors import ConditionalBelow
 
         m0 = ER(0.5, 1.0)
         m1 = Uniform(0.0, 2.0)
