@@ -16,8 +16,15 @@ Everything needed downstream (threshold probabilities, discretization,
 independence checks, sampling) is computed branch-wise in closed form; no
 construction is ever verified by sampling.  A branch with a slot is a
 mixture of product-form parts, one per chosen member; _branch_parts is the
-one place that expands (or, for symmetric quantities, merges) them, and
-_cell_masses holds each bidder's plain and chosen cell masses per branch.
+one place that expands them, merging the parts a quantity cannot tell
+apart: per exchangeability class for symmetric quantities, and the slot
+members outside the bidders a quantity reads.  _cell_masses, each bidder's
+plain and chosen cell masses per branch, is the one source of cell masses:
+a subset's joint (_joint) sums outer products of them over the parts, a
+bidder's marginal is its joint on {i}, and discretize is the joint of all
+bidders.  verify_kwise runs one comparison loop, joint against the product
+of marginals per subset, for tables and mixtures alike.
+
 Sampling draws the chosen member directly, and draws its chosen component
 only for the rows that picked it.  Samples are column-major: `sample`
 fills a bidder-major (n, rows) buffer, one contiguous row per draw, and
@@ -210,39 +217,6 @@ class Branch:
                     f"bidder {i}: component must be None exactly when in the slot"
                 )
 
-    def subset_prob(self, bidders, probs_plain, probs_chosen):
-        """Probability that every bidder in `bidders` lands in its event,
-        where probs_plain[i] is the event probability under bidder i's
-        plain/unchosen component and probs_chosen[i] under its chosen
-        component (slot members only).  Exact closed form."""
-        slot_set = set(self.slot.indices) if self.slot else set()
-        in_slot = [i for i in bidders if i in slot_set]
-        out_prob = 1.0
-        for i in bidders:
-            if i not in slot_set:
-                out_prob *= probs_plain[i]
-        if not self.slot:
-            return out_prob
-        k = len(self.slot.indices)
-        un_prod = 1.0
-        for i in in_slot:
-            un_prod *= probs_plain[i]
-        total = (k - len(in_slot)) * un_prod
-        for m in in_slot:
-            term = probs_chosen[m]
-            for i in in_slot:
-                if i != m:
-                    term *= probs_plain[i]
-            total += term
-        return out_prob * total / k
-
-    def bidder_event_prob(self, i, prob_plain, prob_chosen):
-        """Single-bidder marginal event probability within this branch."""
-        if self.slot and self.slot.position(i) is not None:
-            k = len(self.slot.indices)
-            return (prob_chosen + (k - 1) * prob_plain) / k
-        return prob_plain
-
     def component_pair(self, i):
         """(plain_or_unchosen, chosen_or_None) component for bidder i."""
         j = self.slot.position(i) if self.slot else None
@@ -304,25 +278,6 @@ class MixturePrior:
             )
             for i, m in enumerate(self.marginals)
         )
-
-    def marginal_quantile(self, i, tau):
-        """Pr[v_i >= tau] implied by the mixture (closed form)."""
-        total = 0.0
-        for b in self.branches:
-            plain, chosen = b.component_pair(i)
-            qp = plain.quantile_q(tau)
-            qc = chosen.quantile_q(tau) if chosen is not None else 0.0
-            total += b.weight * b.bidder_event_prob(i, qp, qc)
-        return total
-
-    def marginal_atom(self, i, x):
-        total = 0.0
-        for b in self.branches:
-            plain, chosen = b.component_pair(i)
-            ap = plain.atom_mass(x)
-            ac = chosen.atom_mass(x) if chosen is not None else 0.0
-            total += b.weight * b.bidder_event_prob(i, ap, ac)
-        return total
 
 
 def cell_values(supports) -> np.ndarray:
@@ -392,28 +347,29 @@ def _as_mixture(prior: ProductPrior) -> MixturePrior:
 # Product-form parts of a branch
 
 
-def _branch_parts(mix: MixturePrior, branch: Branch, symmetric: bool):
+def _branch_parts(mix: MixturePrior, branch: Branch, symmetric=False, bidders=None):
     """The branch as a mixture of product-form parts: yields (share, chosen
     slot member or None), where the chosen member gets its chosen component
     and every other bidder its plain (or unchosen) one.  A branch without a
     slot is one part; a slot gives one part per member with share 1/k.
-    When the caller's quantity is symmetric in the bidders, members of one
-    exchangeability class give equal parts, so each class is one part
-    carrying the members' summed share."""
+    Parts the caller cannot tell apart are merged into one carrying their
+    summed share: when its quantity is symmetric in the bidders, the parts
+    of one exchangeability class's members; when it reads only `bidders`,
+    the parts of the slot members outside them, as one part with no chosen
+    member."""
     slot = branch.slot
     if slot is None:
         yield 1.0, None
         return
-    k = len(slot.indices)
-    if not symmetric:
-        for m in slot.indices:
-            yield 1.0 / k, m
-        return
-    classes = {}
+    groups = {}
     for m in slot.indices:
-        classes.setdefault(mix._class_of[m], []).append(m)
-    for members in classes.values():
-        yield len(members) / k, members[0]
+        if bidders is not None and m not in bidders:
+            key = None
+        else:
+            key = mix._class_of[m] if symmetric else m
+        groups.setdefault(key, []).append(m)
+    for key, members in groups.items():
+        yield len(members) / len(slot.indices), None if key is None else members[0]
 
 
 def _cell_masses(mix: MixturePrior, cells):
@@ -444,6 +400,18 @@ def _cell_masses(mix: MixturePrior, cells):
         [tuple(masses(comp, i) for comp in b.component_pair(i)) for i in range(mix.n_bidders)]
         for b in mix.branches
     ]
+
+
+def _joint(mix: MixturePrior, masses, bidders):
+    """Joint masses of the bidders' cells, one axis per bidder in the given
+    order, from the per-branch cell masses of _cell_masses: each branch part
+    contributes the outer product of the bidders' masses under it."""
+    joint = np.zeros(tuple(len(masses[0][i][0]) for i in bidders))
+    for branch, bm in zip(mix.branches, masses):
+        for share, chosen in _branch_parts(mix, branch, bidders=bidders):
+            vecs = [bm[i][1] if i == chosen else bm[i][0] for i in bidders]
+            joint += branch.weight * share * functools.reduce(np.multiply.outer, vecs)
+    return joint
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +547,17 @@ def natural_grids(prior: JointPrior):
     if isinstance(prior, TablePrior):
         return [sorted(s) for s in prior.supports]
     mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
-    grids = []
+    grids, of_class = [], {}
     for i, mg in enumerate(mix.marginals):
-        lo, hi = mg.support
-        pts = {lo, hi}
-        pts.update(mg.atoms())
-        for comp in _bidder_components(mix, i):
-            pts.update(comp.cutoffs())
-        grids.append(sorted(pts))
+        # class members share their marginal and components, hence their grid
+        c = mix._class_of[i]
+        if c not in of_class:
+            lo, hi = mg.support
+            pts = {lo, hi, *mg.atoms()}
+            for comp in _bidder_components(mix, i):
+                pts.update(comp.cutoffs())
+            of_class[c] = sorted(pts)
+        grids.append(list(of_class[c]))
     return grids
 
 
@@ -621,48 +592,47 @@ def _check_grid(prior_mix: MixturePrior, grids):
                     raise DomainError(f"grid for bidder {i} misses cutoff {c}")
 
 
-def _kept_cells(mix: MixturePrior, grids):
-    """Per bidder: list of cells with positive mixture-marginal mass, plus
-    the vector of those masses."""
-    kept, masses = [], []
+def _kept_cells(mix: MixturePrior, grids=None):
+    """The cells of positive mixture-marginal mass (above 1e-15) on the
+    grids (natural_grids when None), after _check_grid.  Returns per bidder
+    the kept cells' representatives (lower endpoints) and marginal masses,
+    and per branch the _cell_masses table masked to the kept cells.  A
+    bidder's marginal is its joint on {i}; bidders of one exchangeability
+    class and grid share all three, so each (class, grid) is computed once."""
+    if grids is None:
+        grids = natural_grids(mix)
+    _check_grid(mix, grids)
+    cells = [_grid_cells(g) for g in grids]
+    masses = _cell_masses(mix, cells)
+    shared, keys = {}, []
     for i in range(mix.n_bidders):
-        cells = _grid_cells(grids[i])
-        cmass = []
-        for cell in cells:
-            if cell[2]:
-                cmass.append(mix.marginal_atom(i, cell[0]))
-            else:
-                cmass.append(
-                    mix.marginal_quantile(i, cell[0]) - mix.marginal_quantile(i, cell[1])
-                )
-        keep = [c for c, w in zip(cells, cmass) if w > 1e-15]
-        kept.append(keep)
-        masses.append(np.array([w for w in cmass if w > 1e-15]))
-    return kept, masses
+        keys.append((mix._class_of[i], tuple(grids[i])))
+        if keys[i] not in shared:
+            marginal = _joint(mix, masses, (i,))
+            keep = marginal > 1e-15
+            shared[keys[i]] = (
+                tuple(c[0] for c, kept in zip(cells[i], keep) if kept),
+                marginal[keep],
+                [tuple(m if m is None else m[keep] for m in bm[i]) for bm in masses],
+            )
+    supports, marginals, per_branch = zip(*(shared[key] for key in keys))
+    return supports, marginals, list(zip(*per_branch))
 
 
 def discretize(prior: JointPrior, grids=None) -> TablePrior:
     """Exact finite table of the prior on the given grids (closed-form cell
-    masses per branch, no sampling).  The cell representative is the cell's
-    lower endpoint; the top grid boundary becomes a singleton cell so atoms
-    stay separated."""
+    masses per branch, no sampling): the joint of all bidders on the cells
+    of positive marginal mass.  The cell representative is the cell's lower
+    endpoint; the top grid boundary becomes a singleton cell so atoms stay
+    separated."""
     if isinstance(prior, TablePrior):
         return prior
     mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
-    if grids is None:
-        grids = natural_grids(mix)
-    _check_grid(mix, grids)
-    kept, _ = _kept_cells(mix, grids)
-    shape = tuple(len(c) for c in kept)
-    if math.prod(shape) > CELL_CAP:
-        raise DomainError(f"discretization would need {math.prod(shape)} cells")
-    pmf = np.zeros(shape)
-    for branch, masses in zip(mix.branches, _cell_masses(mix, kept)):
-        for share, chosen in _branch_parts(mix, branch, symmetric=False):
-            vecs = [c if i == chosen else p for i, (p, c) in enumerate(masses)]
-            pmf += branch.weight * share * functools.reduce(np.multiply.outer, vecs)
-    supports = [tuple(c[0] for c in kc) for kc in kept]
-    return TablePrior(supports, pmf)
+    supports, _, masses = _kept_cells(mix, grids)
+    size = math.prod(len(s) for s in supports)
+    if size > CELL_CAP:
+        raise DomainError(f"discretization would need {size} cells")
+    return TablePrior(supports, _joint(mix, masses, tuple(range(mix.n_bidders))))
 
 
 # ---------------------------------------------------------------------------
@@ -743,104 +713,67 @@ def verify_kwise(prior: JointPrior, k: int, grids=None) -> KwiseReport:
     """Check |Pr_joint - prod Pr_marginal| over every bidder subset of size
     <= k and every grid-cell combination.
 
-    Exchangeable bidders (MixturePrior._class_of) are grouped, so the check
-    is exhaustive over subsets while the work is exhaustive only over
-    equivalence classes; the shipped constructions have two classes
-    regardless of n.
+    One loop compares, per checked subset, its joint cell masses with the
+    outer product of its marginals.  A table checks every subset.  A
+    mixture checks one representative subset per combination of
+    exchangeability classes (MixturePrior._class_of), counted once per
+    subset it stands for, so the check is exhaustive over subsets while the
+    work is exhaustive only over classes; the shipped constructions have
+    two classes regardless of n.  Subsets of one size are checked in
+    lexicographic order.
     """
+    n = prior.n_bidders
+    if not 1 <= k <= n:
+        raise DomainError(f"need 1 <= k <= {n}, got k={k}")
     if isinstance(prior, TablePrior):
-        return _verify_kwise_table(prior, k)
-    mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
-    n = mix.n_bidders
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= {n}, got k={k}")
-    if grids is None:
-        grids = natural_grids(mix)
-    _check_grid(mix, grids)
-    kept, kept_mass = _kept_cells(mix, grids)
-    masses = _cell_masses(mix, kept)
+        supports = prior.supports
+        marginals = [prior.marginal_masses(i) for i in range(n)]
+        sizes = range(1, k + 1)
+        subsets = [(1, s) for size in sizes for s in itertools.combinations(range(n), size)]
 
-    classes = {}
-    for i, c in enumerate(mix._class_of):
-        classes.setdefault(c, []).append(i)
-    class_members = list(classes.values())
+        def joint_of(subset):
+            return prior.pmf.sum(axis=tuple(j for j in range(n) if j not in subset))
+
+    else:
+        mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
+        supports, marginals, masses = _kept_cells(mix, grids)
+        by_class = {}
+        for i, c in enumerate(mix._class_of):
+            by_class.setdefault(c, []).append(i)
+        members = list(by_class.values())
+        subsets = []
+        for size in range(1, k + 1):
+            level = []
+            for combo in itertools.combinations_with_replacement(range(len(members)), size):
+                counts = {c: combo.count(c) for c in set(combo)}
+                if all(cnt <= len(members[c]) for c, cnt in counts.items()):
+                    reps = tuple(sorted(i for c, cnt in counts.items() for i in members[c][:cnt]))
+                    multiplicity = math.prod(math.comb(len(members[c]), cnt) for c, cnt in counts.items())
+                    level.append((multiplicity, reps))
+            subsets += sorted(level, key=lambda t: t[1])
+
+        def joint_of(subset):
+            return _joint(mix, masses, subset)
 
     max_dev = 0.0
     violations = []
     n_checked = 0
-    for size in range(1, k + 1):
-        for combo in itertools.combinations_with_replacement(
-            range(len(class_members)), size
-        ):
-            counts = {c: combo.count(c) for c in set(combo)}
-            if any(counts[c] > len(class_members[c]) for c in counts):
-                continue
-            reps = []
-            for c in set(combo):
-                reps.extend(class_members[c][: counts[c]])
-            reps = tuple(sorted(reps))
-            multiplicity = 1
-            for c in counts:
-                multiplicity *= math.comb(len(class_members[c]), counts[c])
-            for cell_idx in itertools.product(*[range(len(kept[i])) for i in reps]):
-                prod = 1.0
-                for i, ci in zip(reps, cell_idx):
-                    prod *= kept_mass[i][ci]
-                joint = 0.0
-                for b, bm in zip(mix.branches, masses):
-                    p_plain = {i: bm[i][0][ci] for i, ci in zip(reps, cell_idx)}
-                    p_chosen = {
-                        i: bm[i][1][ci] for i, ci in zip(reps, cell_idx) if bm[i][1] is not None
-                    }
-                    joint += b.weight * b.subset_prob(reps, p_plain, p_chosen)
-                dev = abs(joint - prod)
-                n_checked += multiplicity
-                if dev > max_dev:
-                    max_dev = dev
-                if dev > KWISE_TOL and len(violations) < _MAX_RECORDED:
-                    violations.append(
-                        KwiseViolation(
-                            reps,
-                            tuple(kept[i][ci][0] for i, ci in zip(reps, cell_idx)),
-                            joint,
-                            prod,
-                            dev,
-                        )
-                    )
-    return KwiseReport(k, max_dev, max_dev <= KWISE_TOL, violations, n_checked)
-
-
-def _verify_kwise_table(table: TablePrior, k: int) -> KwiseReport:
-    n = table.n_bidders
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= {n}, got k={k}")
-    marg = [table.marginal_masses(i) for i in range(n)]
-    max_dev = 0.0
-    violations = []
-    n_checked = 0
-    for size in range(1, k + 1):
-        for subset in itertools.combinations(range(n), size):
-            axes = tuple(j for j in range(n) if j not in subset)
-            joint = table.pmf.sum(axis=axes) if axes else table.pmf
-            prod = marg[subset[0]]
-            for i in subset[1:]:
-                prod = np.multiply.outer(prod, marg[i])
-            dev = np.abs(joint - prod)
-            n_checked += dev.size
-            local = float(dev.max())
-            if local > max_dev:
-                max_dev = local
-            if local > KWISE_TOL:
-                for idx in zip(*np.nonzero(dev > KWISE_TOL)):
-                    if len(violations) >= _MAX_RECORDED:
-                        break
-                    violations.append(
-                        KwiseViolation(
-                            subset,
-                            tuple(table.supports[i][j] for i, j in zip(subset, idx)),
-                            float(joint[idx]),
-                            float(prod[idx]),
-                            float(dev[idx]),
-                        )
-                    )
+    for multiplicity, subset in subsets:
+        joint = joint_of(subset)
+        prod = functools.reduce(np.multiply.outer, [marginals[i] for i in subset])
+        dev = np.abs(joint - prod)
+        n_checked += multiplicity * dev.size
+        max_dev = max(max_dev, float(dev.max()))
+        for idx in zip(*np.nonzero(dev > KWISE_TOL)):
+            if len(violations) >= _MAX_RECORDED:
+                break
+            violations.append(
+                KwiseViolation(
+                    subset,
+                    tuple(supports[i][c] for i, c in zip(subset, idx)),
+                    float(joint[idx]),
+                    float(prod[idx]),
+                    float(dev[idx]),
+                )
+            )
     return KwiseReport(k, max_dev, max_dev <= KWISE_TOL, violations, n_checked)

@@ -237,15 +237,24 @@ def revenue_mc(
     mech: Mechanism,
     n_samples: int,
     seed: int,
-    block_size: int = 1 << 16,
+    block_size: int | None = None,
     threads: int = 1,
 ) -> RevenueEstimate:
     """Monte Carlo revenue with a 95% normal CI.  Blocks get independent
     generators seeded by (seed, block index); sums are reduced in block
     order, so results are bit-for-bit reproducible for a fixed seed and
-    block size regardless of thread count."""
+    block size regardless of thread count.
+
+    The default block size is the largest power of two up to 2^16 rows
+    whose float64 sample buffer, 8 bytes * rows * bidders, fits in 64 MiB:
+    2^16 rows for up to 128 bidders and fewer above (2^14 at 301), so with
+    more than 128 bidders (the constructions at n >= 128) a seed's draws
+    differ from those of 2^16-row blocks."""
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    if block_size is None:
+        fits = (1 << 26) // (8 * prior.n_bidders)
+        block_size = 1 << min(16, max(fits.bit_length() - 1, 0))
     n_blocks = (n_samples + block_size - 1) // block_size
 
     def one_block(b):

@@ -8,10 +8,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, Uniform, check_regular
 from kwrob.mechanisms import HIGHEST_VALUE
-from kwrob.priors import FullMarginal
+from kwrob.priors import (
+    Branch,
+    ConditionalAtLeast,
+    ConditionalBelow,
+    FixedValue,
+    FullMarginal,
+    MixturePrior,
+    RandomIndexSlot,
+)
 
 
 def q1q2_enumerate(qs):
@@ -236,6 +245,52 @@ def random_scaled_regular_family(rng, n_max=5):
         return Uniform(m.lo * scale, m.hi * scale)
 
     return [rescale(m) for m in ms]
+
+
+@st.composite
+def slot_mixtures(draw):
+    """2-4 bidders on DiscretePMF marginals: a plain branch and a branch
+    with a random-index slot whose members come from two classes of
+    identical bidders, sometimes told apart only by their chosen component
+    (a third class, when drawn, stays outside the slot).  Every component's
+    values are points of its bidder's marginal."""
+
+    def marginal():
+        k = draw(st.integers(2, 4))
+        pts = sorted(draw(st.lists(st.integers(1, 40), min_size=k, max_size=k, unique=True)))
+        w = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        return DiscretePMF([p / 4 for p in pts], [x / sum(w) for x in w])
+
+    def component(m):
+        kind = draw(st.sampled_from(["full", "fixed", "below", "at_least"]))
+        if kind == "full":
+            return FullMarginal(m)
+        if kind == "fixed":
+            return FixedValue(draw(st.sampled_from(m.points)))
+        cut = draw(st.sampled_from(m.points[1:]))
+        return ConditionalBelow(m, cut) if kind == "below" else ConditionalAtLeast(m, cut)
+
+    n_classes = draw(st.integers(2, 3))
+    n = draw(st.integers(n_classes, 4))
+    extra = st.lists(st.integers(0, n_classes - 1), min_size=n - n_classes, max_size=n - n_classes)
+    of = draw(st.permutations(list(range(n_classes)) + draw(extra)))  # class of each bidder
+    classes = []  # (marginal, plain, chosen, unchosen)
+    for c in range(n_classes):
+        if c == 1 and draw(st.booleans()):
+            # differs from class 0 only in its chosen component
+            m, plain, _, unchosen = classes[0]
+            classes.append((m, plain, component(m), unchosen))
+        else:
+            m = marginal()
+            classes.append((m, component(m), component(m), component(m)))
+    members = tuple(i for i in range(n) if of[i] < 2)
+    chosen = tuple(classes[of[i]][2] for i in members)
+    unchosen = tuple(classes[of[i]][3] for i in members)
+    w = draw(st.integers(1, 9)) / 10
+    plain = Branch(w, tuple(classes[c][1] for c in of))
+    off_slot = tuple(None if i in members else classes[of[i]][1] for i in range(n))
+    slotted = Branch(1.0 - w, off_slot, RandomIndexSlot(members, chosen, unchosen))
+    return MixturePrior([classes[c][0] for c in of], [plain, slotted])
 
 
 @pytest.fixture

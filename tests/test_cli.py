@@ -236,8 +236,9 @@ class TestEntryPoint:
 class TestBenchmarkHooks:
     def test_layer_trace_rebinds_every_hook(self):
         """bench/layertrace.py wraps program names from outside and reads the
-        sizes of a built polytope; removing or renaming one must fail here,
-        not only in the traced benchmark."""
+        sizes of a built polytope and the cells a k-wise check counts;
+        removing or renaming one, or changing what n_checked counts, must
+        fail here, not only in the traced benchmark."""
         root = Path(__file__).resolve().parents[1]
         code = (
             "import numpy as np, kwrob.cli, kwrob.lp, layertrace\n"
@@ -247,9 +248,11 @@ class TestBenchmarkHooks:
             "tracer.begin_job()\n"
             "revenue.mechanism_payments(AnonymousReserve(0.5), np.ones((3, 2)))\n"
             "kwrob.lp.build_polytope([([0.0, 1.0], [0.5, 0.5])] * 3, 2)\n"
+            "kwrob.verify_kwise(kwrob.myerson_counterexample(300, 1e-6), 2)\n"
             "m = tracer.end_job()\n"
             "assert m['revenue.mechanism_payments.rows'] == 3\n"
             "assert (m['lp.cells'], m['lp.rows_full'], m['lp.rows_solver']) == (8, 19, 7)\n"
+            "assert m['priors.verify_kwise.cells'] == 181202, m['priors.verify_kwise.cells']\n"
         )
         path = [str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))

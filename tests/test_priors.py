@@ -1,10 +1,18 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import q1q2_enumerate, random_discrete, sample_reference, table_q1q2_enumerate
+from conftest import (
+    q1q2_enumerate,
+    random_discrete,
+    sample_reference,
+    slot_mixtures,
+    table_q1q2_enumerate,
+)
 from kwrob import (
     DiscretePMF,
     DomainError,
@@ -15,6 +23,7 @@ from kwrob import (
     Uniform,
     discretize,
     myerson_counterexample,
+    natural_grids,
     q1q2_from_qvec,
     sample,
     threshold_probs,
@@ -22,7 +31,33 @@ from kwrob import (
     verify_kwise,
 )
 from kwrob.io import table_from_csv, table_to_csv
-from kwrob.priors import Branch, FixedValue, FullMarginal, MixturePrior, RandomIndexSlot
+from kwrob.priors import (
+    Branch,
+    ConditionalBelow,
+    FixedValue,
+    FullMarginal,
+    MixturePrior,
+    RandomIndexSlot,
+    _MAX_RECORDED,
+    _joint,
+    _kept_cells,
+)
+
+
+def marginal_cells(prior, i, taus=()):
+    """Bidder i's mixture-marginal cells as (representatives, masses), on
+    its natural grid refined by the taus."""
+    grids = natural_grids(prior)
+    grids[i] = sorted(set(grids[i]) | set(taus))
+    supports, marginals, _ = _kept_cells(prior, grids)
+    return np.asarray(supports[i]), marginals[i]
+
+
+def pr_at_least(prior, i, taus):
+    """Pr[v_i >= tau] per tau: the summed marginal masses of the cells at
+    or above tau, a boundary of bidder i's grid."""
+    values, masses = marginal_cells(prior, i, taus)
+    return [masses[values >= tau].sum() for tau in taus]
 
 
 class TestProductPrior:
@@ -48,12 +83,16 @@ class TestMyersonCounterexample:
     def test_big_bidder_atom(self):
         n, eps = 10, 1e-6
         p = myerson_counterexample(n, eps)
-        assert p.marginal_atom(n, n * n + eps) == pytest.approx(1 / n, abs=1e-12)
+        values, masses = marginal_cells(p, n)
+        assert values[-1] == n * n + eps  # the singleton cell at the top
+        assert masses[-1] == pytest.approx(1 / n, abs=1e-12)
 
     def test_small_bidder_atom(self):
         n = 3
         p = myerson_counterexample(n, 1e-6)
-        assert p.marginal_atom(0, 1.0) == pytest.approx(1 / n, abs=1e-12)
+        values, masses = marginal_cells(p, 0)
+        assert values[-1] == 1.0
+        assert masses[-1] == pytest.approx(1 / n, abs=1e-12)
 
     def test_needs_two_bidders(self):
         with pytest.raises(DomainError):
@@ -64,21 +103,19 @@ class TestMyersonCounterexample:
         p = myerson_counterexample(n, eps)
         small = EqualRevenue(1 / n, 1.0)
         big = ShiftedEqualRevenue(n, n * n, eps)
-        for tau in np.linspace(1 / n, 1.0, 100):
-            assert p.marginal_quantile(0, tau) == pytest.approx(
-                small.quantile_q(tau), abs=1e-10
-            )
-        for tau in np.linspace(n + eps, n * n + eps, 100):
-            assert p.marginal_quantile(n, tau) == pytest.approx(
-                big.quantile_q(tau), abs=1e-10
-            )
+        taus = np.linspace(1 / n, 1.0, 100)
+        for tau, q in zip(taus, pr_at_least(p, 0, taus)):
+            assert q == pytest.approx(small.quantile_q(tau), abs=1e-10)
+        taus = np.linspace(n + eps, n * n + eps, 100)
+        for tau, q in zip(taus, pr_at_least(p, n, taus)):
+            assert q == pytest.approx(big.quantile_q(tau), abs=1e-10)
 
 
 class TestUniformQ2Counterexample:
     def test_marginal_above_cut(self):
         for n in [2, 5, 10]:
             p = uniform_q2_counterexample(n)
-            assert p.marginal_quantile(0, (n - 1) / n) == pytest.approx(1 / n, abs=1e-12)
+            assert pr_at_least(p, 0, [(n - 1) / n])[0] == pytest.approx(1 / n, abs=1e-12)
 
     def test_q2_is_inverse_square(self):
         for n in [2, 3, 10]:
@@ -89,8 +126,9 @@ class TestUniformQ2Counterexample:
     def test_mixture_marginal_is_uniform(self):
         p = uniform_q2_counterexample(5)
         uni = Uniform(0, 1)
-        for tau in np.linspace(0, 1, 100):
-            assert p.marginal_quantile(2, tau) == pytest.approx(uni.quantile_q(tau), abs=1e-10)
+        taus = np.linspace(0, 1, 100)
+        for tau, q in zip(taus, pr_at_least(p, 2, taus)):
+            assert q == pytest.approx(uni.quantile_q(tau), abs=1e-10)
 
 
 class TestVerifyKwise:
@@ -155,14 +193,10 @@ class TestDiscretize:
             t = discretize(prior)
             assert t.pmf.sum() == pytest.approx(1.0, abs=1e-12)
             for i in range(prior.n_bidders):
-                masses = t.marginal_masses(i)
-                for v, mass in zip(t.supports[i], masses):
-                    # cell masses equal the mixture's own cell probabilities
-                    nxt = dict(zip(t.supports[i][:-1], t.supports[i][1:]))
-                    if v in nxt:
-                        expect = prior.marginal_quantile(i, v) - prior.marginal_quantile(i, nxt[v])
-                    else:
-                        expect = prior.marginal_quantile(i, v)
+                # cell masses equal the mixture's own marginal cell masses
+                values, expected = marginal_cells(prior, i)
+                assert t.supports[i] == tuple(values)
+                for mass, expect in zip(t.marginal_masses(i), expected):
                     assert mass == pytest.approx(expect, abs=1e-12)
 
     def test_missing_atom_errors(self):
@@ -282,9 +316,9 @@ class TestSampling:
         high = np.sum(V >= cut, axis=1)
         assert np.all((high == 1) | (high == n + 1))
         assert 0 < np.sum(high == n + 1) < size
-        for tau in (0.3, cut, 0.9, 0.97):
-            for i in range(n + 1):
-                q = p.marginal_quantile(i, tau)
+        taus = (0.3, cut, 0.9, 0.97)
+        for i in range(n + 1):
+            for tau, q in zip(taus, pr_at_least(p, i, taus)):
                 se = math.sqrt(q * (1 - q) / size)
                 assert abs(np.mean(V[:, i] >= tau) - q) < 4 * se
 
@@ -335,37 +369,55 @@ class TestSampling:
         assert abs(emp - exact) < 4 * se
 
 
-class TestVerifierCrossValidation:
-    def test_mixture_agrees_with_table_enumeration(self):
-        # heterogeneous mixture with a non-identical slot: the class-grouped
-        # verifier must agree with brute-force marginalization of the full
-        # discretized table, violation by violation
-        from kwrob import (
-            EqualRevenue as ER,
-            MixturePrior,
-        )
-        from kwrob.priors import ConditionalBelow
+def heterogeneous_slot_mixture():
+    """Three bidders with distinct marginals and a slot whose two members
+    get different chosen and unchosen components."""
+    m0 = EqualRevenue(0.5, 1.0)
+    m1 = Uniform(0.0, 2.0)
+    m2 = DiscretePMF([0.5, 1.5], [0.4, 0.6])
+    b1 = Branch(0.3, (FixedValue(1.0), ConditionalBelow(m1, 1.0), FullMarginal(m2)))
+    slot = RandomIndexSlot(
+        (0, 1),
+        (FixedValue(1.0), FixedValue(2.0)),
+        (ConditionalBelow(m0, 1.0), ConditionalBelow(m1, 2.0)),
+    )
+    b2 = Branch(0.7, (None, None, FullMarginal(m2)), slot=slot)
+    return MixturePrior((m0, m1, m2), (b1, b2))
 
-        m0 = ER(0.5, 1.0)
-        m1 = Uniform(0.0, 2.0)
-        m2 = DiscretePMF([0.5, 1.5], [0.4, 0.6])
-        b1 = Branch(0.3, (FixedValue(1.0), ConditionalBelow(m1, 1.0), FullMarginal(m2)))
-        slot = RandomIndexSlot(
-            (0, 1),
-            (FixedValue(1.0), FixedValue(2.0)),
-            (ConditionalBelow(m0, 1.0), ConditionalBelow(m1, 2.0)),
-        )
-        b2 = Branch(0.7, (None, None, FullMarginal(m2)), slot=slot)
-        mix = MixturePrior((m0, m1, m2), (b1, b2))
-        grids = [[0.5, 1.0], [0.0, 1.0, 2.0], [0.5, 1.5]]
-        for k in (2, 3):
-            rep_mix = verify_kwise(mix, k, grids)
-            rep_tab = verify_kwise(discretize(mix, grids), k)
+
+class TestVerifierCrossValidation:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(slot_mixtures())
+    @example(heterogeneous_slot_mixture())
+    def test_mixture_agrees_with_table_enumeration(self, mix):
+        # the class-grouped verifier checks one representative subset per
+        # class combination (the first members of each class it meets); it
+        # must agree with the all-subsets check of the discretized table,
+        # violation by violation on those subsets
+        n = mix.n_bidders
+        table = discretize(mix)
+        _, _, masses = _kept_cells(mix)
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(n), size):
+                others = tuple(j for j in range(n) if j not in subset)
+                want = table.pmf.sum(axis=others)
+                assert np.allclose(_joint(mix, masses, subset), want, rtol=0.0, atol=1e-12)
+
+        def representative(bidders):
+            cls = mix._class_of
+            return all(j in bidders for i in bidders for j in range(i) if cls[j] == cls[i])
+
+        for k in range(1, n + 1):
+            rep_mix = verify_kwise(mix, k)
+            rep_tab = verify_kwise(table, k)
+            assert (rep_mix.passed, rep_mix.n_checked) == (rep_tab.passed, rep_tab.n_checked)
             assert rep_mix.max_deviation == pytest.approx(rep_tab.max_deviation, abs=1e-12)
-            assert rep_mix.n_checked == rep_tab.n_checked
-            dm = sorted(round(v.deviation, 10) for v in rep_mix.violations)
-            dt = sorted(round(v.deviation, 10) for v in rep_tab.violations)
-            assert dm == dt
+            got = [(v.bidders, v.cells) for v in rep_mix.violations]
+            want = [(v.bidders, v.cells) for v in rep_tab.violations if representative(v.bidders)]
+            # the table stops recording after _MAX_RECORDED over all subsets
+            assert got[: len(want)] == want
+            if len(rep_tab.violations) < _MAX_RECORDED:
+                assert len(got) == len(want)
 
 
 class TestTableCsv:

@@ -3,18 +3,14 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import q1q2_enumerate, random_regular_discrete, table_q1q2_enumerate
+from conftest import q1q2_enumerate, random_regular_discrete, slot_mixtures, table_q1q2_enumerate
 from kwrob import (
     AnonymousReserve,
     Branch,
-    ConditionalAtLeast,
-    ConditionalBelow,
     DiscretePMF,
     DomainError,
     FixedValue,
-    FullMarginal,
     MixturePrior,
     Myerson,
     ProductPrior,
@@ -77,52 +73,6 @@ class TestExactTable:
         t = TablePrior([(1.0,)], np.array([1.0]))
         est = revenue_exact_table(t, AnonymousReserve(0.5))
         assert est.exact and est.half_width_95 == 0.0
-
-
-@st.composite
-def slot_mixtures(draw):
-    """2-4 bidders on DiscretePMF marginals: a plain branch and a branch
-    with a random-index slot whose members come from two classes of
-    identical bidders, sometimes told apart only by their chosen component
-    (a third class, when drawn, stays outside the slot).  Every component's
-    values are points of its bidder's marginal."""
-
-    def marginal():
-        k = draw(st.integers(2, 4))
-        pts = sorted(draw(st.lists(st.integers(1, 40), min_size=k, max_size=k, unique=True)))
-        w = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
-        return DiscretePMF([p / 4 for p in pts], [x / sum(w) for x in w])
-
-    def component(m):
-        kind = draw(st.sampled_from(["full", "fixed", "below", "at_least"]))
-        if kind == "full":
-            return FullMarginal(m)
-        if kind == "fixed":
-            return FixedValue(draw(st.sampled_from(m.points)))
-        cut = draw(st.sampled_from(m.points[1:]))
-        return ConditionalBelow(m, cut) if kind == "below" else ConditionalAtLeast(m, cut)
-
-    n_classes = draw(st.integers(2, 3))
-    n = draw(st.integers(n_classes, 4))
-    extra = st.lists(st.integers(0, n_classes - 1), min_size=n - n_classes, max_size=n - n_classes)
-    of = draw(st.permutations(list(range(n_classes)) + draw(extra)))  # class of each bidder
-    classes = []  # (marginal, plain, chosen, unchosen)
-    for c in range(n_classes):
-        if c == 1 and draw(st.booleans()):
-            # differs from class 0 only in its chosen component
-            m, plain, _, unchosen = classes[0]
-            classes.append((m, plain, component(m), unchosen))
-        else:
-            m = marginal()
-            classes.append((m, component(m), component(m), component(m)))
-    members = tuple(i for i in range(n) if of[i] < 2)
-    chosen = tuple(classes[of[i]][2] for i in members)
-    unchosen = tuple(classes[of[i]][3] for i in members)
-    w = draw(st.integers(1, 9)) / 10
-    plain = Branch(w, tuple(classes[c][1] for c in of))
-    off_slot = tuple(None if i in members else classes[of[i]][1] for i in range(n))
-    slotted = Branch(1.0 - w, off_slot, RandomIndexSlot(members, chosen, unchosen))
-    return MixturePrior([classes[c][0] for c in of], [plain, slotted])
 
 
 class TestSlotParts:
@@ -235,6 +185,16 @@ class TestMonteCarlo:
         prior = ProductPrior([DiscretePMF([5.0], [1.0]), DiscretePMF([3.0], [1.0])])
         est = revenue_mc(prior, AnonymousReserve(4.0), 1000, seed=1)
         assert est.mean == 4.0 and est.half_width_95 == 0.0
+
+    def test_default_block_size_follows_bidders(self):
+        # the largest power of two up to 2^16 rows whose sample buffer fits
+        # in 64 MiB: 2^16 rows at n = 64 (65 bidders), 2^14 at n = 300
+        for n, rows in ((64, 1 << 16), (300, 1 << 14)):
+            prior = myerson_counterexample(n, 1e-6)
+            mech = AnonymousReserve(2.0 * n)  # sells when the big bidder clears 2n
+            est = revenue_mc(prior, mech, rows + 3, seed=7)
+            assert est == revenue_mc(prior, mech, rows + 3, seed=7, block_size=rows)
+            assert est != revenue_mc(prior, mech, rows + 3, seed=7, block_size=rows // 2)
 
     def test_reproducible_across_threads(self):
         prior = uniform_q2_counterexample(3)
