@@ -23,7 +23,7 @@ infimum (the competitor's value), matching the second-price rule even when
 the tie itself would resolve against the winner.  `run_mechanism` is the
 one-row call, and `mechanism_payments` returns the kernel's payments for
 Monte Carlo blocks, exact table revenue and the LP objective; the exact
-product sweep calls `threshold_payment` over its whole key grid.
+branch sweep calls `threshold_payment` over its whole key grid.
 """
 
 from __future__ import annotations

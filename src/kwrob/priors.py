@@ -17,12 +17,14 @@ independence checks, sampling) is computed branch-wise in closed form; no
 construction is ever verified by sampling.  A branch with a slot is a
 mixture of product-form parts, one per chosen member; _branch_parts is the
 one place that expands them, merging the parts a quantity cannot tell
-apart: per exchangeability class for symmetric quantities, and the slot
-members outside the bidders a quantity reads.  _cell_masses, each bidder's
-plain and chosen cell masses per branch, is the one source of cell masses:
-a subset's joint (_joint) sums outer products of them over the parts, a
-bidder's marginal is its joint on {i}, and discretize is the joint of all
-bidders.  verify_kwise runs one comparison loop, joint against the product
+apart: per exchangeability class for threshold_probs, which reads all
+bidders symmetrically, and the slot members outside the bidders a subset
+joint reads.  _cell_masses, each bidder's plain and chosen cell masses per
+branch, is the one source of cell masses: a subset's joint (_joint) sums
+outer products of them over the parts, a bidder's marginal is its joint on
+{i}, discretize is the joint of all bidders, and the exact Myerson sweep
+(revenue._myerson_branch_revenue) folds the slot members into one pass per
+branch.  verify_kwise runs one comparison loop, joint against the product
 of marginals per subset, for tables and mixtures alike.
 
 Sampling draws the chosen member directly, and draws its chosen component
@@ -347,26 +349,26 @@ def _as_mixture(prior: ProductPrior) -> MixturePrior:
 # Product-form parts of a branch
 
 
-def _branch_parts(mix: MixturePrior, branch: Branch, symmetric=False, bidders=None):
+def _branch_parts(mix: MixturePrior, branch: Branch, bidders=None):
     """The branch as a mixture of product-form parts: yields (share, chosen
     slot member or None), where the chosen member gets its chosen component
     and every other bidder its plain (or unchosen) one.  A branch without a
     slot is one part; a slot gives one part per member with share 1/k.
     Parts the caller cannot tell apart are merged into one carrying their
-    summed share: when its quantity is symmetric in the bidders, the parts
-    of one exchangeability class's members; when it reads only `bidders`,
-    the parts of the slot members outside them, as one part with no chosen
-    member."""
+    summed share.  With no `bidders` the quantity must be symmetric in the
+    bidders, and the parts of one exchangeability class's members merge;
+    when it reads only `bidders`, the parts of the slot members outside
+    them merge into one part with no chosen member."""
     slot = branch.slot
     if slot is None:
         yield 1.0, None
         return
     groups = {}
     for m in slot.indices:
-        if bidders is not None and m not in bidders:
-            key = None
+        if bidders is None:
+            key = mix._class_of[m]
         else:
-            key = mix._class_of[m] if symmetric else m
+            key = m if m in bidders else None
         groups.setdefault(key, []).append(m)
     for key, members in groups.items():
         yield len(members) / len(slot.indices), None if key is None else members[0]
@@ -672,7 +674,7 @@ def threshold_probs(prior: JointPrior, tau: float) -> tuple:
     for branch in mix.branches:
         pairs = [branch.component_pair(i) for i in range(mix.n_bidders)]
         q_plain = np.array([p.quantile_q(tau) for p, _ in pairs])
-        for share, chosen in _branch_parts(mix, branch, symmetric=True):
+        for share, chosen in _branch_parts(mix, branch):
             qs = q_plain
             if chosen is not None:
                 qs = q_plain.copy()

@@ -6,21 +6,21 @@ Exact paths:
                   priced by one mechanism_payments call.
 * products      - per-bidder independent distributions; AR revenue via the
                   identity AR(r) = r Q1(r) + integral of Q2 above r, the
-                  optimal mechanism via an exact sweep over the global
-                  "competing key" grid (see _myerson_product_revenue).
-* mixtures      - branch-wise: within a branch the components are
-                  independent, so each branch reduces to product instances,
-                  one per part from priors._branch_parts (a random-index
-                  slot gives one part per chosen member, merged per
-                  exchangeability class where the quantity is symmetric),
-                  with cell masses from priors._cell_masses.
+                  optimal mechanism as a one-branch mixture.
+* mixtures      - branch-wise: within a branch part the components are
+                  independent.  The optimal mechanism takes one sweep per
+                  branch over the global "competing key" grid
+                  (_myerson_branch_revenue), which folds a random-index
+                  slot's members in as a mixture of leave-one-out key
+                  CDFs, under either tie rule, with cell masses from
+                  priors._cell_masses.
 
 Every Myerson payment comes from the one threshold formula,
 mechanisms.threshold_payment: tables and Monte Carlo blocks reach it through
 the batch kernel behind mechanism_payments (re-exported here), and the
-product sweep calls it once per bidder over the whole key grid.  Monte Carlo
-is block-seeded and bit-for-bit reproducible for a fixed (seed, block
-size).  The ex-ante relaxation quantities (threshold level,
+branch sweep calls it once per bidder per branch over the whole key grid.
+Monte Carlo is block-seeded and bit-for-bit reproducible for a fixed (seed,
+block size).  The ex-ante relaxation quantities (threshold level,
 per-bidder prices/probabilities/revenues) and the associated robustness
 predicates live here as well.
 """
@@ -48,8 +48,8 @@ from .priors import (
     ProductPrior,
     TablePrior,
     _as_mixture,
-    _branch_parts,
     _cell_masses,
+    _check_grid,
     _grid_cells,
     cell_values,
     natural_grids,
@@ -96,85 +96,82 @@ def revenue_exact_table(table: TablePrior, mech: Mechanism) -> RevenueEstimate:
     return RevenueEstimate(_ordered_sum(mass[cells] * pays), 0.0, 0, True)
 
 
-def _myerson_product_revenue(mech: Myerson, dists):
-    """Exact expected revenue of the virtual-value mechanism when bidder i's
-    value is drawn independently from the discrete distribution dists[i]
-    (which need not equal the marginal the mechanism was designed for -
-    that is the whole point when evaluating adversarial mixtures).  Values
-    of mass at most 1e-18 are dropped.
+def _myerson_branch_revenue(mech: Myerson, vals, masses, share):
+    """Exact expected revenue of the virtual-value mechanism on one mixture
+    branch.  Bidder i's value is vals[i][c] with probability masses[i][0][c]
+    (its plain component) or, when it is the slot's chosen member,
+    masses[i][1][c] (chosen is None off the slot); each slot member is
+    chosen with probability `share` (1/k; 0 for a branch without a slot).
+    The components need not match the marginals the mechanism was designed
+    for - that is the whole point when evaluating adversarial mixtures.
+    Masses of at most 1e-18 are dropped.
 
-    Sweep: sort every (bidder, support value) pair by its allocation key.
-    Conditional on the strongest competing key kappa, bidder i wins iff its
-    own key beats kappa and then pays the threshold t_i(kappa), which is a
-    deterministic function of kappa.  Independence turns the expectation
-    into a sum over the key grid weighted by leave-one-out products of
-    per-bidder key CDFs.
+    Sweep: sort every (bidder, value) pair by its allocation key; column 0
+    of the key grid is "no eligible competitor".  Conditional on the
+    strongest competing key kappa, bidder i wins iff its own key beats
+    kappa and then pays the threshold t_i(kappa).  Within a branch part the
+    bidders are independent, so Pr[strongest competing key <= key_t] is a
+    leave-one-out product of per-bidder key CDFs: A from the plain CDFs Cp,
+    and B, the mixture over chosen members m of s_m Cc_m times the other
+    bidders' Cp, from the recursion B_{i+1} = B_i Cp_i + s_i A_i Cc_i.
+    Bidder i is priced plain against B (A without a slot) and, with weight
+    s_i, chosen against A: one pass per branch under either tie rule.
     """
-    n = len(dists)
+    n = len(vals)
     by_value = mech.tie_break == HIGHEST_VALUE
-    bottom = np.zeros(n)  # Pr[ineligible]
-    cols = []  # per bidder: eligible (phi, value, bidder, prob)
-    for i, (vals, probs) in enumerate(dists):
-        vals, probs = np.asarray(vals, dtype=float), np.asarray(probs, dtype=float)
-        vals, probs = vals[probs > 1e-18], probs[probs > 1e-18]
-        phi = virtual_values(mech.marginals[i], vals, i)
-        ok = phi >= 0.0
-        bottom[i] = _ordered_sum(probs[~ok])
-        cols.append((phi[ok], vals[ok], np.full(int(ok.sum()), i), probs[ok]))
-    phi, val, who, p = (np.concatenate(c) for c in zip(*cols))
-    if len(phi) == 0:
-        return 0.0
-    # ascending allocation keys (phi, v, -i) or (phi, -i); lexsort is stable
+    cols = []  # per bidder: (phi, value, bidder, plain mass, chosen mass)
+    for i, (v, (p, c)) in enumerate(zip(vals, masses)):
+        p = np.where(p > 1e-18, p, 0.0)
+        c = np.zeros_like(p) if c is None else np.where(c > 1e-18, c, 0.0)
+        keep = (p > 0.0) | (c > 0.0)
+        v = v[keep]
+        cols.append((virtual_values(mech.marginals[i], v, i), v, np.full(len(v), i), p[keep], c[keep]))
+    phi, val, who, p, c = (np.concatenate(x) for x in zip(*cols))
+    phi = np.where(phi >= 0.0, phi, -np.inf)  # ineligible values sort first
+    # ascending allocation keys (phi, v, -i) or (phi, -i); equal keys (one
+    # bidder's ironed-flat values under lex) share a column
     order = np.lexsort((-who, val, phi) if by_value else (-who, phi))
-    phi, val, who, p = phi[order], val[order], who[order], p[order]
-    # equal keys can only arise within one bidder (the index is part of the
-    # key): e.g. an ironed-flat discrete marginal under lex tie-breaking.
-    # Merge them so the key grid is strictly increasing.
-    dup = (phi[1:] == phi[:-1]) & (who[1:] == who[:-1])
+    phi, val, who, p, c = phi[order], val[order], who[order], p[order], c[order]
+    new = (phi[1:] != phi[:-1]) | (who[1:] != who[:-1])
     if by_value:
-        dup &= val[1:] == val[:-1]
-    keep = np.append(True, ~dup)
-    first = np.maximum.accumulate(np.where(keep, np.arange(len(keep)), 0))
-    for t in np.flatnonzero(~keep):
-        p[first[t]] += p[t]
-    phi, val, who, p = phi[keep], val[keep], who[keep], p[keep]
-    N = len(phi)
+        new |= val[1:] != val[:-1]
+    new = np.append(True, new) & (phi > -np.inf)
+    if not new.any():
+        return 0.0  # no eligible value, no sale
+    col = np.cumsum(new)  # 0 for the ineligible values
+    key_phi = np.append(-np.inf, phi[new])
+    key_val, key_who = np.append(0.0, val[new]), np.append(-1, who[new])
 
-    # C[i, t] = Pr[bidder i's key is ineligible or <= key_t]
-    bump = np.zeros((n, N))
-    bump[who, np.arange(N)] = p
-    C = bottom[:, None] + np.cumsum(bump, axis=1)
+    # Cp[i, t], Cc[i, t] = Pr[bidder i's key is ineligible or <= key_t]
+    Cp, Cc = np.zeros((n, len(key_phi))), np.zeros((n, len(key_phi)))
+    np.add.at(Cp, (who, col), p)
+    np.add.at(Cc, (who, col), c)
+    np.cumsum(Cp, axis=1, out=Cp)
+    np.cumsum(Cc, axis=1, out=Cc)
+    s = np.array([0.0 if chosen is None else share for _, chosen in masses])
 
-    # leave-one-out products over bidders, per key column
-    prefix = np.ones((n + 1, N))
-    for i in range(n):
-        prefix[i + 1] = prefix[i] * C[i]
-    suffix = np.ones((n + 1, N))
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * C[i]
-    loo = prefix[:n] * suffix[1:]  # loo[i, t] = prod_{j != i} C[j, t]
+    # products over the bidders before (A_pre) and after (A_suf) bidder i
+    ones = np.ones((1, len(key_phi)))
+    A_pre = np.concatenate((ones, np.cumprod(Cp[:-1], axis=0)))
+    A_suf = np.concatenate((np.cumprod(Cp[:0:-1], axis=0)[::-1], ones))
+    B_suf, B_pre = np.zeros_like(Cp), np.zeros(len(key_phi))
+    if share:  # without a slot B stays 0 and is never read
+        for i in range(n - 1, 0, -1):
+            B_suf[i - 1] = B_suf[i] * Cp[i] + s[i] * A_suf[i] * Cc[i]
 
-    bot_prefix = np.ones(n + 1)
-    for i in range(n):
-        bot_prefix[i + 1] = bot_prefix[i] * bottom[i]
-    bot_suffix = np.ones(n + 1)
-    for i in range(n - 1, -1, -1):
-        bot_suffix[i] = bot_suffix[i + 1] * bottom[i]
-    loo_bottom = bot_prefix[:n] * bot_suffix[1:]  # no eligible competitor
-
-    # the strongest competing key, "no eligible competitor" first
-    key_phi, key_val, key_who = np.append(-np.inf, phi), np.append(0.0, val), np.append(-1, who)
     terms = []
     for i in range(n):
         thr = threshold_payment(mech, i, key_phi, key_val, key_who)
-        win_none = 1.0 - bottom[i]  # Pr[bidder i is eligible at all]
-        if loo_bottom[i] > 0.0 and win_none > 0.0:
-            terms.append([loo_bottom[i] * thr[0] * win_none])
-        p_eq = np.diff(loo[i], prepend=loo_bottom[i])  # Pr[strongest competing key = key_t]
-        win = 1.0 - C[i]
-        thr = thr[1:]
-        ok = (p_eq > 1e-18) & (win > 0.0) & np.isfinite(thr)
-        terms.append(p_eq[ok] * thr[ok] * win[ok])
+        loo_A = A_pre[i] * A_suf[i]
+        loo_B = A_pre[i] * B_suf[i] + B_pre * A_suf[i] if share else loo_A
+        for weight, loo, C in ((1.0, loo_B, Cp[i]), (s[i], loo_A, Cc[i])):
+            if weight:
+                # Pr[strongest competing key = key_t], Pr[bidder i beats it]
+                p_eq, win = loo - np.concatenate(([0.0], loo[:-1])), 1.0 - C
+                ok = (p_eq > 1e-18) & (win > 0.0) & (thr < np.inf)
+                terms.append((weight * p_eq * win)[ok] * thr[ok])
+        if share:
+            B_pre = B_pre * Cp[i] + s[i] * A_pre[i] * Cc[i]
     return _ordered_sum(np.concatenate(terms))
 
 
@@ -192,6 +189,10 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
     mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
     if grids is None:
         grids = natural_grids(mix)
+    elif isinstance(mech, Myerson):
+        # AR reads the grid only as quadrature breakpoints; the sweep prices
+        # its cells, so a grid that misses the support would drop mass
+        _check_grid(mix, grids)
 
     if isinstance(mech, AnonymousReserve):
         hi = max(m.support[1] for m in mix.marginals)
@@ -206,18 +207,11 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
 
     cells = [_grid_cells(g) for g in grids]
     vals = [np.array([c[0] for c in cs]) for cs in cells]
-    # one part per exchangeability class only under highest_value: under lex
-    # the threshold depends on the chosen member's index
-    symmetric = mech.tie_break == HIGHEST_VALUE
     total = 0.0
     for branch, masses in zip(mix.branches, _cell_masses(mix, cells)):
-        if branch.weight == 0.0:
-            continue
-        rev = 0.0
-        for share, chosen in _branch_parts(mix, branch, symmetric):
-            dists = [(vals[i], c if i == chosen else p) for i, (p, c) in enumerate(masses)]
-            rev += share * _myerson_product_revenue(mech, dists)
-        total += branch.weight * rev
+        if branch.weight != 0.0:
+            share = 1.0 / len(branch.slot.indices) if branch.slot else 0.0
+            total += branch.weight * _myerson_branch_revenue(mech, vals, masses, share)
     return RevenueEstimate(total, 0.0, 0, True)
 
 

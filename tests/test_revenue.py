@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from kwrob import (
     threshold_probs,
     uniform_q2_counterexample,
 )
-from kwrob.revenue import _myerson_product_revenue, posted_price_lower_bound
+from kwrob.revenue import _myerson_branch_revenue, posted_price_lower_bound
 
 
 class TestExactTable:
@@ -69,6 +70,28 @@ class TestExactTable:
         assert via_table == pytest.approx(2.5, abs=1e-12)
         assert revenue_exact(prior, mech).mean == pytest.approx(via_table, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [40, 300])
+    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
+    def test_counterexample_closed_form(self, n, tie):
+        # under lex every slot member is priced separately, yet the whole
+        # slot branch is still one sweep: lex at n = 300 stays fast
+        eps = 1e-6
+        prior = myerson_counterexample(n, eps)
+        t0 = time.monotonic()
+        rev = revenue_exact(prior, Myerson(list(prior.marginals), tie)).mean
+        elapsed = time.monotonic() - t0
+        assert rev == pytest.approx(3 - 2 / n + eps / n, rel=1e-14, abs=0.0)
+        assert elapsed < 5.0
+
+    def test_myerson_rejects_grid_missing_support(self):
+        # the small bidders' grids stop at 1/3, below the top of their
+        # support [1/3, 1], so their one cell (the point 1/3) holds none of
+        # their mass
+        prior = myerson_counterexample(3, 1e-6)
+        grids = [[1 / 3]] * 3 + [[3.000001, 9.000001]]
+        with pytest.raises(DomainError, match="does not cover the support"):
+            revenue_exact(prior, Myerson(list(prior.marginals)), grids=grids)
+
     def test_exact_flag(self):
         t = TablePrior([(1.0,)], np.array([1.0]))
         est = revenue_exact_table(t, AnonymousReserve(0.5))
@@ -96,7 +119,14 @@ class TestSlotParts:
 
 
 class TestProductSweep:
-    """The key-grid sweep against brute-force enumeration."""
+    """The key-grid sweep, on a branch without a slot, against brute-force
+    enumeration."""
+
+    @staticmethod
+    def sweep(mech, dists):
+        vals = [np.asarray(v, dtype=float) for v, _ in dists]
+        masses = [(np.asarray(p, dtype=float), None) for _, p in dists]
+        return _myerson_branch_revenue(mech, vals, masses, 0.0)
 
     def brute(self, mech, dists):
         total = 0.0
@@ -117,7 +147,7 @@ class TestProductSweep:
                 w2 = rng.dirichlet(np.ones(len(m.points)))
                 dists.append((np.asarray(m.points), w2))
             mech = Myerson(ms, tie)
-            assert _myerson_product_revenue(mech, dists) == pytest.approx(
+            assert self.sweep(mech, dists) == pytest.approx(
                 self.brute(mech, dists), abs=1e-10
             )
             r = float(rng.uniform(0, 5))
@@ -136,7 +166,7 @@ class TestProductSweep:
         dists = [(np.asarray(m.points), rng.dirichlet(np.ones(len(m.points)))) for m in ms]
         for tb in ["lex", "highest_value"]:
             mech = Myerson(ms, tb)
-            assert _myerson_product_revenue(mech, dists) == pytest.approx(
+            assert self.sweep(mech, dists) == pytest.approx(
                 self.brute(mech, dists), abs=1e-12
             )
 
@@ -150,7 +180,7 @@ class TestProductSweep:
             ]
             for tb in ["lex", "highest_value"]:
                 mech = Myerson(ms, tb)
-                assert _myerson_product_revenue(mech, dists) == pytest.approx(
+                assert self.sweep(mech, dists) == pytest.approx(
                     self.brute(mech, dists), abs=1e-10
                 )
 
@@ -164,7 +194,7 @@ class TestProductSweep:
             (np.array([0.5, 1.0]), np.array([0.25, 0.75])),
             (np.array([n + eps, n * n + eps]), np.array([0.5, 0.5])),
         ]
-        assert _myerson_product_revenue(mech, dists) == pytest.approx(
+        assert self.sweep(mech, dists) == pytest.approx(
             self.brute(mech, dists), abs=1e-12
         )
 
