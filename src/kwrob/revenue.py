@@ -83,25 +83,20 @@ class RevenueEstimate:
 # Exact revenue
 
 
-def _ordered_sum(x) -> float:
-    """x[0] + x[1] + ... added left to right, so the result does not depend
-    on numpy's pairwise blocking."""
-    return float(np.cumsum(np.append(0.0, x))[-1])
-
-
 def revenue_exact_table(table: TablePrior, mech: Mechanism) -> RevenueEstimate:
     mass = table.pmf.ravel()
     cells = mass != 0.0
     pays = mechanism_payments(mech, cell_values(table.supports)[cells])
-    return RevenueEstimate(_ordered_sum(mass[cells] * pays), 0.0, 0, True)
+    # fsum is correctly rounded: no dependence on term order or numpy's blocking
+    return RevenueEstimate(math.fsum(mass[cells] * pays), 0.0, 0, True)
 
 
-def _myerson_branch_revenue(mech: Myerson, vals, masses, share):
+def _myerson_branch_revenue(mech: Myerson, vals, masses):
     """Exact expected revenue of the virtual-value mechanism on one mixture
     branch.  Bidder i's value is vals[i][c] with probability masses[i][0][c]
     (its plain component) or, when it is the slot's chosen member,
-    masses[i][1][c] (chosen is None off the slot); each slot member is
-    chosen with probability `share` (1/k; 0 for a branch without a slot).
+    masses[i][1][c] (chosen is None off the slot); each of the k slot
+    members is chosen with probability s_i = 1/k.
     The components need not match the marginals the mechanism was designed
     for - that is the whole point when evaluating adversarial mixtures.
     Masses of at most 1e-18 are dropped.
@@ -119,6 +114,8 @@ def _myerson_branch_revenue(mech: Myerson, vals, masses, share):
     """
     n = len(vals)
     by_value = mech.tie_break == HIGHEST_VALUE
+    k = sum(chosen is not None for _, chosen in masses)  # slot members
+    s = np.array([0.0 if chosen is None else 1.0 / k for _, chosen in masses])
     cols = []  # per bidder: (phi, value, bidder, plain mass, chosen mass)
     for i, (v, (p, c)) in enumerate(zip(vals, masses)):
         p = np.where(p > 1e-18, p, 0.0)
@@ -148,14 +145,13 @@ def _myerson_branch_revenue(mech: Myerson, vals, masses, share):
     np.add.at(Cc, (who, col), c)
     np.cumsum(Cp, axis=1, out=Cp)
     np.cumsum(Cc, axis=1, out=Cc)
-    s = np.array([0.0 if chosen is None else share for _, chosen in masses])
 
     # products over the bidders before (A_pre) and after (A_suf) bidder i
     ones = np.ones((1, len(key_phi)))
     A_pre = np.concatenate((ones, np.cumprod(Cp[:-1], axis=0)))
     A_suf = np.concatenate((np.cumprod(Cp[:0:-1], axis=0)[::-1], ones))
     B_suf, B_pre = np.zeros_like(Cp), np.zeros(len(key_phi))
-    if share:  # without a slot B stays 0 and is never read
+    if k:  # without a slot B stays 0 and is never read
         for i in range(n - 1, 0, -1):
             B_suf[i - 1] = B_suf[i] * Cp[i] + s[i] * A_suf[i] * Cc[i]
 
@@ -163,16 +159,16 @@ def _myerson_branch_revenue(mech: Myerson, vals, masses, share):
     for i in range(n):
         thr = threshold_payment(mech, i, key_phi, key_val, key_who)
         loo_A = A_pre[i] * A_suf[i]
-        loo_B = A_pre[i] * B_suf[i] + B_pre * A_suf[i] if share else loo_A
+        loo_B = A_pre[i] * B_suf[i] + B_pre * A_suf[i] if k else loo_A
         for weight, loo, C in ((1.0, loo_B, Cp[i]), (s[i], loo_A, Cc[i])):
             if weight:
                 # Pr[strongest competing key = key_t], Pr[bidder i beats it]
                 p_eq, win = loo - np.concatenate(([0.0], loo[:-1])), 1.0 - C
                 ok = (p_eq > 1e-18) & (win > 0.0) & (thr < np.inf)
                 terms.append((weight * p_eq * win)[ok] * thr[ok])
-        if share:
+        if k:
             B_pre = B_pre * Cp[i] + s[i] * A_pre[i] * Cc[i]
-    return _ordered_sum(np.concatenate(terms))
+    return math.fsum(np.concatenate(terms))
 
 
 def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEstimate:
@@ -210,8 +206,7 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
     total = 0.0
     for branch, masses in zip(mix.branches, _cell_masses(mix, cells)):
         if branch.weight != 0.0:
-            share = 1.0 / len(branch.slot.indices) if branch.slot else 0.0
-            total += branch.weight * _myerson_branch_revenue(mech, vals, masses, share)
+            total += branch.weight * _myerson_branch_revenue(mech, vals, masses)
     return RevenueEstimate(total, 0.0, 0, True)
 
 
