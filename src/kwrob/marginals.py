@@ -1,14 +1,15 @@
 """Single-bidder marginal value distributions.
 
 All marginals are bounded. Every variant exposes the same small surface:
-cumulative distribution, upper quantile q(tau) = Pr[v >= tau] (atom at tau
-included), its inverse, virtual values, atoms, and sampling via inverse
-quantiles. Discrete marginals additionally support ironing via the upper
-concave hull of their revenue-quantile polyline.
+upper quantile q(tau) = Pr[v >= tau] (atom at tau included), its inverse,
+atoms, virtual values and their inverses, and the monopoly reserve (the
+smallest value with virtual value >= 0).  Virtual values and the
+inverses are elementwise over arrays; q_inverse of u ~ Uniform(0, 1] is a
+draw from the marginal.  Discrete marginals take their virtual values from
+the ironed revenue-quantile polyline (its upper concave hull).
 
 Quantile convention: q is left-continuous and includes the atom at tau,
-i.e. q(tau) = Pr[v >= tau]; the CDF is right-continuous. The two satisfy
-q(tau) + lim_{x->tau-} F(x) = 1.
+i.e. q(tau) = Pr[v >= tau], so the CDF is F(tau) = 1 - q(tau) + atom(tau).
 """
 
 from __future__ import annotations
@@ -31,8 +32,25 @@ def _is_close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+def _probabilities(p):
+    """p as a float array, checked to lie in [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise DomainError(f"p must be in [0, 1], got {p[~((p >= 0.0) & (p <= 1.0))][0]}")
+    return p
+
+
+class Marginal:
+    """Base of the marginal classes: what follows from their own surface."""
+
+    def monopoly_reserve(self) -> float:
+        """Smallest support value with virtual value >= 0: the eligibility
+        floor of the optimal mechanism."""
+        return float(self.phi_geq_inv(0.0))
+
+
 @dataclass(frozen=True)
-class EqualRevenue:
+class EqualRevenue(Marginal):
     """Equal-revenue distribution on [lo, hi]: s * Pr[v >= s] = lo on the
     support, with an atom of mass lo/hi at hi.  Regular; virtual value is 0
     on [lo, hi) and hi at the top atom."""
@@ -48,13 +66,6 @@ class EqualRevenue:
     def support(self):
         return (self.lo, self.hi)
 
-    def cdf(self, x: float) -> float:
-        if x < self.lo:
-            return 0.0
-        if x >= self.hi:
-            return 1.0
-        return 1.0 - self.lo / x
-
     def quantile_q(self, tau: float) -> float:
         if tau <= self.lo:
             return 1.0
@@ -62,12 +73,10 @@ class EqualRevenue:
             return 0.0
         return self.lo / tau
 
-    def q_inverse(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"p must be in [0, 1], got {p}")
-        if p <= self.lo / self.hi:
-            return self.hi
-        return self.lo / p
+    def q_inverse(self, p):
+        """Value v with q(v) = p, elementwise; DomainError outside [0, 1]."""
+        p = _probabilities(p)
+        return np.divide(self.lo, p, out=np.full(p.shape, float(self.hi)), where=p > self.lo / self.hi)
 
     def atom_mass(self, x: float) -> float:
         if _is_close(x, self.hi):
@@ -77,18 +86,8 @@ class EqualRevenue:
     def atoms(self):
         return [self.hi]
 
-    def virtual_value(self, v: float) -> float:
-        if _is_close(v, self.hi):
-            return self.hi
-        if self.lo - 1e-12 <= v < self.hi:
-            return 0.0
-        raise DomainError(f"value {v} outside support [{self.lo}, {self.hi}]")
-
-    def virtual_value_vec(self, v: np.ndarray) -> np.ndarray:
+    def virtual_value(self, v):
         return np.where(v >= self.hi - 1e-12 * max(1.0, self.hi), self.hi, 0.0)
-
-    def monopoly_reserve(self) -> float:
-        return self.lo
 
     def phi_geq_inv(self, y):
         """Smallest support value v with virtual value >= y, elementwise;
@@ -113,15 +112,9 @@ class EqualRevenue:
         """Virtual-value levels that carry probability mass, as (level, mass)."""
         return [(0.0, 1.0 - self.lo / self.hi), (self.hi, self.lo / self.hi)]
 
-    def ppf_upper(self, u):
-        """Value v with q(v) = u under the upper-quantile convention
-        (vectorised); u ~ Uniform(0,1] gives a draw from the marginal."""
-        u = np.asarray(u, dtype=float)
-        return np.where(u <= self.lo / self.hi, self.hi, self.lo / np.maximum(u, 1e-300))
-
 
 @dataclass(frozen=True)
-class ShiftedEqualRevenue:
+class ShiftedEqualRevenue(Marginal):
     """EqualRevenue{lo, hi} translated by +shift.  The whole point of the
     variant is its virtual-value structure: phi = shift on the interior of
     the support and hi + shift at the top atom."""
@@ -144,9 +137,6 @@ class ShiftedEqualRevenue:
     def support(self):
         return (self.lo + self.shift, self.hi + self.shift)
 
-    def cdf(self, x):
-        return self._base.cdf(x - self.shift)
-
     def quantile_q(self, tau):
         return self._base.quantile_q(tau - self.shift)
 
@@ -161,18 +151,7 @@ class ShiftedEqualRevenue:
 
     def virtual_value(self, v):
         top = self.hi + self.shift
-        if _is_close(v, top):
-            return top
-        if self.lo + self.shift - 1e-12 <= v < top:
-            return self.shift
-        raise DomainError(f"value {v} outside support {self.support}")
-
-    def virtual_value_vec(self, v):
-        top = self.hi + self.shift
         return np.where(v >= top - 1e-12 * max(1.0, top), top, self.shift)
-
-    def monopoly_reserve(self):
-        return self.lo + self.shift
 
     def phi_geq_inv(self, y):
         y = np.asarray(y, dtype=float)
@@ -195,12 +174,9 @@ class ShiftedEqualRevenue:
         frac = self.lo / self.hi
         return [(self.shift, 1.0 - frac), (self.hi + self.shift, frac)]
 
-    def ppf_upper(self, u):
-        return self._base.ppf_upper(u) + self.shift
-
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(Marginal):
     lo: float
     hi: float
 
@@ -212,16 +188,11 @@ class Uniform:
     def support(self):
         return (self.lo, self.hi)
 
-    def cdf(self, x):
-        return float(np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0))
-
     def quantile_q(self, tau):
         return float(np.clip((self.hi - tau) / (self.hi - self.lo), 0.0, 1.0))
 
     def q_inverse(self, p):
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"p must be in [0, 1], got {p}")
-        return self.hi - p * (self.hi - self.lo)
+        return self.hi - _probabilities(p) * (self.hi - self.lo)
 
     def atom_mass(self, x):
         return 0.0
@@ -230,15 +201,7 @@ class Uniform:
         return []
 
     def virtual_value(self, v):
-        if not (self.lo - 1e-12 <= v <= self.hi + 1e-12):
-            raise DomainError(f"value {v} outside support [{self.lo}, {self.hi}]")
-        return 2.0 * v - self.hi
-
-    def virtual_value_vec(self, v):
         return 2.0 * np.asarray(v, dtype=float) - self.hi
-
-    def monopoly_reserve(self):
-        return max(self.lo, self.hi / 2.0)
 
     def phi_geq_inv(self, y):
         y = np.asarray(y, dtype=float)
@@ -255,17 +218,13 @@ class Uniform:
     def phi_levels(self):
         return []
 
-    def ppf_upper(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.hi - u * (self.hi - self.lo)
-
 
 @dataclass(frozen=True)
-class DiscretePMF:
-    """Finite-support marginal.  points strictly ascending, masses >= 0
-    summing to 1.  Virtual values come from the ironed revenue-quantile
-    polyline (interior atoms have no density, so the regular formula does
-    not apply there)."""
+class DiscretePMF(Marginal):
+    """Finite-support marginal.  points nonnegative and strictly ascending,
+    masses >= 0 summing to 1.  Virtual values come from the ironed
+    revenue-quantile polyline (interior atoms have no density, so the
+    regular formula does not apply there)."""
 
     points: tuple
     masses: tuple
@@ -277,6 +236,8 @@ class DiscretePMF:
             raise DomainError("points and masses must be equal-length and non-empty")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise DomainError("points must be strictly ascending")
+        if pts[0] < 0:
+            raise DomainError(f"points must be nonnegative, got {pts[0]}")
         if any(m < 0 for m in ms):
             raise DomainError("masses must be nonnegative")
         if abs(sum(ms) - 1.0) > MASS_TOL:
@@ -291,14 +252,7 @@ class DiscretePMF:
     @cached_property
     def _tail(self):
         # _tail[k] = Pr[v >= points[k]]
-        return tuple(np.cumsum(self.masses[::-1])[::-1])
-
-    def cdf(self, x):
-        total = 0.0
-        for p, m in zip(self.points, self.masses):
-            if p <= x + 1e-15 * max(1.0, abs(x)):
-                total += m
-        return min(total, 1.0)
+        return np.cumsum(self.masses[::-1])[::-1]
 
     def quantile_q(self, tau):
         k = bisect.bisect_left(self.points, tau - 1e-15 * max(1.0, abs(tau)))
@@ -307,15 +261,12 @@ class DiscretePMF:
         return float(self._tail[k])
 
     def q_inverse(self, p):
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"p must be in [0, 1], got {p}")
-        if p == 0.0:
-            return self.points[-1]
-        best = self.points[0]
-        for k, pt in enumerate(self.points):
-            if self._tail[k] >= p - 1e-15:
-                best = pt
-        return best
+        """Largest point whose tail Pr[v >= point] reaches p (to 1e-15),
+        elementwise; DomainError outside [0, 1]."""
+        p = _probabilities(p)
+        # -tail ascends in point order
+        k = np.searchsorted(-self._tail, 1e-15 - p, side="right") - 1
+        return np.asarray(self.points)[np.maximum(k, 0)]
 
     def atom_mass(self, x):
         for p, m in zip(self.points, self.masses):
@@ -326,22 +277,7 @@ class DiscretePMF:
     def atoms(self):
         return [p for p, m in zip(self.points, self.masses) if m > 0]
 
-    def _index_of(self, v):
-        for k, p in enumerate(self.points):
-            if _is_close(p, v):
-                return k
-        raise DomainError(f"value {v} not in support {self.points}")
-
     def virtual_value(self, v):
-        k = self._index_of(v)
-        if k == len(self.points) - 1:
-            return self.points[-1]
-        raise DomainError(
-            "interior atom has no density; use the ironed virtual value "
-            "(iron_discrete / virtual_value_vec)"
-        )
-
-    def virtual_value_vec(self, v):
         """Ironed virtual values, elementwise; every value must be one of
         the support points (to relative 1e-12)."""
         v = np.asarray(v, dtype=float)
@@ -356,12 +292,6 @@ class DiscretePMF:
     @cached_property
     def ironed(self):
         return iron_discrete(self)
-
-    def monopoly_reserve(self):
-        for p, ph in zip(self.points, self.ironed.phi):
-            if ph >= 0.0:
-                return p
-        return self.points[-1]
 
     @cached_property
     def _phi_max(self):
@@ -390,18 +320,6 @@ class DiscretePMF:
             levels[ph] = levels.get(ph, 0.0) + m
         return sorted(levels.items())
 
-    def ppf_upper(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        tail = np.asarray(self._tail)
-        # largest point with tail >= u; tail is descending in point order
-        idx = np.searchsorted(-tail, -u, side="right") - 1
-        idx = np.clip(idx, 0, len(self.points) - 1)
-        out = np.asarray(self.points)[idx]
-        return out if out.size > 1 else out.reshape(u.shape)
-
-
-Marginal = EqualRevenue | ShiftedEqualRevenue | Uniform | DiscretePMF
-
 
 # ---------------------------------------------------------------------------
 # Revenue-quantile curves, regularity, ironing
@@ -429,8 +347,8 @@ class RevenueQuantileCurve:
 @dataclass(frozen=True)
 class IronedCurve:
     """Upper concave hull of a revenue-quantile polyline plus the ironed
-    virtual value at each support point (hull slope over the point's
-    quantile interval)."""
+    virtual value at each support point (slope of the hull segment that
+    holds the point's quantile interval)."""
 
     hull_q: tuple
     hull_rev: tuple
@@ -460,9 +378,8 @@ def revenue_curve(m: Marginal, grid_size: int = 1000) -> RevenueQuantileCurve:
         qa = m.quantile_q(a)
         qs.add(qa)
         qs.add(max(0.0, qa - m.atom_mass(a)))
-    qs = sorted(qs)
-    revs = [q * m.q_inverse(q) for q in qs]
-    return RevenueQuantileCurve(tuple(qs), tuple(revs))
+    qs = np.array(sorted(qs))
+    return RevenueQuantileCurve(tuple(qs.tolist()), tuple((qs * m.q_inverse(qs)).tolist()))
 
 
 def check_regular(m: Marginal, grid_size: int = 1000) -> bool:
@@ -491,23 +408,18 @@ def iron_discrete(m: DiscretePMF) -> IronedCurve:
     if not isinstance(m, DiscretePMF):
         raise DomainError("only DiscretePMF marginals are ironed")
     curve = revenue_curve(m, 2)
-    hull = _upper_concave_hull(curve.qs, curve.revs)
-    hull_q, hull_rev = zip(*hull)
-    phi = []
-    tails = list(m._tail) + [0.0]
-    for k in range(len(m.points)):
-        q_hi, q_lo = tails[k], tails[k + 1]  # quantile interval of point k
-        if q_hi - q_lo < 1e-15:
-            # zero-mass point: slope at its quantile
-            h = 1e-12
-            lo_v = float(np.interp(max(q_hi - h, 0.0), hull_q, hull_rev))
-            hi_v = float(np.interp(min(q_hi + h, 1.0), hull_q, hull_rev))
-            phi.append((hi_v - lo_v) / (2 * h))
-            continue
-        r_hi = float(np.interp(q_hi, hull_q, hull_rev))
-        r_lo = float(np.interp(q_lo, hull_q, hull_rev))
-        phi.append((r_hi - r_lo) / (q_hi - q_lo))
-    return IronedCurve(hull_q, hull_rev, tuple(phi))
+    hull_q, hull_rev = zip(*_upper_concave_hull(curve.qs, curve.revs))
+    hq, hr = np.asarray(hull_q), np.asarray(hull_rev)
+    q_hi = m._tail
+    q_lo = np.append(q_hi[1:], 0.0)  # quantile interval of each point
+    # a point of positive mass takes the slope of the hull segment holding
+    # its interval, so points ironed onto one segment tie exactly
+    phi = (np.diff(hr) / np.diff(hq))[np.maximum(np.searchsorted(hq, q_hi) - 1, 0)]
+    # zero-mass point: slope at its quantile
+    zero = q_hi - q_lo < 1e-15
+    qz, h = q_hi[zero], 1e-12
+    phi[zero] = (np.interp(np.minimum(qz + h, 1.0), hq, hr) - np.interp(np.maximum(qz - h, 0.0), hq, hr)) / (2 * h)
+    return IronedCurve(hull_q, hull_rev, tuple(phi.tolist()))
 
 
 def revenue_at_quantile(m: Marginal, q: float) -> float:
@@ -520,7 +432,7 @@ def revenue_at_quantile(m: Marginal, q: float) -> float:
         raise DomainError(f"quantile must be in [0, 1], got {q}")
     if isinstance(m, DiscretePMF):
         return m.ironed.hull_value(q)
-    return q * m.q_inverse(q)
+    return float(q * m.q_inverse(q))
 
 
 def regular_quantile_bound(p: float, tau: float) -> float:

@@ -80,7 +80,7 @@ def virtual_values(m: Marginal, v, i: int):
     outside = (v < lo - 1e-9) | (v > hi + 1e-9)
     if outside.any():
         raise DomainError(f"value {v[outside][0]} of bidder {i} outside support [{lo}, {hi}]")
-    return m.virtual_value_vec(v)
+    return m.virtual_value(v)
 
 
 def threshold_payment(mech: Myerson, i: int, phi_star, val_star, idx_star):

@@ -81,7 +81,7 @@ class FullMarginal:
 
     def sample(self, rng, size):
         u = 1.0 - rng.random(size)
-        return self.marginal.ppf_upper(u)
+        return self.marginal.q_inverse(u)
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class ConditionalBelow:
     def sample(self, rng, size):
         qc = self._qc
         u = 1.0 - rng.random(size)  # in (0, 1]
-        return self.marginal.ppf_upper(qc + u * (1.0 - qc))
+        return self.marginal.q_inverse(qc + u * (1.0 - qc))
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class ConditionalAtLeast:
 
     def sample(self, rng, size):
         u = 1.0 - rng.random(size)
-        return self.marginal.ppf_upper(u * self._qc)
+        return self.marginal.q_inverse(u * self._qc)
 
 
 @dataclass(frozen=True)

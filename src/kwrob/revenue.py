@@ -214,7 +214,12 @@ def posted_price_lower_bound(marginals) -> float:
     """max_i r*_i q_i(r*_i): selling to one bidder at their monopoly reserve
     is a truthful mechanism, so this lower-bounds the optimal revenue under
     the independent prior."""
-    return max(m.monopoly_reserve() * m.quantile_q(m.monopoly_reserve()) for m in marginals)
+
+    def revenue(m):
+        r = m.monopoly_reserve()
+        return r * m.quantile_q(r)
+
+    return max(map(revenue, dict.fromkeys(marginals)))  # once per distinct marginal
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +346,7 @@ def ex_ante_level(marginals, budget: float = 0.5) -> ExAnteSummary:
         return sum(m.prob_phi_geq(nu) for m in marginals)
 
     levels = sorted({lvl for m in marginals for lvl, _ in m.phi_levels()})
-    lo = min([m.virtual_value(m.support[0]) if not isinstance(m, DiscretePMF) else m.ironed.phi[0] for m in marginals] + levels + [0.0]) - 1.0
+    lo = min([float(m.virtual_value(m.support[0])) for m in marginals] + levels + [0.0]) - 1.0
     hi = max(m.support[1] for m in marginals) + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

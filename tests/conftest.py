@@ -76,6 +76,21 @@ def _phi_inv(m, y, strict):
     return phi_inv_scan((lo, top), (getattr(m, "shift", 0.0), top), y, strict)
 
 
+def phi_reference(m, v):
+    """Virtual value of support value v: the closed form of a parametric
+    marginal, or the ironed value of the matching point of a DiscretePMF."""
+    if isinstance(m, Uniform):
+        return 2.0 * v - m.hi
+    if isinstance(m, DiscretePMF):
+        for p, ph in zip(m.points, m.ironed.phi):
+            if abs(p - v) <= 1e-12 * max(1.0, abs(v)):
+                return ph
+        raise DomainError(f"value {v} not in support {m.points}")
+    # (shifted) equal revenue: its shift below the top atom, the top above
+    lo, top = m.support
+    return top if abs(v - top) <= 1e-12 * max(1.0, top) else getattr(m, "shift", 0.0)
+
+
 def threshold_reference(mech, i, best_key):
     """Scalar threshold bid of bidder i against the strongest competing
     allocation key (None when no competitor is eligible)."""
@@ -110,7 +125,7 @@ def myerson_reference(mech, values):
         lo, hi = m.support
         if not (lo - 1e-9 <= v <= hi + 1e-9):
             raise DomainError(f"value {v} of bidder {i} outside support [{lo}, {hi}]")
-        phi = m.ironed.phi[m._index_of(v)] if isinstance(m, DiscretePMF) else m.virtual_value(v)
+        phi = phi_reference(m, v)
         if phi >= 0.0:
             keys.append(((phi, v, -i) if mech.tie_break == HIGHEST_VALUE else (phi, -i), i))
     if not keys:

@@ -14,21 +14,37 @@ from kwrob import (
 )
 from conftest import phi_inv_scan, random_discrete
 from kwrob.marginals import revenue_at_quantile
+from kwrob.mechanisms import virtual_values
+
+
+def cdf(m, x):
+    """F(x) = Pr[v <= x] from the upper quantile and the atom at x."""
+    return 1.0 - m.quantile_q(x) + m.atom_mass(x)
+
+
+def below_reference(m, tau):
+    """Pr[v < tau] in closed form, or by summing the points below tau."""
+    if isinstance(m, Uniform):
+        return min(max((tau - m.lo) / (m.hi - m.lo), 0.0), 1.0)
+    if isinstance(m, EqualRevenue):
+        return 0.0 if tau <= m.lo else 1.0 if tau > m.hi else 1.0 - m.lo / tau
+    return sum(w for p, w in zip(m.points, m.masses) if p < tau)
 
 
 class TestCdf:
     def test_uniform(self):
-        assert Uniform(0, 1).cdf(0.3) == pytest.approx(0.3, abs=1e-15)
+        assert cdf(Uniform(0, 1), 0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_equal_revenue_interior(self):
-        assert EqualRevenue(0.5, 1.0).cdf(0.75) == pytest.approx(1 - 0.5 / 0.75, abs=1e-15)
+        assert cdf(EqualRevenue(0.5, 1.0), 0.75) == pytest.approx(1 - 0.5 / 0.75, abs=1e-15)
 
     def test_equal_revenue_top_atom(self):
-        assert EqualRevenue(0.5, 1.0).cdf(1.0) == 1.0
+        assert cdf(EqualRevenue(0.5, 1.0), 1.0) == 1.0
 
     def test_right_continuity_at_atom(self):
+        # probed below the atom by more than atom_mass's relative 1e-12
         m = EqualRevenue(0.5, 1.0)
-        assert m.cdf(1.0) - m.cdf(1.0 - 1e-12) == pytest.approx(0.5, abs=1e-9)
+        assert cdf(m, 1.0) - cdf(m, 1.0 - 1e-9) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestQuantile:
@@ -44,14 +60,20 @@ class TestQuantile:
         assert m.quantile_q(n + eps) == 1.0
 
     def test_q_plus_left_cdf_is_one(self):
-        # the left limit of the CDF is cdf(tau) - atom(tau) exactly, so the
-        # complementarity identity can be checked at full precision
+        # q(tau) = Pr[v >= tau] and Pr[v < tau] partition the line
         for m in [EqualRevenue(0.5, 2.0), Uniform(0.2, 3.0), DiscretePMF([1, 2, 5], [0.2, 0.5, 0.3])]:
             lo, hi = m.support
             taus = set(np.linspace(lo - 0.5, hi + 0.5, 101)) | set(m.atoms())
             for tau in taus:
-                left_cdf = m.cdf(tau) - m.atom_mass(tau)
-                assert m.quantile_q(tau) + left_cdf == pytest.approx(1.0, abs=1e-12)
+                assert m.quantile_q(tau) + below_reference(m, tau) == pytest.approx(1.0, abs=1e-12)
+
+
+MARGINALS = [
+    EqualRevenue(0.5, 1.0),
+    ShiftedEqualRevenue(1.0, 9.0, 0.25),
+    Uniform(0.2, 3.0),
+    DiscretePMF([1, 2, 5], [0.2, 0.5, 0.3]),
+]
 
 
 class TestQInverse:
@@ -69,6 +91,21 @@ class TestQInverse:
         with pytest.raises(DomainError):
             Uniform(0, 1).q_inverse(1.5)
 
+    @pytest.mark.parametrize("m", MARGINALS, ids=type)
+    def test_array_matches_elementwise(self, m):
+        ps = np.concatenate([np.linspace(0.0, 1.0, 41), [0.2, 0.7, 1e-17, 1.0 - 1e-16]])
+        assert np.array_equal(m.q_inverse(ps), [m.q_inverse(p) for p in ps])
+        for bad in (1.5, -0.1):
+            with pytest.raises(DomainError):
+                m.q_inverse(np.array([0.3, bad, 0.9]))
+
+    def test_zero_mass_point_never_drawn_at_one(self):
+        # the tail above the zero-mass point 1 sums to 0.9999999999999998
+        masses = (0, 0.4466260865835691, 0.2599100897797022, 0.056566062234973735, 0.2368977614017548)
+        m = DiscretePMF([1, 2, 3, 4, 5], masses)
+        assert m.q_inverse(1.0) == 2.0
+        assert m.q_inverse(np.array([1.0, 1.0])).tolist() == [2.0, 2.0]
+
 
 class TestVirtualValue:
     def test_equal_revenue_interior_zero(self):
@@ -82,19 +119,19 @@ class TestVirtualValue:
 
     def test_outside_support(self):
         with pytest.raises(DomainError):
-            Uniform(0, 1).virtual_value(1.5)
+            virtual_values(Uniform(0, 1), np.array([0.5, 1.5]), 0)
 
     def test_interior_atom_directs_to_ironing(self):
         m = DiscretePMF([1, 4, 10], [0.8, 0.1, 0.1])
-        with pytest.raises(DomainError, match="ironed"):
-            m.virtual_value(4)
+        assert m.virtual_value(np.array([1.0, 4.0, 10.0])).tolist() == list(m.ironed.phi)
+        with pytest.raises(DomainError, match="not in support"):
+            m.virtual_value(np.array([4.0, 5.0]))
 
     def test_monotone_for_regular_parametrics(self):
         for m in [Uniform(0.3, 2.0), EqualRevenue(0.5, 4.0), ShiftedEqualRevenue(1.0, 9.0, 0.01)]:
             lo, hi = m.support
-            grid = np.linspace(lo, hi, 1000)
-            phis = [m.virtual_value(v) for v in grid]
-            assert all(b >= a - 1e-12 for a, b in zip(phis, phis[1:]))
+            phis = m.virtual_value(np.linspace(lo, hi, 1000))
+            assert np.all(np.diff(phis) >= -1e-12)
 
 
 class TestMonopolyReserve:
@@ -107,6 +144,13 @@ class TestMonopolyReserve:
     def test_shifted(self):
         n, eps = 3, 1e-6
         assert ShiftedEqualRevenue(n, n * n, eps).monopoly_reserve() == n + eps
+
+    def test_discrete_maximises_posted_price_revenue(self, rng):
+        for _ in range(100):
+            m = random_discrete(rng, max_pts=6)
+            r = m.monopoly_reserve()
+            best = max(p * q for p, q in zip(m.points, m._tail))
+            assert r * m.quantile_q(r) == pytest.approx(best, rel=1e-12)
 
 
 class TestRevenueCurve:
@@ -153,6 +197,12 @@ class TestIroning:
         ic = iron_discrete(m)
         c = revenue_curve(m, 2)
         assert list(zip(ic.hull_q, ic.hull_rev)) == list(zip(c.qs, c.revs))
+
+    def test_one_segment_ties_exactly(self):
+        ic = iron_discrete(DiscretePMF((3.287, 3.642, 5.758, 5.984), (0.278698, 0.218069, 0.380182, 0.123051)))
+        assert ic.phi[0] == ic.phi[1]
+        assert ic.phi[0] == pytest.approx(0.78383706244577, rel=1e-12)
+        assert ic.phi[1] < ic.phi[2] < ic.phi[3]
 
     def test_point_mass(self):
         ic = iron_discrete(DiscretePMF([1], [1.0]))
@@ -252,6 +302,10 @@ class TestValidation:
     def test_masses_must_sum(self):
         with pytest.raises(DomainError):
             DiscretePMF([1, 2], [0.5, 0.6])
+
+    def test_points_nonnegative(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            DiscretePMF([-1, 2], [0.5, 0.5])
 
     def test_points_ascending(self):
         with pytest.raises(DomainError):

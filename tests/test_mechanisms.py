@@ -95,6 +95,18 @@ class TestRunMyerson:
         o2 = run_mechanism(Myerson([m, m], "highest_value"), [3.0, 7.0])
         assert o2.winner == 1 and o2.payment == pytest.approx(3.0, abs=1e-12)
 
+    # 3.287 and 3.642 are ironed onto one hull segment: their virtual values
+    # tie, so the tie rule picks the winner, who pays the competitor's value
+    IRONED = DiscretePMF((3.287, 3.642, 5.758, 5.984), (0.278698, 0.218069, 0.380182, 0.123051))
+
+    def test_ironed_tie_highest_value(self):
+        o = run_mechanism(Myerson([self.IRONED] * 2, "highest_value"), [3.287, 3.642])
+        assert o.winner == 1 and o.payment == 3.287
+
+    def test_ironed_tie_lex(self):
+        o = run_mechanism(Myerson([self.IRONED] * 2, "lex"), [3.642, 3.287])
+        assert o.winner == 0 and o.payment == 3.287
+
 
 class TestIidEqualsAR:
     def test_uniform_pair(self):
