@@ -261,12 +261,18 @@ class DiscretePMF(Marginal):
         return float(self._tail[k])
 
     def q_inverse(self, p):
-        """Largest point whose tail Pr[v >= point] reaches p (to 1e-15),
-        elementwise; DomainError outside [0, 1]."""
+        """Largest point whose tail Pr[v >= point] reaches p, elementwise,
+        kept among the points of positive mass; DomainError outside [0, 1]."""
         p = _probabilities(p)
         # -tail ascends in point order
-        k = np.searchsorted(-self._tail, 1e-15 - p, side="right") - 1
-        return np.asarray(self.points)[np.maximum(k, 0)]
+        k = np.searchsorted(-self._tail, -p, side="right") - 1
+        return np.asarray(self.points)[np.clip(k, *self._positive_span)]
+
+    @cached_property
+    def _positive_span(self):
+        # first and last index of a point with positive mass
+        pos = np.flatnonzero(np.asarray(self.masses) > 0)
+        return int(pos[0]), int(pos[-1])
 
     def atom_mass(self, x):
         for p, m in zip(self.points, self.masses):

@@ -214,12 +214,7 @@ def posted_price_lower_bound(marginals) -> float:
     """max_i r*_i q_i(r*_i): selling to one bidder at their monopoly reserve
     is a truthful mechanism, so this lower-bounds the optimal revenue under
     the independent prior."""
-
-    def revenue(m):
-        r = m.monopoly_reserve()
-        return r * m.quantile_q(r)
-
-    return max(map(revenue, dict.fromkeys(marginals)))  # once per distinct marginal
+    return max(r * m.quantile_q(r) for m in marginals for r in [m.monopoly_reserve()])
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from kwrob.mechanisms import virtual_values
 
 
 def cdf(m, x):
-    """F(x) = Pr[v <= x] from the upper quantile and the atom at x."""
-    return 1.0 - m.quantile_q(x) + m.atom_mass(x)
+    """F(x) = Pr[v <= x] = 1 - Pr[v >= x+], from the upper quantile just above x."""
+    return 1.0 - m.quantile_q(np.nextafter(x, np.inf))
 
 
 def below_reference(m, tau):
@@ -42,9 +42,8 @@ class TestCdf:
         assert cdf(EqualRevenue(0.5, 1.0), 1.0) == 1.0
 
     def test_right_continuity_at_atom(self):
-        # probed below the atom by more than atom_mass's relative 1e-12
         m = EqualRevenue(0.5, 1.0)
-        assert cdf(m, 1.0) - cdf(m, 1.0 - 1e-9) == pytest.approx(0.5, abs=1e-9)
+        assert cdf(m, 1.0) - cdf(m, 1.0 - 1e-12) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestQuantile:
@@ -105,6 +104,18 @@ class TestQInverse:
         m = DiscretePMF([1, 2, 3, 4, 5], masses)
         assert m.q_inverse(1.0) == 2.0
         assert m.q_inverse(np.array([1.0, 1.0])).tolist() == [2.0, 2.0]
+
+    def test_zero_mass_top_point_never_drawn(self):
+        m = DiscretePMF([1, 2, 3], [0.5, 0.5, 0.0])
+        assert m.q_inverse(1e-16) == 2.0
+        assert m.q_inverse(np.array([0.0, 1e-16, 0.5])).tolist() == [2.0, 2.0, 2.0]
+
+    def test_conditional_below_never_draws_its_cutoff(self):
+        # p just above the tail at the excluded cutoff 2 selects the point below it
+        m = DiscretePMF([1, 2, 3], [0.25, 0.5, 0.25])
+        qc = m.quantile_q(2.0)
+        assert m.q_inverse(np.nextafter(qc, 1.0)) == 1.0
+        assert m.q_inverse(qc) == 2.0
 
 
 class TestVirtualValue:
