@@ -166,16 +166,23 @@ def _fact_integrand(p_bar):
     return f
 
 
+def _log1p_ratio(x):
+    """log1p(x) / x elementwise for x > -1, with its removable singularity
+    filled in (1 at x = 0); keeps full relative precision as x -> 0."""
+    x = np.asarray(x, dtype=float)
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 1.0, np.log1p(safe) / safe)
+
+
 def split_integral_identity(p_bar: float) -> tuple:
     """(closed form, quadrature over [0,1], quadrature over [1, inf)) of
-    p(1-p) / (((1-p)x + p)(px + (1-p))).  The closed form has a removable
-    singularity at p = 1/2 where the value is 1/2."""
+    p(1-p) / (((1-p)x + p)(px + (1-p))).  The closed form
+    p(1-p) log((1-p)/p) / (1-2p) is taken as (1-p) log1p(x)/x with
+    x = (1-2p)/p, which is 1/2 at p = 1/2 and keeps full relative
+    precision around it."""
     if not 0.0 < p_bar < 1.0:
         raise DomainError("p_bar must be in (0, 1)")
-    if abs(2.0 * p_bar - 1.0) < 1e-9:
-        closed = 0.5
-    else:
-        closed = p_bar * (p_bar - 1.0) * math.log(1.0 / p_bar - 1.0) / (2.0 * p_bar - 1.0)
+    closed = (1.0 - p_bar) * float(_log1p_ratio((1.0 - 2.0 * p_bar) / p_bar))
     f = _fact_integrand(p_bar)
     left = integrate(f, 0.0, 1.0, abs_tol=1e-11)
     right = integrate_to_infinity(f, 1.0, abs_tol=1e-11)
@@ -187,26 +194,19 @@ def split_integral_identity(p_bar: float) -> tuple:
 
 
 def _lb2_kinks_in_s(s_lo: float, s_hi: float, m_cap: int = 100_000):
-    """Values of s in (s_lo, s_hi) where floor(s^2/(s-1)) jumps.  For each
-    integer m >= 4 the equation s^2/(s-1) = m has roots
-    (m +- sqrt(m^2 - 4m))/2; the ratio is decreasing below s=2 and
-    increasing above."""
-    kinks = []
-    m = 4
-    while m <= m_cap:
-        disc = m * m - 4.0 * m
-        if disc < 0:
-            m += 1
-            continue
-        r = math.sqrt(disc)
-        for root in ((m - r) / 2.0, (m + r) / 2.0):
-            if s_lo < root < s_hi:
-                kinks.append(root)
-        # stop once both roots leave the window
-        if (m - r) / 2.0 < s_lo and (m + r) / 2.0 > s_hi:
-            break
-        m += 1
-    return sorted(set(kinks))
+    """Sorted array of the distinct values of s in (s_lo, s_hi) where
+    floor(s^2/(s-1)) jumps.  For each integer m >= 4 the equation
+    s^2/(s-1) = m has roots (m +- sqrt(m^2 - 4m))/2; the ratio is
+    decreasing below s=2 and increasing above.  m runs up to m_cap, or up
+    to the first m whose two roots both lie outside the window."""
+    m = np.arange(4, m_cap + 1, dtype=float)
+    r = np.sqrt(m * m - 4.0 * m)
+    lower, upper = (m - r) / 2.0, (m + r) / 2.0
+    past = np.flatnonzero((lower < s_lo) & (upper > s_hi))
+    if past.size:
+        lower, upper = lower[: past[0] + 1], upper[: past[0] + 1]
+    roots = np.concatenate((lower, upper))
+    return np.unique(roots[(s_lo < roots) & (roots < s_hi)])
 
 
 def certify_iid_constant(grid: int = 10_000) -> BoundReport:
@@ -238,8 +238,8 @@ def _lb2_cumulative_grid():
     """Dense u-grid with int_u^1 LB2(1/x) dx, kink-refined; shared by the
     minimisation and the figure emitter."""
     base = np.linspace(1e-6, 1.0, 400_001)
-    kinks = _lb2_kinks_in_s(1.0, 1e6, m_cap=4000)
-    extra = np.array([1.0 / s for s in kinks if 1.0 / s > 1e-6])
+    extra = 1.0 / _lb2_kinks_in_s(1.0, 1e6, m_cap=4000)
+    extra = extra[extra > 1e-6]
     u = np.unique(np.concatenate([base, extra]))
     vals = lb2_vec(1.0 / u)
     seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(u)
@@ -260,17 +260,53 @@ def iid_ratio_curve(n_rows: int = 1000):
     ]
 
 
+def _case2a_g(p_bar):
+    """g(tau) = p/((1-p)tau + p) + (1-p)/(p tau + (1-p)), for floats and
+    arrays alike; strictly decreasing from g(0) = 2 to g(1) = 1."""
+    q = 1.0 - p_bar
+
+    def g(tau):
+        return p_bar / (q * tau + p_bar) + q / (p_bar * tau + q)
+
+    return g
+
+
+def _case2a_kinks(p_bar):
+    """Ascending tau in (0, 1) where floor(g^2/(g-1)) jumps to m = 5..20000:
+    each LB2 kink in s is inverted through g by bisection, all kinks
+    advancing together, 80 halvings each."""
+    g = _case2a_g(p_bar)
+    s_k = _lb2_kinks_in_s(1.0, 2.0, m_cap=20_000)
+    lo, hi = np.zeros(len(s_k)), np.ones(len(s_k))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = g(mid) > s_k
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return (0.5 * (lo + hi))[::-1]  # g decreases, so ascending s is descending tau
+
+
 def case2a_integral(p_bar: float, abs_tol: float = 1e-10) -> float:
     """I(p_bar) = int_0^1 LB2( g(tau) ) dtau with
     g(tau) = p/((1-p)tau + p) + (1-p)/(p tau + (1-p)), LB2 clamped to 0
-    where its argument <= 1 (only the endpoint tau = 1)."""
+    where its argument <= 1 (only the endpoint tau = 1).
+
+    Between neighbouring floor kinks m = floor(g^2/(g-1)) is constant, so
+    each such panel [t0, t1] of width w integrates in closed form to
+    (2m (int g - w) - int g^2) / (m (m-1)).  With q = 1 - p, A = q tau + p
+    and B = p tau + q, evaluated at the panel ends as A0, A1, B0, B1:
+
+        int g   = p/q log1p(q w/A0) + q/p log1p(p w/B0)
+        int g^2 = p^2 w/(A0 A1) + q^2 w/(B0 B1) + 2pq w/(A0 B1) log1p(x)/x
+
+    with x = (1-2p) w/(A0 B1), from 1/(AB) = (q/A - p/B)/(q - p) and
+    A1 B0 - A0 B1 = (q - p) w; log1p(x)/x needs no case at p = 1/2.  Only
+    the panel above the last kink, where m is unbounded, is integrated
+    adaptively, to abs_tol.  Panels are summed with fsum.
+    """
     if not 0.0 < p_bar < 1.0:
         raise DomainError("p_bar must be in (0, 1)")
-
-    def g(tau):
-        return p_bar / ((1.0 - p_bar) * tau + p_bar) + (1.0 - p_bar) / (
-            p_bar * tau + (1.0 - p_bar)
-        )
+    p, q = p_bar, 1.0 - p_bar
+    g = _case2a_g(p_bar)
 
     def f(tau):
         s = g(tau)
@@ -278,18 +314,19 @@ def case2a_integral(p_bar: float, abs_tol: float = 1e-10) -> float:
             return 0.0
         return lb2(s)
 
-    # kinks: g is strictly decreasing from 2 to 1; invert at each floor jump
-    kinks = []
-    for s_k in _lb2_kinks_in_s(1.0, 2.0, m_cap=20_000):
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if g(mid) > s_k:
-                lo = mid
-            else:
-                hi = mid
-        kinks.append(0.5 * (lo + hi))
-    return integrate(f, 0.0, 1.0, abs_tol=abs_tol, breakpoints=kinks)
+    edges = np.concatenate(([0.0], _case2a_kinks(p_bar)))
+    t0, t1 = edges[:-1], edges[1:]
+    w = t1 - t0
+    s_mid = g(0.5 * (t0 + t1))
+    m = np.floor(s_mid * s_mid / (s_mid - 1.0))
+    A0, A1, B0, B1 = q * t0 + p, q * t1 + p, p * t0 + q, p * t1 + q
+    int_g = p / q * np.log1p(q * w / A0) + q / p * np.log1p(p * w / B0)
+    cross = w / (A0 * B1)
+    int_g2 = p * p * w / (A0 * A1) + q * q * w / (B0 * B1)
+    int_g2 += 2.0 * p * q * cross * _log1p_ratio((1.0 - 2.0 * p) * cross)
+    panels = (2.0 * m * (int_g - w) - int_g2) / (m * (m - 1.0))
+    tail = integrate(f, edges[-1], 1.0, abs_tol=abs_tol)
+    return math.fsum(np.append(panels, tail).tolist())
 
 
 AR_CASE1_TAILCORE = 1.24  # certified ceiling of the case-1 tail/core ratio

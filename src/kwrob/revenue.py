@@ -18,7 +18,8 @@ Exact paths:
 Every Myerson payment comes from the one threshold formula,
 mechanisms.threshold_payment: tables and Monte Carlo blocks reach it through
 the batch kernel behind mechanism_payments (re-exported here), and the
-branch sweep calls it once per bidder per branch over the whole key grid.
+branch sweep calls it over the whole key grid once per branch and distinct
+marginal under highest_value, once per bidder under lex.
 Monte Carlo is block-seeded and bit-for-bit reproducible for a fixed (seed,
 block size).  The ex-ante relaxation quantities (threshold level,
 per-bidder prices/probabilities/revenues) and the associated robustness
@@ -155,9 +156,14 @@ def _myerson_branch_revenue(mech: Myerson, vals, masses):
         for i in range(n - 1, 0, -1):
             B_suf[i - 1] = B_suf[i] * Cp[i] + s[i] * A_suf[i] * Cc[i]
 
-    terms = []
+    # under highest_value the threshold depends on i only through its
+    # marginal, so bidders sharing a marginal object share one array
+    thresholds, terms = {}, []
     for i in range(n):
-        thr = threshold_payment(mech, i, key_phi, key_val, key_who)
+        tag = id(mech.marginals[i]) if by_value else i
+        if tag not in thresholds:
+            thresholds[tag] = threshold_payment(mech, i, key_phi, key_val, key_who)
+        thr = thresholds[tag]
         loo_A = A_pre[i] * A_suf[i]
         loo_B = A_pre[i] * B_suf[i] + B_pre * A_suf[i] if k else loo_A
         for weight, loo, C in ((1.0, loo_B, Cp[i]), (s[i], loo_A, Cc[i])):

@@ -24,7 +24,7 @@ from kwrob import (
     tail_upper,
     q1_count_bound,
 )
-from kwrob.bounds import Q1_RATIO, q2_ind_upper_objective
+from kwrob.bounds import Q1_RATIO, _case2a_kinks, _lb2_kinks_in_s, q2_ind_upper_objective
 from kwrob.quadrature import integrate
 
 E = math.e
@@ -151,6 +151,16 @@ class TestFactIntegral:
     def test_symmetry(self):
         assert split_integral_identity(0.9)[0] == pytest.approx(split_integral_identity(0.1)[0], abs=1e-12)
 
+    @pytest.mark.parametrize("dp", [0.0, 2e-9, -2e-9, 1e-7, -1e-7, 1e-4, -1e-4])
+    def test_closed_form_near_half_against_mpmath(self, dp):
+        mp = pytest.importorskip("mpmath")
+        p = 0.5 + dp
+        with mp.workdps(50):
+            P = mp.mpf(p)
+            exact = mp.mpf(0.5) if P == 0.5 else P * (1 - P) * mp.log((1 - P) / P) / (1 - 2 * P)
+            closed = split_integral_identity(p)[0]
+            assert abs(closed - exact) <= 1e-14 * exact
+
 
 class TestCertifyIid:
     def test_minimum_location_and_value(self):
@@ -208,6 +218,69 @@ class TestCertifyAR:
         adaptive = case2a_integral(p, abs_tol=1e-11)
         assert adaptive == pytest.approx(dense, abs=1e-9)
         assert adaptive == pytest.approx(0.0984471029, abs=1e-9)
+
+
+def _lb2_kinks_loop(s_lo, s_hi, m_cap):
+    """Scalar reference for _lb2_kinks_in_s: one m at a time, stopping after
+    the first m whose two roots both lie outside the window."""
+    kinks = []
+    m = 4
+    while m <= m_cap:
+        r = math.sqrt(m * m - 4.0 * m)
+        for root in ((m - r) / 2.0, (m + r) / 2.0):
+            if s_lo < root < s_hi:
+                kinks.append(root)
+        if (m - r) / 2.0 < s_lo and (m + r) / 2.0 > s_hi:
+            break
+        m += 1
+    return sorted(set(kinks))
+
+
+class TestCase2aClosedForm:
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5 - 1e-9, 0.5, 0.674, 0.95])
+    def test_matches_kinked_quadrature(self, p):
+        def f(tau):
+            s = p / ((1 - p) * tau + p) + (1 - p) / (p * tau + (1 - p))
+            return lb2(s) if s > 1.0 + 1e-15 else 0.0
+
+        reference = integrate(f, 0.0, 1.0, abs_tol=1e-12, breakpoints=_case2a_kinks(p))
+        assert abs(case2a_integral(p) - reference) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.45, 0.674, 0.9])
+    def test_symmetric_in_p(self, p):
+        # g(tau) is unchanged by p <-> 1 - p
+        assert abs(case2a_integral(p) - case2a_integral(1.0 - p)) <= 1e-15
+
+    @pytest.mark.parametrize("window", [(1.0, 2.0, 20_000), (1.0, 1e6, 4000)])
+    def test_kinks_match_scalar_loop(self, window):
+        assert _lb2_kinks_in_s(*window).tolist() == _lb2_kinks_loop(*window)
+
+    @pytest.mark.parametrize("window", [(1.0, 2.0, 20_000), (1.0, 1e6, 4000)])
+    def test_kink_roots_solve_the_floor_equation(self, window):
+        # each root s of s^2/(s-1) = m lies within 1e-12 relative of the
+        # exact root, taken from the cancellation-free pair
+        # upper = (m + sqrt(m^2 - 4m))/2, lower = m / upper
+        s = _lb2_kinks_in_s(*window)
+        m = np.rint(s * s / (s - 1.0))
+        upper = (m + np.sqrt(m * m - 4.0 * m)) / 2.0
+        exact = np.where(s < 2.0, m / upper, upper)
+        assert np.all(m >= 4) and len(np.unique(m[s < 2.0])) == np.sum(s < 2.0)
+        assert np.max(np.abs(s - exact) / exact) <= 1e-12
+
+    def test_tau_kinks_match_scalar_bisection(self):
+        p = 0.674
+
+        def g(tau):
+            return p / ((1 - p) * tau + p) + (1 - p) / (p * tau + (1 - p))
+
+        s_k = _lb2_kinks_in_s(1.0, 2.0, 20_000)
+        tau_k = _case2a_kinks(p)
+        for j in range(0, len(s_k), 997):
+            lo, hi = 0.0, 1.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if g(mid) > s_k[j] else (lo, mid)
+            assert tau_k[len(s_k) - 1 - j] == 0.5 * (lo + hi)
 
 
 class TestGridOracles:
