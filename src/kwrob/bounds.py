@@ -209,14 +209,21 @@ def _lb2_kinks_in_s(s_lo: float, s_hi: float, m_cap: int = 100_000):
     return np.unique(roots[(s_lo < roots) & (roots < s_hi)])
 
 
-def certify_iid_constant(grid: int = 10_000) -> BoundReport:
+def certify_iid_constant(grid: int = 10_000, lb2_grid=None) -> BoundReport:
     """Minimise F(beta) = beta LB1(1/beta) + int_beta^1 LB2(1/u) du over
     beta in [0, 1].  The minimum certifies the robustness constant for
     identical regular marginals: constant = 1 / min F.
+
+    Regular means regular as a continuous distribution (concave revenue
+    curve in quantile space).  A discrete marginal that `check_regular`
+    accepts need not be: its revenue curve drops at every atom, and AR on
+    i.i.d. copies of one can lose more than 2.63 under pairwise
+    independence.  lb2_grid: `lb2_cumulative_grid()`, when the caller
+    already has it.
     """
     if grid < 1000:
         raise DomainError("grid must be >= 1000")
-    u, integral_to_one = _lb2_cumulative_grid()
+    u, integral_to_one = lb2_cumulative_grid() if lb2_grid is None else lb2_grid
     betas = np.linspace(1e-6, 1.0, grid)
     head = betas * lb1_vec(1.0 / betas)
     tails = np.interp(betas, u, integral_to_one)
@@ -234,8 +241,8 @@ def certify_iid_constant(grid: int = 10_000) -> BoundReport:
     )
 
 
-def _lb2_cumulative_grid():
-    """Dense u-grid with int_u^1 LB2(1/x) dx, kink-refined; shared by the
+def lb2_cumulative_grid():
+    """(u, int_u^1 LB2(1/x) dx) on a dense u-grid, kink-refined; read by the
     minimisation and the figure emitter."""
     base = np.linspace(1e-6, 1.0, 400_001)
     extra = 1.0 / _lb2_kinks_in_s(1.0, 1e6, m_cap=4000)
@@ -247,9 +254,10 @@ def _lb2_cumulative_grid():
     return u, cum_from_left[-1] - cum_from_left  # int_u^1
 
 
-def iid_ratio_curve(n_rows: int = 1000):
-    """Rows (beta, LB1(1/beta), LB2(1/beta), F(beta)) for the ratio figure."""
-    u, integral_to_one = _lb2_cumulative_grid()
+def iid_ratio_curve(n_rows: int = 1000, lb2_grid=None):
+    """Rows (beta, LB1(1/beta), LB2(1/beta), F(beta)) for the ratio figure.
+    lb2_grid as in `certify_iid_constant`."""
+    u, integral_to_one = lb2_cumulative_grid() if lb2_grid is None else lb2_grid
     betas = np.linspace(1.0 / n_rows, 1.0, n_rows)
     lb1s = lb1_vec(1.0 / betas)
     lb2s = lb2_vec(1.0 / betas)

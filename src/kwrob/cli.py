@@ -135,8 +135,9 @@ def cmd_reproduce(args):
     out = _outdir(args)
     code = EXIT_OK
     if args.target == "2.63":
-        rep = bl.certify_iid_constant()
-        rows = bl.iid_ratio_curve(1000)
+        lb2_grid = bl.lb2_cumulative_grid()
+        rep = bl.certify_iid_constant(lb2_grid=lb2_grid)
+        rows = bl.iid_ratio_curve(1000, lb2_grid)
         _write_ratio_curve(out, rows)
         summary = {
             "target_constant": 2.63,

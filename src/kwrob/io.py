@@ -19,6 +19,7 @@ re-running a command is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -99,20 +100,24 @@ def prior_marginals(prior):
 # Deterministic emitters
 
 
+FLOAT_FORMAT = ".17g"
+
+
 def fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return format(float(x), ".17g")
+    return format(float(x), FLOAT_FORMAT)
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) if not isinstance(x, str) else x for x in row))
+    _write_lines(path, header, (",".join(fmt(x) if not isinstance(x, str) else x for x in row) for row in rows))
+
+
+def _write_lines(path, header, lines):
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def dump_json(obj, path=None) -> str:
@@ -135,10 +140,13 @@ def dump_json(obj, path=None) -> str:
 
 
 def table_to_csv(table: TablePrior, path):
-    n = table.n_bidders
-    header = [f"v{i+1}" for i in range(n)] + ["mass"]
-    rows = [list(values) + [mass] for values, mass in table.cells()]
-    write_csv(path, header, rows)
+    """One row per cell in C order (the last bidder varies fastest), as
+    write_csv would write it; each support point is formatted once."""
+    header = [f"v{i+1}" for i in range(table.n_bidders)] + ["mass"]
+    points = [[fmt(v) + "," for v in s] for s in table.supports]
+    values = map("".join, itertools.product(*points))
+    masses = table.pmf.ravel().tolist()
+    _write_lines(path, header, (v + format(m, FLOAT_FORMAT) for v, m in zip(values, masses)))
 
 
 def table_from_csv(path) -> TablePrior:

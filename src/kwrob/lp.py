@@ -16,18 +16,33 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize import linprog
 
 from .marginals import DomainError
 from .mechanisms import Mechanism, mechanism_payments
 from .priors import CELL_CAP, TablePrior, cell_values
 
+if TYPE_CHECKING:
+    import scipy.sparse
+
 FEAS_TOL = 1e-9
 GAP_TOL = 1e-7
+
+
+def __getattr__(name):
+    # scipy is imported on the first LP solve, not with kwrob: it costs
+    # about half a second, which commands that solve no LP need not pay.
+    # The solver stays a module attribute, so it can be rebound.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -108,31 +123,34 @@ def _rows(shape, masses, k, drop):
     of `shape`, for S the empty set (total mass) and then every subset with
     |S| <= k, each block in C order over the c with c_i < shape[i] - drop.
     drop = 0 gives the full family; drop = 1 gives a basis of it."""
+    import scipy.sparse
+
     n, n_cells = len(shape), math.prod(shape)
-    cells = np.indices(shape).reshape(n, n_cells)
-    rows, cols, rhs = [np.zeros(n_cells, dtype=np.int64)], [np.arange(n_cells)], [np.ones(1)]
-    n_rows = 1
+    grid = np.arange(n_cells).reshape(shape)
+    blocks, rhs = [grid.reshape(1, n_cells)], [np.ones(1)]
     for size in range(1, k + 1):
         for subset in itertools.combinations(range(n), size):
-            dims = tuple(shape[i] - drop for i in subset)
-            coords = cells[list(subset)]
-            keep = np.flatnonzero((coords < np.array(dims)[:, None]).all(axis=0))
-            rows.append(n_rows + np.ravel_multi_index(coords[:, keep], dims))
-            cols.append(keep)
-            block = np.ones(1)
-            for i, d in zip(subset, dims):
-                block = np.multiply.outer(block, masses[i][:d]).ravel()
-            rhs.append(block)
-            n_rows += block.size
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    A = scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(n_rows, n_cells))
+            kept = grid[tuple(slice(shape[i] - drop) if i in subset else slice(None) for i in range(n))]
+            # with S's axes moved to the front, the cells of each row x_S = c
+            # are one ascending run of the C-order ravel: a CSR row as is
+            block = np.moveaxis(kept, subset, range(size))
+            blocks.append(block.reshape(math.prod(block.shape[:size]), -1))
+            r = np.ones(1)
+            for i in subset:
+                r = np.multiply.outer(r, masses[i][: shape[i] - drop]).ravel()
+            rhs.append(r)
+    lengths = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    indices = np.concatenate([b.ravel() for b in blocks])
+    A = scipy.sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(lengths.size, n_cells))
     return A, np.concatenate(rhs)
 
 
 def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:
     # HiGHS may break x >= 0 by its primal feasibility tolerance; keep that
-    # below FEAS_TOL, since the table written is x clipped at 0
-    res = linprog(
+    # below FEAS_TOL, since the table written is x clipped at 0.  The solver
+    # is looked up on the module, where __getattr__ imports it.
+    res = sys.modules[__name__].linprog(
         c,
         A_eq=poly.A_red,
         b_eq=poly.b_red,

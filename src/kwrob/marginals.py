@@ -389,6 +389,13 @@ def revenue_curve(m: Marginal, grid_size: int = 1000) -> RevenueQuantileCurve:
 
 
 def check_regular(m: Marginal, grid_size: int = 1000) -> bool:
+    """Whether the revenue curve through `revenue_curve`'s points is
+    concave.  For a discrete marginal that is the polyline through its
+    points, which is weaker than the regularity of continuous distributions
+    that the 2.63 constant assumes: it accepts
+    DiscretePMF([0.303, 5.512], [0.9463, 0.0537]), and AR at its monopoly
+    reserve on 10 i.i.d. copies loses 2.55x to a pairwise-independent
+    prior."""
     if grid_size < 3:
         raise DomainError("grid_size must be >= 3")
     return revenue_curve(m, grid_size).is_concave()

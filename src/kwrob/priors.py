@@ -318,13 +318,6 @@ class TablePrior:
         axes = tuple(j for j in range(self.n_bidders) if j != i)
         return self.pmf.sum(axis=axes)
 
-    def cells(self):
-        """Iterate (value tuple, mass) over all cells."""
-        for idx in np.ndindex(self.pmf.shape):
-            yield tuple(self.supports[j][idx[j]] for j in range(self.n_bidders)), float(
-                self.pmf[idx]
-            )
-
     def to_marginals(self):
         """Per-bidder DiscretePMF of the table's own marginals."""
         out = []

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, Uniform, check_regular
+from kwrob.io import write_csv
 from kwrob.mechanisms import HIGHEST_VALUE
 from kwrob.priors import (
     Branch,
@@ -40,9 +41,21 @@ def q1q2_enumerate(qs):
     return q1, q2
 
 
+def table_cells(table):
+    """Iterate (value tuple, mass) over all cells of a TablePrior, in C order."""
+    for idx in np.ndindex(table.pmf.shape):
+        yield tuple(table.supports[j][idx[j]] for j in range(table.n_bidders)), float(table.pmf[idx])
+
+
+def table_csv_reference(table, path):
+    """The table CSV written cell by cell through write_csv."""
+    header = [f"v{i+1}" for i in range(table.n_bidders)] + ["mass"]
+    write_csv(path, header, [list(values) + [mass] for values, mass in table_cells(table)])
+
+
 def table_q1q2_enumerate(table, tau):
     q1 = q2 = 0.0
-    for values, mass in table.cells():
+    for values, mass in table_cells(table):
         c = sum(v >= tau for v in values)
         if c >= 1:
             q1 += mass
@@ -52,7 +65,7 @@ def table_q1q2_enumerate(table, tau):
 
 
 def table_revenue_enumerate(table, payment_fn):
-    return sum(mass * payment_fn(values) for values, mass in table.cells())
+    return sum(mass * payment_fn(values) for values, mass in table_cells(table))
 
 
 def phi_inv_scan(points, phis, y, strict):

@@ -5,7 +5,14 @@ import pytest
 
 from conftest import random_scaled_regular_family
 from kwrob import (
+    AnonymousReserve,
+    DiscretePMF,
     DomainError,
+    ProductPrior,
+    build_polytope,
+    check_regular,
+    minimize_revenue,
+    revenue_exact,
     equal_split_monotone_check,
     q2_ind_grid_max,
     case2a_integral,
@@ -182,6 +189,30 @@ class TestCertifyIid:
         # the near-minimal set is one contiguous run around 1/3
         assert np.all(np.diff(near) == 1)
         assert abs(betas[near].mean() - 1 / 3) < 0.02
+
+    def test_shared_lb2_grid_gives_the_same_results(self):
+        from kwrob.bounds import iid_ratio_curve, lb2_cumulative_grid
+
+        grid = lb2_cumulative_grid()
+        assert certify_iid_constant(lb2_grid=grid).inputs == certify_iid_constant().inputs
+        assert iid_ratio_curve(1000, grid) == iid_ratio_curve(1000)
+
+    def test_discrete_regular_marginal_is_outside_its_domain(self):
+        """2.63 assumes marginals regular as continuous distributions.
+        check_regular accepts this two-point marginal, yet AR at its
+        monopoly reserve on 10 i.i.d. copies loses 2.55x to the worst
+        pairwise-independent prior.  This is outside the constant's domain,
+        not a counterexample to it."""
+        points, masses = [0.303, 5.512], [0.9463, 0.0537]
+        m = DiscretePMF(points, masses)
+        assert check_regular(m)
+        r = m.monopoly_reserve()
+        assert r == 0.303
+        worst = minimize_revenue(build_polytope([(points, masses)] * 10, 2), AnonymousReserve(r)).objective
+        independent = revenue_exact(ProductPrior([m] * 10), AnonymousReserve(r)).mean
+        assert worst == pytest.approx(0.318021, rel=1e-5)
+        assert independent == pytest.approx(0.810430, rel=1e-5)
+        assert independent / worst == pytest.approx(2.5484, rel=1e-4)
 
 
 class TestCertifyAR:

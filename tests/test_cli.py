@@ -233,6 +233,26 @@ class TestEntryPoint:
         assert "2.90976" in out.stdout
 
 
+class TestLazyScipy:
+    def test_commands_without_an_lp_do_not_import_scipy(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys, kwrob, kwrob.cli\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert kwrob.cli.main(['counterexample', 'q2', '--n', '10', '--out', out]) == 0\n"
+            "assert kwrob.cli.main(['reproduce', '18.07', '--out', out]) == 0\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded[:5]\n"
+            "solver = kwrob.lp.linprog\n"
+            "import scipy.optimize\n"
+            "assert solver is scipy.optimize.linprog\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
+
 class TestBenchmarkHooks:
     def test_layer_trace_rebinds_every_hook(self):
         """bench/layertrace.py wraps program names from outside and reads the

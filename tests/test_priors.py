@@ -11,6 +11,7 @@ from conftest import (
     random_discrete,
     sample_reference,
     slot_mixtures,
+    table_csv_reference,
     table_q1q2_enumerate,
 )
 from kwrob import (
@@ -21,7 +22,9 @@ from kwrob import (
     ShiftedEqualRevenue,
     TablePrior,
     Uniform,
+    build_polytope,
     discretize,
+    minimize_event_prob,
     myerson_counterexample,
     natural_grids,
     q1q2_from_qvec,
@@ -430,3 +433,34 @@ class TestTableCsv:
         t2 = table_from_csv(path)
         assert t2.supports == t.supports
         assert np.allclose(t2.pmf, t.pmf, atol=1e-15)
+
+    @staticmethod
+    def assert_same_bytes(table, tmp_path):
+        table_to_csv(table, tmp_path / "table.csv")
+        table_csv_reference(table, tmp_path / "reference.csv")
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_cell_loop(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        special = [1e-300, 1 / 3, 5e15, 0.0, 2.0, 7.0]
+        supports = []
+        for _ in range(1 + seed % 5):
+            pool = np.concatenate([special, rng.uniform(0, 10, 3), rng.integers(0, 100, 3)])
+            supports.append(np.unique(rng.choice(pool, rng.integers(1, 4))).tolist())
+        pmf = rng.dirichlet(np.ones(math.prod(len(s) for s in supports)))
+        pmf[rng.random(pmf.size) < 0.3] = 0.0
+        if pmf.sum() == 0.0:
+            pmf[-1] = 1.0
+        self.assert_same_bytes(TablePrior(supports, pmf / pmf.sum()), tmp_path)
+
+    def test_special_masses(self, tmp_path):
+        supports = [(1e-300, 1 / 3, 5e15), (0.0, 3.0)]
+        pmf = [[1e-300, 0.0], [0.25, 1 / 3], [0.0, 1 - 0.25 - 1 / 3]]
+        self.assert_same_bytes(TablePrior(supports, pmf), tmp_path)
+
+    def test_conditioned_out_bidder(self, tmp_path):
+        marginals = [([0.0, 1.0], [0.5, 0.5]), ([2.0, 5.0, 9.0], [0.0, 1.0, 0.0]), ([0.0, 1.0, 4.0], [0.2, 0.3, 0.5])]
+        sol = minimize_event_prob(build_polytope(marginals, 2), 1.0, 2)
+        assert sol.table.supports[1] == (5.0,)
+        self.assert_same_bytes(sol.table, tmp_path)
