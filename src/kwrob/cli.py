@@ -254,10 +254,12 @@ def _write_threshold_curve(args, spec, prior, marginals):
         taus = np.linspace(
             float(spec["lo"]), float(spec["hi"]), int(spec.get("count", 101))
         ).tolist()
+    distinct = {}
+    of = [distinct.setdefault(m, len(distinct)) for m in marginals]
     rows = []
     for tau in taus:
         q1, q2 = threshold_probs(prior, tau)
-        q1i, q2i = q1q2_from_qvec([m.quantile_q(tau) for m in marginals])
+        q1i, q2i = q1q2_from_qvec(np.array([m.quantile_q(tau) for m in distinct])[of])
         rows.append((tau, q1, q2, q1i, q2i))
     write_csv(_outdir(args) / "threshold_curve.csv", ["tau", "q1", "q2", "q1_ind", "q2_ind"], rows)
 

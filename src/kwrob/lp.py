@@ -14,6 +14,7 @@ others follow by inclusion-exclusion, and all re-check the written table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -113,58 +114,62 @@ def build_polytope(marginal_tables, k: int) -> KwisePolytope:
     shape = tuple(len(s) for s in supports)
     if math.prod(shape) > CELL_CAP:
         raise DomainError(f"{math.prod(shape)} cells exceeds the cap {CELL_CAP}")
-    A, b = _rows(shape, masses, k, drop=0)
-    A_red, b_red = _rows(shape, masses, k, drop=1)
-    return KwisePolytope(supports, masses, k, A, b, A_red, b_red, fixed, order)
+    A, b, basis = _rows(shape, masses, k)
+    return KwisePolytope(supports, masses, k, A, b, A[basis], b[basis], fixed, order)
 
 
-def _rows(shape, masses, k, drop):
+def _rows(shape, masses, k):
     """Rows Pr[x_S = c] = prod_{i in S} masses[i][c_i] over the C-order cells
     of `shape`, for S the empty set (total mass) and then every subset with
-    |S| <= k, each block in C order over the c with c_i < shape[i] - drop.
-    drop = 0 gives the full family; drop = 1 gives a basis of it."""
+    |S| <= k, each block in C order over c.  Returns (A, b, basis): basis
+    indexes, in order, the rows whose c avoids each bidder's last point."""
     import scipy.sparse
 
     n, n_cells = len(shape), math.prod(shape)
     grid = np.arange(n_cells).reshape(shape)
-    blocks, rhs = [grid.reshape(1, n_cells)], [np.ones(1)]
+    blocks, rhs, keep = [grid.reshape(1, n_cells)], [np.ones(1)], [np.ones(1, dtype=bool)]
     for size in range(1, k + 1):
         for subset in itertools.combinations(range(n), size):
-            kept = grid[tuple(slice(shape[i] - drop) if i in subset else slice(None) for i in range(n))]
             # with S's axes moved to the front, the cells of each row x_S = c
             # are one ascending run of the C-order ravel: a CSR row as is
-            block = np.moveaxis(kept, subset, range(size))
+            block = np.moveaxis(grid, subset, range(size))
             blocks.append(block.reshape(math.prod(block.shape[:size]), -1))
-            r = np.ones(1)
-            for i in subset:
-                r = np.multiply.outer(r, masses[i][: shape[i] - drop]).ravel()
-            rhs.append(r)
+            rhs.append(functools.reduce(np.multiply.outer, [masses[i] for i in subset]).ravel())
+            keep.append(
+                functools.reduce(np.logical_and.outer, [np.arange(shape[i]) < shape[i] - 1 for i in subset]).ravel()
+            )
     lengths = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     indices = np.concatenate([b.ravel() for b in blocks])
     A = scipy.sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(lengths.size, n_cells))
-    return A, np.concatenate(rhs)
+    return A, np.concatenate(rhs), np.flatnonzero(np.concatenate(keep))
 
 
 def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:
     # HiGHS may break x >= 0 by its primal feasibility tolerance; keep that
-    # below FEAS_TOL, since the table written is x clipped at 0.  The solver
-    # is looked up on the module, where __getattr__ imports it.
+    # below FEAS_TOL, since the table written is x clipped at 0.  Presolve
+    # is off: the rows are a full-rank basis with positive right-hand sides,
+    # which it never reduces.  The solver is looked up on the module, where
+    # __getattr__ imports it.
     res = sys.modules[__name__].linprog(
         c,
         A_eq=poly.A_red,
         b_eq=poly.b_red,
         bounds=(0.0, None),
         method="highs",
-        options={"primal_feasibility_tolerance": 1e-10},
+        options={"primal_feasibility_tolerance": 1e-10, "presolve": False},
     )
     if not res.success:
         raise RuntimeError(f"LP failed: {res.message}")
     x = res.x
     obj = float(c @ x)
-    # duality certificate: eqlin marginals are the equality duals y; weak
-    # duality gives obj >= b.y with reduced costs c - A^T y >= 0
+    # duality certificate: the eqlin marginals y are dual feasible (reduced
+    # costs c - A^T y >= 0) and close the gap, so by weak duality b.y is a
+    # lower bound that obj meets
     y = np.asarray(res.eqlin.marginals, dtype=float)
+    worst = float(np.min(c - poly.A_red.T @ y))
+    if worst < -GAP_TOL * max(1.0, float(np.max(np.abs(c)))):
+        raise RuntimeError(f"dual infeasible: reduced cost {worst}")
     dual_obj = float(poly.b_red @ y)
     gap = abs(obj - dual_obj)
     if gap > GAP_TOL * max(1.0, abs(obj)):

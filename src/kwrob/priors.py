@@ -662,16 +662,20 @@ def threshold_probs(prior: JointPrior, tau: float) -> tuple:
         q1 = float(prior.pmf[counts >= 1].sum())
         q2 = float(prior.pmf[counts >= 2].sum())
         return q1, q2
-    mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
+    if isinstance(prior, ProductPrior):
+        return q1q2_from_qvec([m.quantile_q(tau) for m in prior.marginals])
+    # one quantile_q per exchangeability class, gathered in bidder order:
+    # a class's members share their components in every branch
+    classes = np.asarray(prior._class_of)
+    reps = np.unique(classes, return_index=True)[1]
     q1 = q2 = 0.0
-    for branch in mix.branches:
-        pairs = [branch.component_pair(i) for i in range(mix.n_bidders)]
-        q_plain = np.array([p.quantile_q(tau) for p, _ in pairs])
-        for share, chosen in _branch_parts(mix, branch):
+    for branch in prior.branches:
+        q_plain = np.array([branch.component_pair(r)[0].quantile_q(tau) for r in reps])[classes]
+        for share, chosen in _branch_parts(prior, branch):
             qs = q_plain
             if chosen is not None:
                 qs = q_plain.copy()
-                qs[chosen] = pairs[chosen][1].quantile_q(tau)
+                qs[chosen] = branch.component_pair(chosen)[1].quantile_q(tau)
             t1, t2 = q1q2_from_qvec(qs)
             q1 += branch.weight * share * t1
             q2 += branch.weight * share * t2

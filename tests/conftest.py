@@ -203,6 +203,28 @@ def kwise_rows_reference(shape, masses, k):
     return np.array(rows), np.array(rhs)
 
 
+def kwise_basis_csr_reference(shape, masses, k):
+    """The solver's basis rows built directly: the blocks of the k-wise
+    family restricted to the c that avoid each bidder's last point, as
+    (indptr, indices, data, b) of a CSR matrix."""
+    n, n_cells = len(shape), int(np.prod(shape))
+    grid = np.arange(n_cells).reshape(shape)
+    blocks, rhs = [grid.reshape(1, n_cells)], [np.ones(1)]
+    for size in range(1, k + 1):
+        for subset in itertools.combinations(range(n), size):
+            kept = grid[tuple(slice(shape[i] - 1) if i in subset else slice(None) for i in range(n))]
+            block = np.moveaxis(kept, subset, range(size))
+            blocks.append(block.reshape(int(np.prod(block.shape[:size])), -1))
+            r = np.ones(1)
+            for i in subset:
+                r = np.multiply.outer(r, masses[i][: shape[i] - 1]).ravel()
+            rhs.append(r)
+    lengths = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    indices = np.concatenate([b.ravel() for b in blocks])
+    return indptr, indices, np.ones(indices.size), np.concatenate(rhs)
+
+
 def random_regular_discrete(rng, max_pts=4, lo=0.1, hi=10.0):
     """Rejection-sample a discrete marginal whose revenue-quantile polyline
     is concave."""

@@ -7,7 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kwrob import DiscretePMF, DomainError, Myerson, TablePrior, Uniform, revenue_exact
+from kwrob import (
+    DiscretePMF,
+    DomainError,
+    Myerson,
+    TablePrior,
+    Uniform,
+    myerson_counterexample,
+    q1q2_from_qvec,
+    revenue_exact,
+)
 from kwrob.cli import build_parser, main
 
 
@@ -116,6 +125,25 @@ class TestRevenue:
         # Q2 column at tau = 0.75 should be the adversarial 1/16
         row = dict(zip(lines[0].split(","), lines[-3].split(",")))
         assert float(row["tau"]) == pytest.approx(0.8)
+
+    def test_threshold_curve_independent_columns(self, tmp_path):
+        # q1_ind, q2_ind are evaluated once per distinct marginal; they must
+        # equal the per-bidder q vector's exactly
+        cfg = {
+            "prior": {"type": "myerson_counterexample", "n": 20, "eps": 1e-6},
+            "mechanism": {"type": "ar", "r": 3.0},
+            "mode": "exact",
+            "curve": {"lo": 0.0, "hi": 2.0, "count": 101},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["revenue", "--config", str(path), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "threshold_curve.csv").read_text().splitlines()
+        marginals = myerson_counterexample(20, 1e-6).marginals
+        assert len(lines) == 102
+        for line in lines[1:]:
+            tau, _, _, q1i, q2i = (float(x) for x in line.split(","))
+            assert (q1i, q2i) == q1q2_from_qvec([m.quantile_q(tau) for m in marginals])
 
     @pytest.mark.parametrize(
         "marginal, spec, support",

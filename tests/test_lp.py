@@ -19,6 +19,7 @@ from kwrob import (
     minimize_event_prob,
     minimize_revenue,
     revenue_exact,
+    threshold_probs,
     verify_kwise,
 )
 
@@ -99,6 +100,61 @@ class TestSolve:
         except RuntimeError:
             return
         assert np.max(np.abs(poly.A @ sol.table.pmf.ravel() - poly.b)) <= kwrob.lp.FEAS_TOL
+
+
+    def test_dual_infeasible_certificate_raises(self, monkeypatch):
+        # duals that close the gap (b.y = 0 = c.x) but price cells below
+        # zero certify nothing: here c - A^T y is -0.5 on half the cells
+        poly = build_polytope([BINARY] * 2, 2)
+        b = poly.b_red
+        y = np.zeros(b.size)
+        y[0], y[1] = b[1], -b[0]
+        assert b @ y == 0.0
+
+        def fake_linprog(c, **kw):
+            duals = SimpleNamespace(marginals=y.copy())
+            return SimpleNamespace(success=True, x=poly.product_pmf(), eqlin=duals, nit=0, message="")
+
+        monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
+        with pytest.raises(RuntimeError, match="dual infeasible"):
+            kwrob.lp._solve(poly, np.zeros(poly.n_cells))
+
+
+class TestPresolveOff:
+    def test_same_optimum_as_presolve(self, rng, monkeypatch):
+        # the solver runs without presolve on a full-rank basis; a
+        # presolve-on solve of the same LP reaches the same optimal value.
+        # These small LPs often have a face of optimal tables, from which
+        # the two solves may pick different vertices, so each table is
+        # checked to attain that value rather than to equal the other.
+        from scipy.optimize import linprog
+
+        def presolve_on(c, **kw):
+            return linprog(c, **dict(kw, options=dict(kw["options"], presolve=True)))
+
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            marginals = [random_regular_discrete(rng, max_pts=3) for _ in range(n)]
+            tables = [(list(m.points), list(m.masses)) for m in marginals]
+            k = int(rng.integers(1, n + 1))
+            poly = build_polytope(tables, k)
+            basis = poly.A_red.toarray()
+            assert np.linalg.matrix_rank(basis) == basis.shape[0]
+            mech = Myerson(marginals)
+            tau = float(np.median([v for m in marginals for v in m.points]))
+            solves = (
+                (lambda: minimize_revenue(poly, mech), lambda t: revenue_exact(t, mech).mean),
+                (lambda: minimize_event_prob(poly, tau, 2), lambda t: threshold_probs(t, tau)[1]),
+            )
+            for solve, value_of in solves:
+                off = solve()
+                with monkeypatch.context() as mp:
+                    mp.setattr(kwrob.lp, "linprog", presolve_on)
+                    on = solve()
+                assert off.objective == pytest.approx(on.objective, rel=1e-12, abs=1e-12)
+                for sol in (off, on):
+                    assert value_of(sol.table) == pytest.approx(on.objective, rel=1e-12, abs=1e-12)
+                    assert np.max(np.abs(poly.A @ sol.table.pmf.ravel() - poly.b)) <= kwrob.lp.FEAS_TOL
 
 
 class TestMinimizeRevenue:

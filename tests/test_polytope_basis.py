@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from conftest import kwise_rows_reference
+from conftest import kwise_basis_csr_reference, kwise_rows_reference
 from kwrob import AnonymousReserve, build_polytope, minimize_revenue
 
 
@@ -46,6 +46,20 @@ class TestBasisAgainstReference:
             x_lsq = np.linalg.lstsq(basis, poly.b_red, rcond=None)[0]
             for x in (poly.product_pmf(), x_lsq):
                 assert np.max(np.abs(poly.A @ x - poly.b)) < 1e-10
+
+    def test_basis_is_the_direct_build(self, rng):
+        # the basis is taken as a row subset of the full family; the solver
+        # must get exactly the matrix and right-hand side of a direct build
+        for _ in range(40):
+            tables, k = _random_tables(rng)
+            poly = build_polytope(tables, k)
+            shape = tuple(len(s) for s in poly.supports)
+            indptr, indices, data, b_red = kwise_basis_csr_reference(shape, poly.masses, k)
+            assert np.array_equal(poly.A_red.indptr, indptr) and poly.A_red.indptr.dtype == indptr.dtype
+            assert np.array_equal(poly.A_red.indices, indices) and poly.A_red.indices.dtype == indices.dtype
+            assert np.array_equal(poly.A_red.data, data)
+            assert np.array_equal(poly.b_red, b_red)
+            assert poly.A_red.shape == (indptr.size - 1, poly.n_cells)
 
     def test_all_bidders_degenerate(self):
         poly = build_polytope([([2.0], [1.0]), ([0.0, 3.0], [0.0, 1.0])], 2)

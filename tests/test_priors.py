@@ -42,6 +42,8 @@ from kwrob.priors import (
     MixturePrior,
     RandomIndexSlot,
     _MAX_RECORDED,
+    _as_mixture,
+    _branch_parts,
     _joint,
     _kept_cells,
 )
@@ -221,7 +223,43 @@ class TestDiscretize:
             discretize(p, grids)
 
 
+def threshold_probs_per_bidder(prior, tau):
+    """(Q1, Q2) with quantile_q evaluated once per bidder per branch, the
+    loop threshold_probs ran before it evaluated once per class."""
+    mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
+    q1 = q2 = 0.0
+    for branch in mix.branches:
+        pairs = [branch.component_pair(i) for i in range(mix.n_bidders)]
+        q_plain = np.array([p.quantile_q(tau) for p, _ in pairs])
+        for share, chosen in _branch_parts(mix, branch):
+            qs = q_plain
+            if chosen is not None:
+                qs = q_plain.copy()
+                qs[chosen] = pairs[chosen][1].quantile_q(tau)
+            t1, t2 = q1q2_from_qvec(qs)
+            q1 += branch.weight * share * t1
+            q2 += branch.weight * share * t2
+    return q1, q2
+
+
 class TestThresholdProbs:
+    @pytest.mark.parametrize("n", [2, 20, 300])
+    def test_per_class_equals_per_bidder(self, n):
+        # bit-identical to the per-bidder loop on both constructions and on
+        # product priors, over a 101-point curve plus the constructions'
+        # breakpoints
+        myerson = myerson_counterexample(n, 1e-6)
+        priors = [
+            myerson,
+            uniform_q2_counterexample(n),
+            ProductPrior(myerson.marginals),
+            ProductPrior([Uniform(0, 1), EqualRevenue(0.5, 2.0)] * n),
+        ]
+        taus = np.linspace(0.0, 2.0, 101).tolist() + [1.0 / n, (n - 1.0) / n, n + 1e-6, n * n + 1e-6]
+        for prior in priors:
+            for tau in taus:
+                assert threshold_probs(prior, tau) == threshold_probs_per_bidder(prior, tau), (prior, tau)
+
     def test_product_uniforms(self):
         assert threshold_probs(ProductPrior([Uniform(0, 1)] * 2), 0.5) == pytest.approx(
             (0.75, 0.25)
