@@ -26,10 +26,8 @@ from .mechanisms import (
 )
 from .priors import (
     Branch,
-    ConditionalAtLeast,
-    ConditionalBelow,
+    Conditioned,
     FixedValue,
-    FullMarginal,
     JointPrior,
     KwiseReport,
     MixturePrior,

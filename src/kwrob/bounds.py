@@ -50,20 +50,16 @@ class BoundReport:
 
 def lb1(s: float) -> float:
     """Lower bound on Pr[at least one event] under pairwise independence."""
-    if s < 0:
-        raise DomainError("s must be >= 0")
-    if s == 0.0:
-        return 0.0
-    m1 = math.floor(s + 1.0)
-    return (2.0 * m1 * s - s * s) / (m1 * (m1 + 1.0))
+    if not 0.0 <= s < math.inf:
+        raise DomainError("s must be finite and >= 0")
+    return float(lb1_vec(s))
 
 
 def lb2(s: float) -> float:
     """Lower bound on Pr[at least two events]; valid only for s > 1."""
-    if s <= 1.0:
-        raise DomainError("lb2 is valid only for s > 1")
-    m2 = math.floor(s * s / (s - 1.0))
-    return max((2.0 * m2 * (s - 1.0) - s * s) / (m2 * (m2 - 1.0)), 0.0)
+    if not 1.0 < s < math.inf:
+        raise DomainError("lb2 is valid only for finite s > 1")
+    return float(lb2_vec(s))
 
 
 def lb1_vec(s):

@@ -91,7 +91,7 @@ def mechanism_from_dict(d, marginals, where="mechanism"):
 
 
 def prior_marginals(prior):
-    if isinstance(prior, (ProductPrior, MixturePrior)):
+    if isinstance(prior, MixturePrior):
         return list(prior.marginals)
     return prior.to_marginals()
 

@@ -1,8 +1,7 @@
 """Joint priors over bidder values.
 
-Three representations:
+Two representations:
 
-* ProductPrior      - mutually independent marginals.
 * MixturePrior      - a finite mixture of branches; within a branch the
                       per-bidder components are independent.  A branch may
                       carry a RandomIndexSlot ("pick one bidder uniformly at
@@ -10,7 +9,14 @@ Three representations:
                       the slot the unchosen one"), which is how the
                       adversarial pairwise-independent constructions are
                       encoded without expanding n sub-branches.
+                      ProductPrior, mutually independent marginals, is the
+                      one-branch mixture of unconditioned marginals.
 * TablePrior        - explicit finite-support joint pmf.
+
+A branch component is one of two kinds: FixedValue, a point mass, or
+Conditioned, a bidder's marginal conditioned on lo <= v < hi with either
+side open (the constructions condition on v < 1, v < n^2 + eps and
+v >= (n-1)/n).
 
 Everything needed downstream (threshold probabilities, discretization,
 independence checks, sampling) is computed branch-wise in closed form; no
@@ -31,8 +37,7 @@ Sampling draws the chosen member directly, and draws its chosen component
 only for the rows that picked it.  Samples are column-major: `sample`
 fills a bidder-major (n, rows) buffer, one contiguous row per draw, and
 returns its (rows, n) transpose, so every bidder's column is contiguous.
-Product and table priors come back in the same layout; a ProductPrior
-samples as its one-branch mixture.
+Table priors come back in the same layout.
 """
 
 from __future__ import annotations
@@ -62,104 +67,60 @@ KWISE_TOL = 1e-10
 # Branch components
 
 
-@dataclass(frozen=True)
-class FullMarginal:
-    marginal: Marginal
-
-    def quantile_q(self, tau):
-        return self.marginal.quantile_q(tau)
-
-    def atom_mass(self, x):
-        return self.marginal.atom_mass(x)
-
-    @property
-    def support(self):
-        return self.marginal.support
-
-    def cutoffs(self):
-        return []
-
-    def sample(self, rng, size):
-        u = 1.0 - rng.random(size)
-        return self.marginal.q_inverse(u)
+def _tol(c):
+    """Half-width of the window within which a value counts as the cutoff
+    or fixed value c."""
+    return 1e-15 * max(1.0, abs(c))
 
 
 @dataclass(frozen=True)
-class ConditionalBelow:
-    """Marginal conditioned on v < cutoff (atom at the cutoff excluded)."""
+class Conditioned:
+    """Marginal conditioned on lo <= v < hi: the atom at lo included, the
+    atom at hi excluded, None for an open side.  An open lo reads as
+    q_lo = 1 and an open hi as q_hi = 0, so the unconditioned marginal
+    reproduces its own quantile_q, atom_mass and draws bit for bit."""
 
     marginal: Marginal
-    cutoff: float
+    lo: float | None = None
+    hi: float | None = None
 
     def __post_init__(self):
-        if self.marginal.quantile_q(self.cutoff) >= 1.0:
-            raise DomainError("conditioning event v < cutoff has zero probability")
+        if self._q_lo - self._q_hi <= 0.0:
+            raise DomainError(f"conditioning event {self.lo} <= v < {self.hi} has zero probability")
 
     @cached_property
-    def _qc(self):
-        return self.marginal.quantile_q(self.cutoff)
-
-    def quantile_q(self, tau):
-        qc = self._qc
-        if tau > self.cutoff:
-            return 0.0
-        return (self.marginal.quantile_q(tau) - qc) / (1.0 - qc)
-
-    def atom_mass(self, x):
-        if x >= self.cutoff - 1e-15 * max(1.0, abs(self.cutoff)):
-            return 0.0
-        return self.marginal.atom_mass(x) / (1.0 - self._qc)
-
-    @property
-    def support(self):
-        lo, hi = self.marginal.support
-        return (lo, min(hi, self.cutoff))
-
-    def cutoffs(self):
-        return [self.cutoff]
-
-    def sample(self, rng, size):
-        qc = self._qc
-        u = 1.0 - rng.random(size)  # in (0, 1]
-        return self.marginal.q_inverse(qc + u * (1.0 - qc))
-
-
-@dataclass(frozen=True)
-class ConditionalAtLeast:
-    """Marginal conditioned on v >= cutoff (atom at the cutoff included)."""
-
-    marginal: Marginal
-    cutoff: float
-
-    def __post_init__(self):
-        if self.marginal.quantile_q(self.cutoff) <= 0.0:
-            raise DomainError("conditioning event v >= cutoff has zero probability")
+    def _q_lo(self):
+        return 1.0 if self.lo is None else self.marginal.quantile_q(self.lo)
 
     @cached_property
-    def _qc(self):
-        return self.marginal.quantile_q(self.cutoff)
+    def _q_hi(self):
+        return 0.0 if self.hi is None else self.marginal.quantile_q(self.hi)
 
     def quantile_q(self, tau):
-        if tau <= self.cutoff:
+        if self.lo is not None and tau <= self.lo:
             return 1.0
-        return self.marginal.quantile_q(tau) / self._qc
+        if self.hi is not None and tau > self.hi:
+            return 0.0
+        return (self.marginal.quantile_q(tau) - self._q_hi) / (self._q_lo - self._q_hi)
 
     def atom_mass(self, x):
-        if x < self.cutoff - 1e-15 * max(1.0, abs(self.cutoff)):
+        if self.lo is not None and x < self.lo - _tol(self.lo):
             return 0.0
-        return self.marginal.atom_mass(x) / self._qc
+        if self.hi is not None and x >= self.hi - _tol(self.hi):
+            return 0.0
+        return self.marginal.atom_mass(x) / (self._q_lo - self._q_hi)
 
     @property
     def support(self):
         lo, hi = self.marginal.support
-        return (max(lo, self.cutoff), hi)
+        return (lo if self.lo is None else max(lo, self.lo), hi if self.hi is None else min(hi, self.hi))
 
     def cutoffs(self):
-        return [self.cutoff]
+        return [c for c in (self.lo, self.hi) if c is not None]
 
     def sample(self, rng, size):
-        u = 1.0 - rng.random(size)
-        return self.marginal.q_inverse(u * self._qc)
+        u = 1.0 - rng.random(size)  # in (0, 1]
+        return self.marginal.q_inverse(self._q_hi + u * (self._q_lo - self._q_hi))
 
 
 @dataclass(frozen=True)
@@ -170,7 +131,7 @@ class FixedValue:
         return 1.0 if tau <= self.value else 0.0
 
     def atom_mass(self, x):
-        return 1.0 if abs(x - self.value) <= 1e-15 * max(1.0, abs(self.value)) else 0.0
+        return 1.0 if abs(x - self.value) <= _tol(self.value) else 0.0
 
     @property
     def support(self):
@@ -232,20 +193,6 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class ProductPrior:
-    marginals: tuple
-
-    def __init__(self, marginals):
-        if len(marginals) < 1:
-            raise DomainError("need at least one marginal")
-        object.__setattr__(self, "marginals", tuple(marginals))
-
-    @property
-    def n_bidders(self):
-        return len(self.marginals)
-
-
-@dataclass(frozen=True)
 class MixturePrior:
     marginals: tuple
     branches: tuple
@@ -280,6 +227,19 @@ class MixturePrior:
             )
             for i, m in enumerate(self.marginals)
         )
+
+
+class ProductPrior(MixturePrior):
+    """Mutually independent marginals: the one-branch mixture whose every
+    bidder draws from its unconditioned marginal."""
+
+    def __init__(self, marginals):
+        if len(marginals) < 1:
+            raise DomainError("need at least one marginal")
+        # one component per distinct marginal, shared as in the constructions,
+        # so _cell_masses evaluates each once
+        comp = {m: Conditioned(m) for m in set(marginals)}
+        super().__init__(marginals, (Branch(1.0, tuple(comp[m] for m in marginals)),))
 
 
 def cell_values(supports) -> np.ndarray:
@@ -330,12 +290,7 @@ class TablePrior:
         return out
 
 
-JointPrior = ProductPrior | MixturePrior | TablePrior
-
-
-def _as_mixture(prior: ProductPrior) -> MixturePrior:
-    comps = tuple(FullMarginal(m) for m in prior.marginals)
-    return MixturePrior(prior.marginals, (Branch(1.0, comps),))
+JointPrior = MixturePrior | TablePrior
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +384,7 @@ def myerson_counterexample(n: int, eps: float) -> MixturePrior:
     big = ShiftedEqualRevenue(float(n), float(n * n), eps)
     marginals = tuple([small] * n + [big])
     top = n * n + eps
-    below_one = ConditionalBelow(small, 1.0)
+    below_one = Conditioned(small, hi=1.0)
 
     b1 = Branch(
         1.0 / n**2,
@@ -446,7 +401,7 @@ def myerson_counterexample(n: int, eps: float) -> MixturePrior:
     )
     b3 = Branch(
         1.0 - 1.0 / n,
-        tuple([None] * n + [ConditionalBelow(big, top)]),
+        tuple([None] * n + [Conditioned(big, hi=top)]),
         slot=slot,
     )
     return MixturePrior(marginals, (b1, b2, b3))
@@ -461,8 +416,8 @@ def uniform_q2_counterexample(n: int) -> MixturePrior:
     uni = Uniform(0.0, 1.0)
     cut = (n - 1.0) / n
     marginals = tuple([uni] * (n + 1))
-    high = ConditionalAtLeast(uni, cut)
-    low = ConditionalBelow(uni, cut)
+    high = Conditioned(uni, lo=cut)
+    low = Conditioned(uni, hi=cut)
 
     b1 = Branch(1.0 / n**2, tuple([high] * (n + 1)))
     slot = RandomIndexSlot(
@@ -497,21 +452,20 @@ def sample(prior: JointPrior, seed, size=None) -> np.ndarray:
         multi = np.unravel_index(idx, prior.pmf.shape)
         out = np.stack([np.asarray(s)[j] for s, j in zip(prior.supports, multi)])
     else:
-        mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
-        out = np.empty((mix.n_bidders, m))
-        if len(mix.branches) == 1:
+        out = np.empty((prior.n_bidders, m))
+        if len(prior.branches) == 1:
             branch_rows = [np.arange(m)]
         else:
-            weights = np.array([b.weight for b in mix.branches])
+            weights = np.array([b.weight for b in prior.branches])
             branch_idx = rng.choice(len(weights), size=m, p=weights / weights.sum())
             branch_rows = [np.flatnonzero(branch_idx == bi) for bi in range(len(weights))]
-        for branch, rows in zip(mix.branches, branch_rows):
+        for branch, rows in zip(prior.branches, branch_rows):
             if rows.size == 0:
                 continue
             slot = branch.slot
             if slot is not None:
                 pick = rng.integers(0, len(slot.indices), size=rows.size)
-            for i in range(mix.n_bidders):
+            for i in range(prior.n_bidders):
                 plain, chosen = branch.component_pair(i)
                 out[i, rows] = plain.sample(rng, rows.size)
                 if chosen is not None:
@@ -541,15 +495,14 @@ def natural_grids(prior: JointPrior):
     shipped constructions needs nothing finer."""
     if isinstance(prior, TablePrior):
         return [sorted(s) for s in prior.supports]
-    mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
     grids, of_class = [], {}
-    for i, mg in enumerate(mix.marginals):
+    for i, mg in enumerate(prior.marginals):
         # class members share their marginal and components, hence their grid
-        c = mix._class_of[i]
+        c = prior._class_of[i]
         if c not in of_class:
             lo, hi = mg.support
             pts = {lo, hi, *mg.atoms()}
-            for comp in _bidder_components(mix, i):
+            for comp in _bidder_components(prior, i):
                 pts.update(comp.cutoffs())
             of_class[c] = sorted(pts)
         grids.append(list(of_class[c]))
@@ -622,12 +575,11 @@ def discretize(prior: JointPrior, grids=None) -> TablePrior:
     separated."""
     if isinstance(prior, TablePrior):
         return prior
-    mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
-    supports, _, masses = _kept_cells(mix, grids)
+    supports, _, masses = _kept_cells(prior, grids)
     size = math.prod(len(s) for s in supports)
     if size > CELL_CAP:
         raise DomainError(f"discretization would need {size} cells")
-    return TablePrior(supports, _joint(mix, masses, tuple(range(mix.n_bidders))))
+    return TablePrior(supports, _joint(prior, masses, tuple(range(prior.n_bidders))))
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +614,6 @@ def threshold_probs(prior: JointPrior, tau: float) -> tuple:
         q1 = float(prior.pmf[counts >= 1].sum())
         q2 = float(prior.pmf[counts >= 2].sum())
         return q1, q2
-    if isinstance(prior, ProductPrior):
-        return q1q2_from_qvec([m.quantile_q(tau) for m in prior.marginals])
     # one quantile_q per exchangeability class, gathered in bidder order:
     # a class's members share their components in every branch
     classes = np.asarray(prior._class_of)
@@ -734,10 +684,9 @@ def verify_kwise(prior: JointPrior, k: int, grids=None) -> KwiseReport:
             return prior.pmf.sum(axis=tuple(j for j in range(n) if j not in subset))
 
     else:
-        mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
-        supports, marginals, masses = _kept_cells(mix, grids)
+        supports, marginals, masses = _kept_cells(prior, grids)
         by_class = {}
-        for i, c in enumerate(mix._class_of):
+        for i, c in enumerate(prior._class_of):
             by_class.setdefault(c, []).append(i)
         members = list(by_class.values())
         subsets = []
@@ -752,7 +701,7 @@ def verify_kwise(prior: JointPrior, k: int, grids=None) -> KwiseReport:
             subsets += sorted(level, key=lambda t: t[1])
 
         def joint_of(subset):
-            return _joint(mix, masses, subset)
+            return _joint(prior, masses, subset)
 
     max_dev = 0.0
     violations = []

@@ -48,7 +48,6 @@ from .priors import (
     JointPrior,
     ProductPrior,
     TablePrior,
-    _as_mixture,
     _cell_masses,
     _check_grid,
     _grid_cells,
@@ -188,29 +187,29 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
     """
     if isinstance(prior, TablePrior):
         return revenue_exact_table(prior, mech)
-    mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
     if grids is None:
-        grids = natural_grids(mix)
+        grids = natural_grids(prior)
     elif isinstance(mech, Myerson):
         # AR reads the grid only as quadrature breakpoints; the sweep prices
         # its cells, so a grid that misses the support would drop mass
-        _check_grid(mix, grids)
+        _check_grid(prior, grids)
 
     if isinstance(mech, AnonymousReserve):
-        hi = max(m.support[1] for m in mix.marginals)
+        hi = max(m.support[1] for m in prior.marginals)
         breaks = sorted({b for g in grids for b in g})
 
-        def q2(tau):
-            return threshold_probs(mix, tau)[1]
+        def q1(tau):
+            return threshold_probs(prior, tau)[0]
 
-        q1_r = threshold_probs(mix, mech.r)[0]
-        tail = integrate(q2, mech.r, hi, abs_tol=1e-10, breakpoints=breaks)
-        return RevenueEstimate(mech.r * q1_r + tail, 0.0, 0, True)
+        def q2(tau):
+            return threshold_probs(prior, tau)[1]
+
+        return RevenueEstimate(ar_revenue_integral(mech.r, q1, q2, hi, breaks, abs_tol=1e-10), 0.0, 0, True)
 
     cells = [_grid_cells(g) for g in grids]
     vals = [np.array([c[0] for c in cs]) for cs in cells]
     total = 0.0
-    for branch, masses in zip(mix.branches, _cell_masses(mix, cells)):
+    for branch, masses in zip(prior.branches, _cell_masses(prior, cells)):
         if branch.weight != 0.0:
             total += branch.weight * _myerson_branch_revenue(mech, vals, masses)
     return RevenueEstimate(total, 0.0, 0, True)

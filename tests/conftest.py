@@ -15,13 +15,104 @@ from kwrob.io import write_csv
 from kwrob.mechanisms import HIGHEST_VALUE
 from kwrob.priors import (
     Branch,
-    ConditionalAtLeast,
-    ConditionalBelow,
+    Conditioned,
     FixedValue,
-    FullMarginal,
     MixturePrior,
     RandomIndexSlot,
 )
+
+
+class FullMarginal:
+    """Reference branch component: the unconditioned marginal, as the
+    priors module wrote it before Conditioned replaced it."""
+
+    def __init__(self, marginal):
+        self.marginal = marginal
+
+    def quantile_q(self, tau):
+        return self.marginal.quantile_q(tau)
+
+    def atom_mass(self, x):
+        return self.marginal.atom_mass(x)
+
+    @property
+    def support(self):
+        return self.marginal.support
+
+    def cutoffs(self):
+        return []
+
+    def sample(self, rng, size):
+        u = 1.0 - rng.random(size)
+        return self.marginal.q_inverse(u)
+
+
+class ConditionalBelow:
+    """Reference branch component: the marginal conditioned on v < cutoff
+    (atom at the cutoff excluded)."""
+
+    def __init__(self, marginal, cutoff):
+        self.marginal, self.cutoff = marginal, cutoff
+        self._qc = marginal.quantile_q(cutoff)
+        if self._qc >= 1.0:
+            raise DomainError("conditioning event v < cutoff has zero probability")
+
+    def quantile_q(self, tau):
+        qc = self._qc
+        if tau > self.cutoff:
+            return 0.0
+        return (self.marginal.quantile_q(tau) - qc) / (1.0 - qc)
+
+    def atom_mass(self, x):
+        if x >= self.cutoff - 1e-15 * max(1.0, abs(self.cutoff)):
+            return 0.0
+        return self.marginal.atom_mass(x) / (1.0 - self._qc)
+
+    @property
+    def support(self):
+        lo, hi = self.marginal.support
+        return (lo, min(hi, self.cutoff))
+
+    def cutoffs(self):
+        return [self.cutoff]
+
+    def sample(self, rng, size):
+        qc = self._qc
+        u = 1.0 - rng.random(size)
+        return self.marginal.q_inverse(qc + u * (1.0 - qc))
+
+
+class ConditionalAtLeast:
+    """Reference branch component: the marginal conditioned on v >= cutoff
+    (atom at the cutoff included)."""
+
+    def __init__(self, marginal, cutoff):
+        self.marginal, self.cutoff = marginal, cutoff
+        self._qc = marginal.quantile_q(cutoff)
+        if self._qc <= 0.0:
+            raise DomainError("conditioning event v >= cutoff has zero probability")
+
+    def quantile_q(self, tau):
+        if tau <= self.cutoff:
+            return 1.0
+        return self.marginal.quantile_q(tau) / self._qc
+
+    def atom_mass(self, x):
+        if x < self.cutoff - 1e-15 * max(1.0, abs(self.cutoff)):
+            return 0.0
+        return self.marginal.atom_mass(x) / self._qc
+
+    @property
+    def support(self):
+        lo, hi = self.marginal.support
+        return (max(lo, self.cutoff), hi)
+
+    def cutoffs(self):
+        return [self.cutoff]
+
+    def sample(self, rng, size):
+        u = 1.0 - rng.random(size)
+        return self.marginal.q_inverse(u * self._qc)
 
 
 def q1q2_enumerate(qs):
@@ -314,11 +405,11 @@ def slot_mixtures(draw):
     def component(m):
         kind = draw(st.sampled_from(["full", "fixed", "below", "at_least"]))
         if kind == "full":
-            return FullMarginal(m)
+            return Conditioned(m)
         if kind == "fixed":
             return FixedValue(draw(st.sampled_from(m.points)))
         cut = draw(st.sampled_from(m.points[1:]))
-        return ConditionalBelow(m, cut) if kind == "below" else ConditionalAtLeast(m, cut)
+        return Conditioned(m, hi=cut) if kind == "below" else Conditioned(m, lo=cut)
 
     n_classes = draw(st.integers(2, 3))
     n = draw(st.integers(n_classes, 4))

@@ -50,6 +50,11 @@ class TestLB1:
     def test_three_halves(self):
         assert lb1(1.5) == pytest.approx(0.625)
 
+    def test_domain(self):
+        for s in (-1e-12, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                lb1(s)
+
     def test_monotone_across_floor_breakpoints(self):
         s = np.linspace(0.0, 10.0, 20001)
         vals = [lb1(float(x)) for x in s]
@@ -68,8 +73,9 @@ class TestLB2:
         assert lb2(1.0 + 1e-6) < 1e-5
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            lb2(1.0)
+        for s in (1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                lb2(s)
 
     def test_monotone_and_below_lb1(self):
         s = np.linspace(1.0 + 1e-9, 10.0, 20001)

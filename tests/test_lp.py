@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import kwrob.lp
+from kwrob.mechanisms import HIGHEST_VALUE, LEX
 
-from conftest import random_regular_discrete
+from conftest import random_discrete, random_regular_discrete
 from kwrob import (
     AnonymousReserve,
     DiscretePMF,
@@ -158,13 +159,30 @@ class TestPresolveOff:
 
 
 class TestMinimizeRevenue:
-    def test_k_equals_n_gives_product_revenue(self):
+    def test_k_equals_n_gives_product_revenue(self, rng):
         tables = [BINARY] * 3
         poly = build_polytope(tables, 3)
         sol = minimize_revenue(poly, AnonymousReserve(0.5))
         marginals = [DiscretePMF(*BINARY)] * 3
         exact = revenue_exact(discretize(ProductPrior(marginals)), AnonymousReserve(0.5)).mean
         assert sol.objective == pytest.approx(exact, abs=1e-9)
+        # at k = n the product is the only feasible point, so the LP's
+        # optimum is the product prior's value and its table the product pmf
+        for _ in range(12):
+            n = int(rng.integers(2, 5))
+            marginals = [random_discrete(rng, max_pts=3) for _ in range(n)]
+            poly = build_polytope([(m.points, m.masses) for m in marginals], n)
+            product = ProductPrior(marginals)
+            tau = float(rng.choice([v for m in marginals for v in m.points]))
+            cases = [(minimize_revenue(poly, mech), revenue_exact(product, mech).mean) for mech in (
+                Myerson(marginals, HIGHEST_VALUE),
+                Myerson(marginals, LEX),
+                AnonymousReserve(tau),
+            )]
+            cases += [(minimize_event_prob(poly, tau, c), threshold_probs(product, tau)[c - 1]) for c in (1, 2)]
+            for sol, value in cases:
+                assert sol.objective == pytest.approx(value, rel=1e-9, abs=1e-12)
+                assert np.max(np.abs(sol.table.pmf.ravel() - poly.product_pmf())) <= kwrob.lp.FEAS_TOL
 
     def test_monotone_in_k(self, rng):
         tables = []

@@ -5,8 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    ConditionalAtLeast,
+    ConditionalBelow,
+    FullMarginal,
     q1q2_enumerate,
     random_discrete,
     sample_reference,
@@ -36,13 +40,11 @@ from kwrob import (
 from kwrob.io import table_from_csv, table_to_csv
 from kwrob.priors import (
     Branch,
-    ConditionalBelow,
+    Conditioned,
     FixedValue,
-    FullMarginal,
     MixturePrior,
     RandomIndexSlot,
     _MAX_RECORDED,
-    _as_mixture,
     _branch_parts,
     _joint,
     _kept_cells,
@@ -78,6 +80,87 @@ class TestProductPrior:
     def test_single_marginal(self):
         p = ProductPrior([EqualRevenue(0.5, 1.0)])
         assert threshold_probs(p, 0.75)[0] == pytest.approx(2 / 3)
+
+    def test_is_the_one_branch_mixture(self):
+        ms = [Uniform(0, 1), EqualRevenue(0.5, 1.0)]
+        p = ProductPrior(ms)
+        assert isinstance(p, MixturePrior)
+        assert p.branches == (Branch(1.0, (Conditioned(ms[0]), Conditioned(ms[1]))),)
+        with pytest.raises(DomainError, match="at least one marginal"):
+            ProductPrior([])
+
+
+@st.composite
+def conditioned_cases(draw):
+    """A marginal, a cutoff and the taus to read it at.  The cutoff is a
+    support end, an atom, the midpoint, or any float within one of the
+    support, so events of zero probability come up; the taus add the
+    cutoff, the atoms and the support ends to random floats."""
+    kind = draw(st.sampled_from(["discrete", "uniform", "equal_revenue", "shifted"]))
+    if kind == "discrete":
+        k = draw(st.integers(1, 4))
+        pts = sorted(draw(st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True)))
+        w = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+        m = DiscretePMF([x / 4 for x in pts], [x / sum(w) for x in w])
+    elif kind == "uniform":
+        lo = draw(st.integers(0, 8)) / 2
+        m = Uniform(lo, lo + draw(st.integers(1, 8)) / 2)
+    else:
+        lo = draw(st.integers(1, 8)) / 4
+        hi = lo * draw(st.integers(2, 16)) / 2
+        m = EqualRevenue(lo, hi) if kind == "equal_revenue" else ShiftedEqualRevenue(lo, hi, draw(st.integers(1, 8)) / 8)
+    lo, hi = m.support
+    marks = [lo, hi, 0.5 * (lo + hi), *m.atoms()]
+    within = st.floats(lo - 1.0, hi + 1.0)
+    cut = draw(st.one_of(st.sampled_from(marks), within))
+    taus = draw(st.lists(within, max_size=20)) + marks + [cut]
+    return m, cut, taus
+
+
+def _same(a, b):
+    """Equal as floats, signed zeros told apart."""
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+class TestConditioned:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(conditioned_cases(), st.sampled_from(["full", "below", "at_least"]), st.integers(0, 2**32 - 1))
+    @example((Uniform(0.0, 1.0), 0.0, [0.5]), "below", 0)
+    @example((Uniform(0.0, 1.0), 1.0, [0.5]), "at_least", 0)
+    @example((DiscretePMF([1.0, 2.0], [0.5, 0.5]), 2.5, [1.5]), "at_least", 0)
+    def test_equals_the_three_components_it_replaces(self, case, side, seed):
+        # FullMarginal, ConditionalBelow and ConditionalAtLeast, bit for bit
+        m, cut, taus = case
+        make_ref, kw = {
+            "full": (lambda: FullMarginal(m), {}),
+            "below": (lambda: ConditionalBelow(m, cut), {"hi": cut}),
+            "at_least": (lambda: ConditionalAtLeast(m, cut), {"lo": cut}),
+        }[side]
+        try:
+            ref = make_ref()
+        except DomainError:
+            with pytest.raises(DomainError, match="zero probability"):
+                Conditioned(m, **kw)
+            return
+        comp = Conditioned(m, **kw)
+        for tau in taus:
+            assert _same(comp.quantile_q(tau), ref.quantile_q(tau)), tau
+            assert _same(comp.atom_mass(tau), ref.atom_mass(tau)), tau
+        assert comp.support == ref.support
+        assert comp.cutoffs() == ref.cutoffs()
+        got = comp.sample(np.random.default_rng(seed), 257)
+        assert np.array_equal(got, ref.sample(np.random.default_rng(seed), 257))
+
+    def test_two_sided(self):
+        c = Conditioned(Uniform(0.0, 4.0), lo=1.0, hi=3.0)
+        assert [c.quantile_q(t) for t in (0.5, 1.0, 2.0, 3.0, 3.5)] == [1.0, 1.0, 0.5, 0.0, 0.0]
+        assert c.support == (1.0, 3.0) and c.cutoffs() == [1.0, 3.0]
+        v = c.sample(np.random.default_rng(0), 1000)
+        assert np.all((v >= 1.0) & (v < 3.0))
+        d = Conditioned(DiscretePMF([1.0, 2.0, 3.0], [0.2, 0.3, 0.5]), lo=2.0, hi=3.0)
+        assert [d.atom_mass(x) for x in (1.0, 2.0, 3.0)] == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
+        with pytest.raises(DomainError, match="zero probability"):
+            Conditioned(Uniform(0.0, 4.0), lo=2.0, hi=2.0)
 
 
 class TestMyersonCounterexample:
@@ -226,12 +309,11 @@ class TestDiscretize:
 def threshold_probs_per_bidder(prior, tau):
     """(Q1, Q2) with quantile_q evaluated once per bidder per branch, the
     loop threshold_probs ran before it evaluated once per class."""
-    mix = _as_mixture(prior) if isinstance(prior, ProductPrior) else prior
     q1 = q2 = 0.0
-    for branch in mix.branches:
-        pairs = [branch.component_pair(i) for i in range(mix.n_bidders)]
+    for branch in prior.branches:
+        pairs = [branch.component_pair(i) for i in range(prior.n_bidders)]
         q_plain = np.array([p.quantile_q(tau) for p, _ in pairs])
-        for share, chosen in _branch_parts(mix, branch):
+        for share, chosen in _branch_parts(prior, branch):
             qs = q_plain
             if chosen is not None:
                 qs = q_plain.copy()
@@ -258,7 +340,11 @@ class TestThresholdProbs:
         taus = np.linspace(0.0, 2.0, 101).tolist() + [1.0 / n, (n - 1.0) / n, n + 1e-6, n * n + 1e-6]
         for prior in priors:
             for tau in taus:
-                assert threshold_probs(prior, tau) == threshold_probs_per_bidder(prior, tau), (prior, tau)
+                got = threshold_probs(prior, tau)
+                assert got == threshold_probs_per_bidder(prior, tau), (prior, tau)
+                if isinstance(prior, ProductPrior):
+                    # the one-branch mixture reads as its marginals' q vector
+                    assert got == q1q2_from_qvec([m.quantile_q(tau) for m in prior.marginals]), tau
 
     def test_product_uniforms(self):
         assert threshold_probs(ProductPrior([Uniform(0, 1)] * 2), 0.5) == pytest.approx(
@@ -374,7 +460,7 @@ class TestSampling:
         slot = RandomIndexSlot((0, 1, 2), (chosen,) * 3, (unchosen,) * 3)
         p = MixturePrior(
             [Uniform(0.0, 1.0)] * 3,
-            [Branch(0.5, (FullMarginal(Uniform(0.0, 1.0)),) * 3), Branch(0.5, (None,) * 3, slot)],
+            [Branch(0.5, (Conditioned(Uniform(0.0, 1.0)),) * 3), Branch(0.5, (None,) * 3, slot)],
         )
         V = sample(p, 11, size=1000)
         in_slot = np.all(np.isin(V, [0.2, 0.9]), axis=1)
@@ -416,13 +502,13 @@ def heterogeneous_slot_mixture():
     m0 = EqualRevenue(0.5, 1.0)
     m1 = Uniform(0.0, 2.0)
     m2 = DiscretePMF([0.5, 1.5], [0.4, 0.6])
-    b1 = Branch(0.3, (FixedValue(1.0), ConditionalBelow(m1, 1.0), FullMarginal(m2)))
+    b1 = Branch(0.3, (FixedValue(1.0), Conditioned(m1, hi=1.0), Conditioned(m2)))
     slot = RandomIndexSlot(
         (0, 1),
         (FixedValue(1.0), FixedValue(2.0)),
-        (ConditionalBelow(m0, 1.0), ConditionalBelow(m1, 2.0)),
+        (Conditioned(m0, hi=1.0), Conditioned(m1, hi=2.0)),
     )
-    b2 = Branch(0.7, (None, None, FullMarginal(m2)), slot=slot)
+    b2 = Branch(0.7, (None, None, Conditioned(m2)), slot=slot)
     return MixturePrior((m0, m1, m2), (b1, b2))
 
 
