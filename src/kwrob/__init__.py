@@ -32,7 +32,6 @@ from .priors import (
     KwiseReport,
     MixturePrior,
     ProductPrior,
-    RandomIndexSlot,
     TablePrior,
     discretize,
     myerson_counterexample,

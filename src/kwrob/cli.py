@@ -40,7 +40,6 @@ from .mechanisms import AnonymousReserve, Myerson
 from .priors import (
     ProductPrior,
     myerson_counterexample,
-    q1q2_from_qvec,
     threshold_probs,
     uniform_q2_counterexample,
     verify_kwise,
@@ -254,13 +253,8 @@ def _write_threshold_curve(args, spec, prior, marginals):
         taus = np.linspace(
             float(spec["lo"]), float(spec["hi"]), int(spec.get("count", 101))
         ).tolist()
-    distinct = {}
-    of = [distinct.setdefault(m, len(distinct)) for m in marginals]
-    rows = []
-    for tau in taus:
-        q1, q2 = threshold_probs(prior, tau)
-        q1i, q2i = q1q2_from_qvec(np.array([m.quantile_q(tau) for m in distinct])[of])
-        rows.append((tau, q1, q2, q1i, q2i))
+    independent = ProductPrior(marginals)
+    rows = [(tau, *threshold_probs(prior, tau), *threshold_probs(independent, tau)) for tau in taus]
     write_csv(_outdir(args) / "threshold_curve.csv", ["tau", "q1", "q2", "q1_ind", "q2_ind"], rows)
 
 

@@ -102,6 +102,8 @@ def build_polytope(marginal_tables, k: int) -> KwisePolytope:
     for i, (vals, ms) in enumerate(marginal_tables):
         vals = [float(v) for v in vals]
         ms = [float(m) for m in ms]
+        if not all(map(math.isfinite, vals + ms)):
+            raise DomainError(f"bidder {i} values and masses must be finite")
         if abs(sum(ms) - 1.0) > 1e-9:
             raise DomainError(f"bidder {i} masses sum to {sum(ms)}")
         keep = [(v, m) for v, m in zip(vals, ms) if m > 0]

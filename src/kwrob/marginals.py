@@ -15,6 +15,7 @@ i.e. q(tau) = Pr[v >= tau], so the CDF is F(tau) = 1 - q(tau) + atom(tau).
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -234,6 +235,8 @@ class DiscretePMF(Marginal):
         ms = tuple(float(m) for m in masses)
         if len(pts) != len(ms) or not pts:
             raise DomainError("points and masses must be equal-length and non-empty")
+        if not all(map(math.isfinite, pts + ms)):
+            raise DomainError("points and masses must be finite")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise DomainError("points must be strictly ascending")
         if pts[0] < 0:

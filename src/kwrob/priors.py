@@ -3,14 +3,16 @@
 Two representations:
 
 * MixturePrior      - a finite mixture of branches; within a branch the
-                      per-bidder components are independent.  A branch may
-                      carry a RandomIndexSlot ("pick one bidder uniformly at
-                      random, give it the chosen component, everyone else in
-                      the slot the unchosen one"), which is how the
-                      adversarial pairwise-independent constructions are
-                      encoded without expanding n sub-branches.
-                      ProductPrior, mutually independent marginals, is the
-                      one-branch mixture of unconditioned marginals.
+                      per-bidder components are independent.  A branch lists
+                      one component per bidder and may add a random-index
+                      slot: a per-bidder `chosen` tuple whose non-None
+                      entries are the members.  One member, drawn uniformly,
+                      takes its chosen component; the others keep their
+                      listed (unchosen) one.  That is how the adversarial
+                      pairwise-independent constructions are encoded without
+                      expanding n sub-branches.  ProductPrior, mutually
+                      independent marginals, is the one-branch mixture of
+                      unconditioned marginals.
 * TablePrior        - explicit finite-support joint pmf.
 
 A branch component is one of two kinds: FixedValue, a point mass, or
@@ -145,47 +147,31 @@ class FixedValue:
 
 
 @dataclass(frozen=True)
-class RandomIndexSlot:
-    """One index in `indices` is drawn uniformly; it receives chosen[j],
-    every other slot member receives unchosen[j]."""
+class Branch:
+    """Per bidder i, components[i] is its plain component, or its unchosen
+    one when i is a slot member.  A slot ("pick one member uniformly at
+    random, give it its chosen component") is given by `chosen`, a
+    per-bidder tuple whose non-None entries mark the members and hold their
+    chosen components."""
 
-    indices: tuple
-    chosen: tuple  # component per slot position
-    unchosen: tuple
+    weight: float
+    components: tuple
+    chosen: tuple | None = None
 
     def __post_init__(self):
-        if not (len(self.indices) == len(self.chosen) == len(self.unchosen)):
-            raise DomainError("slot arrays must be aligned")
+        if any(comp is None for comp in self.components):
+            raise DomainError("every bidder needs a component")
+        if self.chosen is not None and len(self.chosen) != len(self.components):
+            raise DomainError("chosen needs one entry per bidder")
 
     @cached_property
-    def _positions(self):
-        return {b: j for j, b in enumerate(self.indices)}
-
-    def position(self, bidder):
-        """Slot position of `bidder`, or None when it is not a member."""
-        return self._positions.get(bidder)
-
-
-@dataclass(frozen=True)
-class Branch:
-    weight: float
-    components: tuple  # per bidder; None for slot members
-    slot: RandomIndexSlot | None = None
-
-    def __post_init__(self):
-        slot_set = set(self.slot.indices) if self.slot else set()
-        for i, comp in enumerate(self.components):
-            if (comp is None) != (i in slot_set):
-                raise DomainError(
-                    f"bidder {i}: component must be None exactly when in the slot"
-                )
+    def members(self):
+        """The slot members, ascending; empty without a slot."""
+        return tuple(i for i, c in enumerate(self.chosen or ()) if c is not None)
 
     def component_pair(self, i):
         """(plain_or_unchosen, chosen_or_None) component for bidder i."""
-        j = self.slot.position(i) if self.slot else None
-        if j is not None:
-            return self.slot.unchosen[j], self.slot.chosen[j]
-        return self.components[i], None
+        return self.components[i], None if self.chosen is None else self.chosen[i]
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +186,14 @@ class MixturePrior:
     def __init__(self, marginals, branches):
         marginals = tuple(marginals)
         branches = tuple(branches)
+        if not all(0.0 <= b.weight < math.inf for b in branches):
+            raise DomainError("branch weights must be finite and nonnegative")
         total = sum(b.weight for b in branches)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"branch weights sum to {total}, not 1")
-        if any(b.weight < 0 for b in branches):
-            raise DomainError("branch weights must be nonnegative")
         for b in branches:
             if len(b.components) != len(marginals):
-                raise DomainError("each branch needs one component slot per bidder")
+                raise DomainError("each branch needs one component per bidder")
         object.__setattr__(self, "marginals", marginals)
         object.__setattr__(self, "branches", branches)
 
@@ -261,6 +247,8 @@ class TablePrior:
             pmf = pmf.reshape(shape)
         if pmf.size > CELL_CAP:
             raise DomainError(f"table has {pmf.size} cells, cap is {CELL_CAP}")
+        if not (np.isfinite(pmf).all() and all(map(math.isfinite, itertools.chain(*self.supports)))):
+            raise DomainError("supports and pmf must be finite")
         if np.any(pmf < -1e-15):
             raise DomainError("pmf must be nonnegative")
         if abs(float(pmf.sum()) - 1.0) > 1e-12:
@@ -307,19 +295,18 @@ def _branch_parts(mix: MixturePrior, branch: Branch, bidders=None):
     bidders, and the parts of one exchangeability class's members merge;
     when it reads only `bidders`, the parts of the slot members outside
     them merge into one part with no chosen member."""
-    slot = branch.slot
-    if slot is None:
+    if not branch.members:
         yield 1.0, None
         return
     groups = {}
-    for m in slot.indices:
+    for m in branch.members:
         if bidders is None:
             key = mix._class_of[m]
         else:
             key = m if m in bidders else None
         groups.setdefault(key, []).append(m)
-    for key, members in groups.items():
-        yield len(members) / len(slot.indices), None if key is None else members[0]
+    for key, group in groups.items():
+        yield len(group) / len(branch.members), None if key is None else group[0]
 
 
 def _cell_masses(mix: MixturePrior, cells):
@@ -394,15 +381,10 @@ def myerson_counterexample(n: int, eps: float) -> MixturePrior:
         1.0 / n - 1.0 / n**2,
         tuple([below_one] * n + [FixedValue(top)]),
     )
-    slot = RandomIndexSlot(
-        indices=tuple(range(n)),
-        chosen=tuple([FixedValue(1.0)] * n),
-        unchosen=tuple([below_one] * n),
-    )
     b3 = Branch(
         1.0 - 1.0 / n,
-        tuple([None] * n + [Conditioned(big, hi=top)]),
-        slot=slot,
+        tuple([below_one] * n + [Conditioned(big, hi=top)]),
+        chosen=tuple([FixedValue(1.0)] * n + [None]),
     )
     return MixturePrior(marginals, (b1, b2, b3))
 
@@ -420,12 +402,7 @@ def uniform_q2_counterexample(n: int) -> MixturePrior:
     low = Conditioned(uni, hi=cut)
 
     b1 = Branch(1.0 / n**2, tuple([high] * (n + 1)))
-    slot = RandomIndexSlot(
-        indices=tuple(range(n + 1)),
-        chosen=tuple([high] * (n + 1)),
-        unchosen=tuple([low] * (n + 1)),
-    )
-    b2 = Branch(1.0 - 1.0 / n**2, tuple([None] * (n + 1)), slot=slot)
+    b2 = Branch(1.0 - 1.0 / n**2, tuple([low] * (n + 1)), chosen=tuple([high] * (n + 1)))
     return MixturePrior(marginals, (b1, b2))
 
 
@@ -462,14 +439,14 @@ def sample(prior: JointPrior, seed, size=None) -> np.ndarray:
         for branch, rows in zip(prior.branches, branch_rows):
             if rows.size == 0:
                 continue
-            slot = branch.slot
-            if slot is not None:
-                pick = rng.integers(0, len(slot.indices), size=rows.size)
+            members = branch.members
+            if members:
+                picked = np.array(members)[rng.integers(0, len(members), size=rows.size)]
             for i in range(prior.n_bidders):
                 plain, chosen = branch.component_pair(i)
                 out[i, rows] = plain.sample(rng, rows.size)
                 if chosen is not None:
-                    mine = rows[pick == slot.position(i)]
+                    mine = rows[picked == i]
                     if mine.size:
                         out[i, mine] = chosen.sample(rng, mine.size)
     return out[:, 0] if size is None else out.T
@@ -605,27 +582,21 @@ def q1q2_from_qvec(qs) -> tuple:
 def threshold_probs(prior: JointPrior, tau: float) -> tuple:
     """Exact (Q1, Q2) = Pr[>=1 value >= tau], Pr[>=2 values >= tau]."""
     if isinstance(prior, TablePrior):
-        counts = np.zeros(prior.pmf.shape, dtype=int)
-        for j, s in enumerate(prior.supports):
-            above = (np.asarray(s) >= tau).astype(int)
-            shape = [1] * prior.n_bidders
-            shape[j] = len(s)
-            counts = counts + above.reshape(shape)
-        q1 = float(prior.pmf[counts >= 1].sum())
-        q2 = float(prior.pmf[counts >= 2].sum())
-        return q1, q2
+        counts = (cell_values(prior.supports) >= tau).sum(axis=1)
+        flat = prior.pmf.ravel()
+        return float(flat[counts >= 1].sum()), float(flat[counts >= 2].sum())
     # one quantile_q per exchangeability class, gathered in bidder order:
     # a class's members share their components in every branch
     classes = np.asarray(prior._class_of)
     reps = np.unique(classes, return_index=True)[1]
     q1 = q2 = 0.0
     for branch in prior.branches:
-        q_plain = np.array([branch.component_pair(r)[0].quantile_q(tau) for r in reps])[classes]
+        q_plain = np.array([branch.components[r].quantile_q(tau) for r in reps])[classes]
         for share, chosen in _branch_parts(prior, branch):
             qs = q_plain
             if chosen is not None:
                 qs = q_plain.copy()
-                qs[chosen] = branch.component_pair(chosen)[1].quantile_q(tau)
+                qs[chosen] = branch.chosen[chosen].quantile_q(tau)
             t1, t2 = q1q2_from_qvec(qs)
             q1 += branch.weight * share * t1
             q2 += branch.weight * share * t2

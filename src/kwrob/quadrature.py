@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+MAX_DEPTH = 48  # bisections a panel may take before it counts as not converging
+
 
 class QuadratureError(RuntimeError):
     def __init__(self, message, achieved_tol=None):
@@ -26,6 +28,8 @@ def _adaptive(f, a, fa, b, fb, whole, m, fm, tol, depth, span):
     lm, flm, left = _simpson(f, a, fa, m, fm)
     rm, frm, right = _simpson(f, m, fm, b, fb)
     delta = left + right - whole
+    if not math.isfinite(delta):
+        raise QuadratureError(f"integrand is not finite on [{a}, {b}]")
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     if depth <= 0 or b - a <= 1e-12 * span:
@@ -41,7 +45,7 @@ def _adaptive(f, a, fa, b, fb, whole, m, fm, tol, depth, span):
     )
 
 
-def integrate(f, a: float, b: float, abs_tol: float = 1e-9, breakpoints=(), max_depth: int = 48) -> float:
+def integrate(f, a: float, b: float, abs_tol: float = 1e-9, breakpoints=()) -> float:
     """Integral of f over [a, b] to absolute tolerance abs_tol, with the
     given interior breakpoints forced as panel boundaries."""
     if b <= a:
@@ -54,7 +58,7 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-9, breakpoints=(), max_
         flo, fhi = f(lo), f(hi)
         m, fm, whole = _simpson(f, lo, flo, hi, fhi)
         total += _adaptive(
-            f, lo, flo, hi, fhi, whole, m, fm, max(tol, 1e-16), max_depth, b - a
+            f, lo, flo, hi, fhi, whole, m, fm, max(tol, 1e-16), MAX_DEPTH, b - a
         )
     return total
 
@@ -63,7 +67,7 @@ def integrate_to_infinity(f, a: float, abs_tol: float = 1e-9, breakpoints=()) ->
     """Integral of f over [a, inf) via the substitution x = a - 1 + 1/u,
     valid when f decays at least quadratically (true for all tail bounds
     used here)."""
-    if a <= 0 and not math.isfinite(a):
+    if not math.isfinite(a):
         raise QuadratureError("lower limit must be finite")
     shift = a - 1.0
 

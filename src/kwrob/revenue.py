@@ -4,16 +4,15 @@ Exact paths:
 
 * tables        - one cell-value matrix of the support cells with mass,
                   priced by one mechanism_payments call.
-* products      - per-bidder independent distributions; AR revenue via the
-                  identity AR(r) = r Q1(r) + integral of Q2 above r, the
-                  optimal mechanism as a one-branch mixture.
-* mixtures      - branch-wise: within a branch part the components are
-                  independent.  The optimal mechanism takes one sweep per
-                  branch over the global "competing key" grid
-                  (_myerson_branch_revenue), which folds a random-index
-                  slot's members in as a mixture of leave-one-out key
-                  CDFs, under either tie rule, with cell masses from
-                  priors._cell_masses.
+* mixtures      - branch-wise, a product prior being the one-branch
+                  mixture: within a branch part the components are
+                  independent.  AR revenue comes from the identity
+                  AR(r) = r Q1(r) + integral of Q2 above r.  The optimal
+                  mechanism takes one sweep per branch over the global
+                  "competing key" grid (_myerson_branch_revenue), which
+                  folds a random-index slot's members in as a mixture of
+                  leave-one-out key CDFs, under either tie rule, with cell
+                  masses from priors._cell_masses.
 
 Every Myerson payment comes from the one threshold formula,
 mechanisms.threshold_payment: tables and Monte Carlo blocks reach it through

@@ -18,7 +18,6 @@ from kwrob.priors import (
     Conditioned,
     FixedValue,
     MixturePrior,
-    RandomIndexSlot,
 )
 
 
@@ -259,13 +258,13 @@ def sample_reference(prior, seed, size):
         rows = np.nonzero(branch_idx == bi)[0]
         if rows.size == 0:
             continue
-        if branch.slot:
-            pick = rng.integers(0, len(branch.slot.indices), size=rows.size)
+        if branch.members:
+            picked = np.array(branch.members)[rng.integers(0, len(branch.members), size=rows.size)]
         for i in range(n):
             plain, chosen = branch.component_pair(i)
             vals = plain.sample(rng, rows.size)
             if chosen is not None:
-                mine = pick == branch.slot.position(i)
+                mine = picked == i
                 if np.any(mine):
                     vals = np.where(mine, chosen.sample(rng, rows.size), vals)
             out[rows, i] = vals
@@ -424,13 +423,11 @@ def slot_mixtures(draw):
         else:
             m = marginal()
             classes.append((m, component(m), component(m), component(m)))
-    members = tuple(i for i in range(n) if of[i] < 2)
-    chosen = tuple(classes[of[i]][2] for i in members)
-    unchosen = tuple(classes[of[i]][3] for i in members)
     w = draw(st.integers(1, 9)) / 10
     plain = Branch(w, tuple(classes[c][1] for c in of))
-    off_slot = tuple(None if i in members else classes[of[i]][1] for i in range(n))
-    slotted = Branch(1.0 - w, off_slot, RandomIndexSlot(members, chosen, unchosen))
+    listed = tuple(classes[c][3] if c < 2 else classes[c][1] for c in of)
+    chosen = tuple(classes[c][2] if c < 2 else None for c in of)
+    slotted = Branch(1.0 - w, listed, chosen)
     return MixturePrior([classes[c][0] for c in of], [plain, slotted])
 
 

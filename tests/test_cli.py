@@ -218,6 +218,40 @@ class TestLpCommand:
         assert sol["objective"] >= 1 / 3 - 1e-9
 
 
+class TestNonFiniteInputs:
+    def test_nan_configs_exit_with_an_error_line(self, tmp_path):
+        # json.load accepts NaN; each of these used to exit 0 with a NaN or
+        # wrong result, raise IndexError, or hang (the AR integral)
+        nan = float("nan")
+
+        def revenue(marginals, prior, mechanism):
+            return {"marginals": marginals, "prior": prior, "mechanism": mechanism, "mode": "exact"}
+
+        table = {"type": "table", "supports": [[0, 1], [0, 1]], "pmf": [nan, 0.5, 0.25, 0.25]}
+        configs = {
+            "table.json": revenue([], table, {"type": "ar", "r": 0.5}),
+            "myerson.json": revenue(
+                [{"type": "discrete", "points": [0, 1], "masses": [nan, 0.5]}], {"type": "product"}, {"type": "myerson"}
+            ),
+            "ar.json": revenue(
+                [{"type": "discrete", "points": [1, 2], "masses": [nan, 0.5]}], {"type": "product"}, {"type": "ar", "r": 0.0}
+            ),
+            "lp.json": {"marginals": [{"type": "discrete", "points": [1, 2, 3], "masses": [nan, 0.5, 0.5]}] * 3},
+        }
+        for name, cfg in configs.items():
+            (tmp_path / name).write_text(json.dumps(cfg))
+        out = str(tmp_path / "out")
+        argvs = [["revenue", "--config", str(tmp_path / name), "--out", out] for name in ("table.json", "myerson.json", "ar.json")]
+        argvs.append(["lp", "worst-case", "--instance", str(tmp_path / "lp.json"), "--out", out])
+        # in a child process, so a hang fails the test instead of the suite
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        for argv in argvs:
+            res = subprocess.run([sys.executable, "-m", "kwrob", *argv], env=env, capture_output=True, text=True, timeout=30)
+            assert res.returncode == 1, (argv, res.stderr)
+            assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, (argv, res.stderr)
+
+
 class TestDeterminism:
     def test_reproduce_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -73,6 +73,12 @@ class TestBuildPolytope:
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
         assert sol.table.supports[1] == (3.0,)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_masses(self, bad):
+        # a NaN mass fails no sum or sign test and would be dropped as if 0
+        with pytest.raises(DomainError, match="bidder 1 values and masses must be finite"):
+            build_polytope([BINARY, ([1.0, 2.0, 3.0], [bad, 0.5, 0.5])], 2)
+
     def test_cell_cap(self):
         big = (list(range(100)), [0.01] * 100)
         with pytest.raises(DomainError):

@@ -322,6 +322,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             DiscretePMF([2, 1], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_points_and_masses_finite(self, bad):
+        # every comparison with NaN is False, so the order, sign and sum
+        # checks alone let it through
+        with pytest.raises(DomainError, match="finite"):
+            DiscretePMF([1, 2], [bad, 0.5])
+        with pytest.raises(DomainError, match="finite"):
+            DiscretePMF([1, bad], [0.5, 0.5])
+
     def test_er_invariant_constant_revenue(self):
         m = EqualRevenue(0.3, 7.0)
         for s in np.linspace(0.3, 7.0, 50):

@@ -19,9 +19,11 @@ from conftest import (
     table_q1q2_enumerate,
 )
 from kwrob import (
+    AnonymousReserve,
     DiscretePMF,
     DomainError,
     EqualRevenue,
+    Myerson,
     ProductPrior,
     ShiftedEqualRevenue,
     TablePrior,
@@ -32,6 +34,7 @@ from kwrob import (
     myerson_counterexample,
     natural_grids,
     q1q2_from_qvec,
+    revenue_exact,
     sample,
     threshold_probs,
     uniform_q2_counterexample,
@@ -43,7 +46,6 @@ from kwrob.priors import (
     Conditioned,
     FixedValue,
     MixturePrior,
-    RandomIndexSlot,
     _MAX_RECORDED,
     _branch_parts,
     _joint,
@@ -88,6 +90,60 @@ class TestProductPrior:
         assert p.branches == (Branch(1.0, (Conditioned(ms[0]), Conditioned(ms[1]))),)
         with pytest.raises(DomainError, match="at least one marginal"):
             ProductPrior([])
+
+
+class TestBranch:
+    MARGINALS = (EqualRevenue(0.5, 1.0), Uniform(0.0, 2.0), DiscretePMF([0.5, 1.5], [0.4, 0.6]))
+
+    def two_branch_prior(self, chosen):
+        m0, m1, m2 = self.MARGINALS
+        b1 = Branch(0.3, (FixedValue(1.0), Conditioned(m1, hi=1.0), Conditioned(m2)))
+        b2 = Branch(0.7, (Conditioned(m0, hi=0.75), Conditioned(m1, lo=1.0), Conditioned(m2)), chosen)
+        return MixturePrior(self.MARGINALS, (b1, b2))
+
+    def test_all_none_chosen_is_no_slot(self):
+        # a chosen tuple without a member is a branch without a slot, bit
+        # for bit and draw for draw
+        plain, empty = self.two_branch_prior(None), self.two_branch_prior((None,) * 3)
+        assert empty.branches[1].members == ()
+        assert np.array_equal(sample(plain, 5, size=2000), sample(empty, 5, size=2000))
+        for tau in sorted({x for g in natural_grids(plain) for x in g} | {0.6, 1.2}):
+            assert threshold_probs(plain, tau) == threshold_probs(empty, tau)
+        for k in (1, 2, 3):
+            a, b = verify_kwise(plain, k), verify_kwise(empty, k)
+            assert (a.passed, a.max_deviation, a.n_checked) == (b.passed, b.max_deviation, b.n_checked)
+        for mech in (Myerson(self.MARGINALS), Myerson(self.MARGINALS, "lex"), AnonymousReserve(0.7)):
+            assert revenue_exact(plain, mech) == revenue_exact(empty, mech)
+
+    def test_members_ascending(self):
+        x = FixedValue(1.0)
+        assert Branch(1.0, (x,) * 4, (None, x, None, x)).members == (1, 3)
+        assert Branch(1.0, (x,) * 4).members == ()
+
+    def test_chosen_needs_one_entry_per_bidder(self):
+        x = FixedValue(1.0)
+        with pytest.raises(DomainError, match="chosen needs one entry per bidder"):
+            Branch(1.0, (x, x, x), (x, x))
+
+    def test_every_bidder_needs_a_component(self):
+        x = FixedValue(1.0)
+        with pytest.raises(DomainError, match="every bidder needs a component"):
+            Branch(1.0, (x, None, x), (x, x, x))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_mixture_weights(self, bad):
+        c = Conditioned(Uniform(0.0, 1.0))
+        with pytest.raises(DomainError, match="finite"):
+            MixturePrior([Uniform(0.0, 1.0)], [Branch(bad, (c,)), Branch(0.5, (c,))])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_table(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            TablePrior([(0.0, 1.0)], [bad, 0.5])
+        with pytest.raises(DomainError, match="finite"):
+            TablePrior([(0.0, bad)], [0.5, 0.5])
 
 
 @st.composite
@@ -457,10 +513,9 @@ class TestSampling:
 
         sizes = []
         chosen, unchosen = Counted(0.9), FixedValue(0.2)
-        slot = RandomIndexSlot((0, 1, 2), (chosen,) * 3, (unchosen,) * 3)
         p = MixturePrior(
             [Uniform(0.0, 1.0)] * 3,
-            [Branch(0.5, (Conditioned(Uniform(0.0, 1.0)),) * 3), Branch(0.5, (None,) * 3, slot)],
+            [Branch(0.5, (Conditioned(Uniform(0.0, 1.0)),) * 3), Branch(0.5, (unchosen,) * 3, (chosen,) * 3)],
         )
         V = sample(p, 11, size=1000)
         in_slot = np.all(np.isin(V, [0.2, 0.9]), axis=1)
@@ -503,12 +558,11 @@ def heterogeneous_slot_mixture():
     m1 = Uniform(0.0, 2.0)
     m2 = DiscretePMF([0.5, 1.5], [0.4, 0.6])
     b1 = Branch(0.3, (FixedValue(1.0), Conditioned(m1, hi=1.0), Conditioned(m2)))
-    slot = RandomIndexSlot(
-        (0, 1),
-        (FixedValue(1.0), FixedValue(2.0)),
-        (Conditioned(m0, hi=1.0), Conditioned(m1, hi=2.0)),
+    b2 = Branch(
+        0.7,
+        (Conditioned(m0, hi=1.0), Conditioned(m1, hi=2.0), Conditioned(m2)),
+        chosen=(FixedValue(1.0), FixedValue(2.0), None),
     )
-    b2 = Branch(0.7, (None, None, Conditioned(m2)), slot=slot)
     return MixturePrior((m0, m1, m2), (b1, b2))
 
 

@@ -15,7 +15,6 @@ from kwrob import (
     MixturePrior,
     Myerson,
     ProductPrior,
-    RandomIndexSlot,
     TablePrior,
     Uniform,
     ar_revenue_integral,
@@ -63,8 +62,7 @@ class TestExactTable:
         # under lex the chosen member's threshold depends on its index, so
         # identical slot members cannot share one member's price
         m = DiscretePMF([1, 2, 3], [0.2, 0.3, 0.5])
-        slot = RandomIndexSlot((0, 1), (FixedValue(3),) * 2, (FixedValue(2),) * 2)
-        prior = MixturePrior([m, m], [Branch(1.0, (None, None), slot)])
+        prior = MixturePrior([m, m], [Branch(1.0, (FixedValue(2),) * 2, (FixedValue(3),) * 2)])
         mech = Myerson([m, m], "lex")
         via_table = revenue_exact_table(discretize(prior), mech).mean
         assert via_table == pytest.approx(2.5, abs=1e-12)
