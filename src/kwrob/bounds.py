@@ -93,8 +93,8 @@ def check_q1_ratio(q1_pairwise: float, q1_independent: float) -> BoundReport:
 
 def q1_count_bound(s: float) -> float:
     """Pr[at least one event] >= s/(s+1) under pairwise independence."""
-    if s < 0:
-        raise DomainError("s must be >= 0")
+    if not 0.0 <= s < math.inf:
+        raise DomainError("s must be finite and >= 0")
     return s / (s + 1.0)
 
 

@@ -193,5 +193,7 @@ def minimize_revenue(poly: KwisePolytope, mech: Mechanism) -> WorstCaseSolution:
 def minimize_event_prob(poly: KwisePolytope, tau: float, count_at_least: int) -> WorstCaseSolution:
     if count_at_least not in (1, 2):
         raise DomainError("count_at_least must be 1 or 2")
+    if math.isnan(tau):
+        raise DomainError("tau must not be NaN")
     V = cell_values(poly.full_supports)
     return _solve(poly, ((V >= tau).sum(axis=1) >= count_at_least).astype(float))

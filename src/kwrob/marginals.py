@@ -10,6 +10,10 @@ the ironed revenue-quantile polyline (its upper concave hull).
 
 Quantile convention: q is left-continuous and includes the atom at tau,
 i.e. q(tau) = Pr[v >= tau], so the CDF is F(tau) = 1 - q(tau) + atom(tau).
+
+Value rule: a value is an atom or a support point only when it equals it
+as a float, with no window around it.  So q, atom_mass and the CDF agree
+at every x, and one ulp off an atom is not the atom.
 """
 
 from __future__ import annotations
@@ -27,10 +31,6 @@ REGULARITY_TOL = 1e-9
 
 class DomainError(ValueError):
     """Argument outside the domain the operation is defined on."""
-
-
-def _is_close(a, b, tol=1e-12):
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 def _probabilities(p):
@@ -80,15 +80,13 @@ class EqualRevenue(Marginal):
         return np.divide(self.lo, p, out=np.full(p.shape, float(self.hi)), where=p > self.lo / self.hi)
 
     def atom_mass(self, x: float) -> float:
-        if _is_close(x, self.hi):
-            return self.lo / self.hi
-        return 0.0
+        return self.lo / self.hi if x == self.hi else 0.0
 
     def atoms(self):
         return [self.hi]
 
     def virtual_value(self, v):
-        return np.where(v >= self.hi - 1e-12 * max(1.0, self.hi), self.hi, 0.0)
+        return np.where(v >= self.hi, self.hi, 0.0)
 
     def phi_geq_inv(self, y):
         """Smallest support value v with virtual value >= y, elementwise;
@@ -145,14 +143,15 @@ class ShiftedEqualRevenue(Marginal):
         return self._base.q_inverse(p) + self.shift
 
     def atom_mass(self, x):
-        return self._base.atom_mass(x - self.shift)
+        # in the shifted frame: (hi + shift) - shift need not be hi
+        return self.lo / self.hi if x == self.hi + self.shift else 0.0
 
     def atoms(self):
         return [self.hi + self.shift]
 
     def virtual_value(self, v):
         top = self.hi + self.shift
-        return np.where(v >= top - 1e-12 * max(1.0, top), top, self.shift)
+        return np.where(v >= top, top, self.shift)
 
     def phi_geq_inv(self, y):
         y = np.asarray(y, dtype=float)
@@ -258,7 +257,7 @@ class DiscretePMF(Marginal):
         return np.cumsum(self.masses[::-1])[::-1]
 
     def quantile_q(self, tau):
-        k = bisect.bisect_left(self.points, tau - 1e-15 * max(1.0, abs(tau)))
+        k = bisect.bisect_left(self.points, tau)
         if k >= len(self.points):
             return 0.0
         return float(self._tail[k])
@@ -278,22 +277,19 @@ class DiscretePMF(Marginal):
         return int(pos[0]), int(pos[-1])
 
     def atom_mass(self, x):
-        for p, m in zip(self.points, self.masses):
-            if _is_close(p, x):
-                return m
-        return 0.0
+        k = bisect.bisect_left(self.points, x)
+        return self.masses[k] if k < len(self.points) and self.points[k] == x else 0.0
 
     def atoms(self):
         return [p for p, m in zip(self.points, self.masses) if m > 0]
 
     def virtual_value(self, v):
         """Ironed virtual values, elementwise; every value must be one of
-        the support points (to relative 1e-12)."""
+        the support points."""
         v = np.asarray(v, dtype=float)
         pts = np.asarray(self.points)
-        tol = 1e-12 * np.maximum(1.0, np.abs(v))
-        idx = np.minimum(np.searchsorted(pts, v - tol), len(pts) - 1)
-        off = np.abs(pts[idx] - v) > tol
+        idx = np.minimum(np.searchsorted(pts, v), len(pts) - 1)
+        off = pts[idx] != v
         if off.any():
             raise DomainError(f"value {v[off][0]} not in support {self.points}")
         return np.asarray(self.ironed.phi)[idx]

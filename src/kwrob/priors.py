@@ -69,12 +69,6 @@ KWISE_TOL = 1e-10
 # Branch components
 
 
-def _tol(c):
-    """Half-width of the window within which a value counts as the cutoff
-    or fixed value c."""
-    return 1e-15 * max(1.0, abs(c))
-
-
 @dataclass(frozen=True)
 class Conditioned:
     """Marginal conditioned on lo <= v < hi: the atom at lo included, the
@@ -106,9 +100,7 @@ class Conditioned:
         return (self.marginal.quantile_q(tau) - self._q_hi) / (self._q_lo - self._q_hi)
 
     def atom_mass(self, x):
-        if self.lo is not None and x < self.lo - _tol(self.lo):
-            return 0.0
-        if self.hi is not None and x >= self.hi - _tol(self.hi):
+        if (self.lo is not None and x < self.lo) or (self.hi is not None and x >= self.hi):
             return 0.0
         return self.marginal.atom_mass(x) / (self._q_lo - self._q_hi)
 
@@ -133,7 +125,7 @@ class FixedValue:
         return 1.0 if tau <= self.value else 0.0
 
     def atom_mass(self, x):
-        return 1.0 if abs(x - self.value) <= _tol(self.value) else 0.0
+        return 1.0 if x == self.value else 0.0
 
     @property
     def support(self):
@@ -253,7 +245,9 @@ class TablePrior:
             raise DomainError("pmf must be nonnegative")
         if abs(float(pmf.sum()) - 1.0) > 1e-12:
             raise DomainError(f"pmf sums to {pmf.sum()}, not 1")
-        self.pmf = pmf
+        # entries down to -1e-15 pass as rounding error; stored as 0, so
+        # sampling and every sum see a true pmf
+        self.pmf = np.maximum(pmf, 0.0)
         for s in self.supports:
             if any(b <= a for a, b in zip(s, s[1:])):
                 raise DomainError("supports must be strictly ascending")
@@ -506,14 +500,14 @@ def _check_grid(prior_mix: MixturePrior, grids):
         checked.add(key)
         g = set(grids[i])
         lo, hi = mg.support
-        if min(grids[i]) > lo + 1e-12 or max(grids[i]) < hi - 1e-12:
+        if min(g) > lo or max(g) < hi:
             raise DomainError(f"grid for bidder {i} does not cover the support")
         for a in mg.atoms():
-            if not any(abs(a - x) <= 1e-12 * max(1.0, abs(a)) for x in g):
+            if a not in g:
                 raise DomainError(f"grid for bidder {i} misses atom at {a}")
         for comp in _bidder_components(prior_mix, i):
             for c in comp.cutoffs():
-                if not any(abs(c - x) <= 1e-12 * max(1.0, abs(c)) for x in g):
+                if c not in g:
                     raise DomainError(f"grid for bidder {i} misses cutoff {c}")
 
 
@@ -581,6 +575,8 @@ def q1q2_from_qvec(qs) -> tuple:
 
 def threshold_probs(prior: JointPrior, tau: float) -> tuple:
     """Exact (Q1, Q2) = Pr[>=1 value >= tau], Pr[>=2 values >= tau]."""
+    if math.isnan(tau):
+        raise DomainError("tau must not be NaN")
     if isinstance(prior, TablePrior):
         counts = (cell_values(prior.supports) >= tau).sum(axis=1)
         flat = prior.pmf.ravel()

@@ -5,6 +5,7 @@ integration) and never call the code paths they are used to check.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class ConditionalBelow:
         return (self.marginal.quantile_q(tau) - qc) / (1.0 - qc)
 
     def atom_mass(self, x):
-        if x >= self.cutoff - 1e-15 * max(1.0, abs(self.cutoff)):
+        if x >= self.cutoff:
             return 0.0
         return self.marginal.atom_mass(x) / (1.0 - self._qc)
 
@@ -97,7 +98,7 @@ class ConditionalAtLeast:
         return self.marginal.quantile_q(tau) / self._qc
 
     def atom_mass(self, x):
-        if x < self.cutoff - 1e-15 * max(1.0, abs(self.cutoff)):
+        if x < self.cutoff:
             return 0.0
         return self.marginal.atom_mass(x) / self._qc
 
@@ -129,6 +130,18 @@ def q1q2_enumerate(qs):
         if c >= 2:
             q2 += p
     return q1, q2
+
+
+def cdf_identity_gaps(comp, marks):
+    """Per x at each mark and one ulp either side: the gap between the CDF
+    read as 1 - q(x) + atom(x) and read as 1 - q(x+), with x+ the next float
+    above x.  Zero up to rounding when q and atom_mass agree on what counts
+    as an atom."""
+    xs = [y for x in marks for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+    return {
+        x: abs((1.0 - comp.quantile_q(x) + comp.atom_mass(x)) - (1.0 - comp.quantile_q(math.nextafter(x, math.inf))))
+        for x in xs
+    }
 
 
 def table_cells(table):

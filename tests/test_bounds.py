@@ -91,6 +91,9 @@ class TestSimpleBounds:
         assert q1_count_bound(0.0) == 0.0
         # with gamma = 2 the sale probability bound is 1/(1+gamma)
         assert q1_count_bound(1 / 2) == pytest.approx(1 / 3)
+        for s in (-1e-12, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                q1_count_bound(s)
 
     def test_tail_upper_extremes(self):
         assert tail_upper(1.0) == pytest.approx(9 / 4 - 4 / E, abs=1e-12)

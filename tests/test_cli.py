@@ -221,7 +221,8 @@ class TestLpCommand:
 class TestNonFiniteInputs:
     def test_nan_configs_exit_with_an_error_line(self, tmp_path):
         # json.load accepts NaN; each of these used to exit 0 with a NaN or
-        # wrong result, raise IndexError, or hang (the AR integral)
+        # wrong result, raise IndexError, or hang (the AR integral); a NaN
+        # threshold used to exit 0 with an empty event's probability
         nan = float("nan")
 
         def revenue(marginals, prior, mechanism):
@@ -237,12 +238,18 @@ class TestNonFiniteInputs:
                 [{"type": "discrete", "points": [1, 2], "masses": [nan, 0.5]}], {"type": "product"}, {"type": "ar", "r": 0.0}
             ),
             "lp.json": {"marginals": [{"type": "discrete", "points": [1, 2, 3], "masses": [nan, 0.5, 0.5]}] * 3},
+            "lp_ok.json": {"marginals": [{"type": "discrete", "points": [1, 2, 3], "masses": [0.5, 0.3, 0.2]}] * 3},
+            "curve.json": {**revenue([], {"type": "uniform_q2", "n": 3}, {"type": "ar", "r": 0.5}), "curve": {"taus": [nan]}},
         }
         for name, cfg in configs.items():
             (tmp_path / name).write_text(json.dumps(cfg))
         out = str(tmp_path / "out")
-        argvs = [["revenue", "--config", str(tmp_path / name), "--out", out] for name in ("table.json", "myerson.json", "ar.json")]
+        argvs = [
+            ["revenue", "--config", str(tmp_path / name), "--out", out]
+            for name in ("table.json", "myerson.json", "ar.json", "curve.json")
+        ]
         argvs.append(["lp", "worst-case", "--instance", str(tmp_path / "lp.json"), "--out", out])
+        argvs.append(["lp", "min-event", "--instance", str(tmp_path / "lp_ok.json"), "--tau", "nan", "--out", out])
         # in a child process, so a hang fails the test instead of the suite
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from kwrob import (
     regular_quantile_bound,
     revenue_curve,
 )
-from conftest import phi_inv_scan, random_discrete
+from conftest import cdf_identity_gaps, phi_inv_scan, random_discrete
 from kwrob.marginals import revenue_at_quantile
 from kwrob.mechanisms import virtual_values
 
@@ -75,6 +77,15 @@ MARGINALS = [
 ]
 
 
+class TestValueRule:
+    # the extra shifted marginal has (4 + 1e-5) - 1e-5 != 4, so only a
+    # comparison in the shifted frame finds its top atom
+    @pytest.mark.parametrize("m", MARGINALS + [ShiftedEqualRevenue(2.0, 4.0, 1e-5)])
+    def test_atom_and_quantile_agree_one_ulp_around_atoms(self, m):
+        gaps = cdf_identity_gaps(m, [*m.support, *m.atoms()])
+        assert max(gaps.values()) <= 1e-12, gaps
+
+
 class TestQInverse:
     def test_uniform(self):
         assert Uniform(0, 1).q_inverse(0.25) == pytest.approx(0.75)
@@ -124,6 +135,7 @@ class TestVirtualValue:
 
     def test_equal_revenue_top(self):
         assert EqualRevenue(0.5, 1.0).virtual_value(1.0) == 1.0
+        assert EqualRevenue(0.5, 1.0).virtual_value(math.nextafter(1.0, 0.0)) == 0.0
 
     def test_uniform(self):
         assert Uniform(0, 1).virtual_value(0.8) == pytest.approx(0.6)
@@ -137,6 +149,8 @@ class TestVirtualValue:
         assert m.virtual_value(np.array([1.0, 4.0, 10.0])).tolist() == list(m.ironed.phi)
         with pytest.raises(DomainError, match="not in support"):
             m.virtual_value(np.array([4.0, 5.0]))
+        with pytest.raises(DomainError, match="not in support"):
+            m.virtual_value(np.array([math.nextafter(4.0, 5.0)]))
 
     def test_monotone_for_regular_parametrics(self):
         for m in [Uniform(0.3, 2.0), EqualRevenue(0.5, 4.0), ShiftedEqualRevenue(1.0, 9.0, 0.01)]:

@@ -11,6 +11,7 @@ from conftest import (
     ConditionalAtLeast,
     ConditionalBelow,
     FullMarginal,
+    cdf_identity_gaps,
     q1q2_enumerate,
     random_discrete,
     sample_reference,
@@ -145,6 +146,28 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError, match="finite"):
             TablePrior([(0.0, bad)], [0.5, 0.5])
 
+    def test_nan_threshold(self):
+        # every comparison with NaN is False, so V >= NaN is the empty event
+        prior = ProductPrior([DiscretePMF([1.0, 2.0], [0.5, 0.5])] * 2)
+        poly = build_polytope([([1.0, 2.0], [0.5, 0.5])] * 2, 2)
+        for call in (
+            lambda: threshold_probs(prior, math.nan),
+            lambda: threshold_probs(discretize(prior), math.nan),
+            lambda: minimize_event_prob(poly, math.nan, 1),
+        ):
+            with pytest.raises(DomainError, match="NaN"):
+                call()
+
+
+class TestTablePrior:
+    def test_rounding_negatives_are_stored_as_zero(self):
+        # entries down to -1e-15 pass the check as rounding error; rng.choice
+        # rejects any negative probability
+        t = TablePrior([(0.0, 1.0), (0.0, 1.0)], [0.5, -1e-16, 0.25, 0.25 + 1e-16])
+        assert t.pmf[0, 1] == 0.0 and t.pmf.min() >= 0.0
+        draws = sample(t, 0, 1000)
+        assert not np.any((draws[:, 0] == 0.0) & (draws[:, 1] == 1.0))
+
 
 @st.composite
 def conditioned_cases(draw):
@@ -206,6 +229,29 @@ class TestConditioned:
         assert comp.cutoffs() == ref.cutoffs()
         got = comp.sample(np.random.default_rng(seed), 257)
         assert np.array_equal(got, ref.sample(np.random.default_rng(seed), 257))
+
+    def test_atom_and_quantile_agree_one_ulp_around_cutoffs(self):
+        pmf = DiscretePMF([1.0, 2.0, 5.0], [0.2, 0.5, 0.3])
+        big = ShiftedEqualRevenue(2.0, 4.0, 1e-5)  # (4 + 1e-5) - 1e-5 != 4
+        top = 4.0 + 1e-5
+        comps = [
+            Conditioned(pmf),
+            Conditioned(pmf, lo=2.0),
+            Conditioned(pmf, hi=5.0),
+            Conditioned(pmf, lo=1.0, hi=5.0),
+            Conditioned(EqualRevenue(0.5, 1.0), hi=1.0),
+            Conditioned(big),
+            Conditioned(big, hi=top),
+            Conditioned(Uniform(0.0, 1.0), lo=0.75),
+            FixedValue(1.0),
+            FixedValue(top),
+        ]
+        for comp in comps:
+            marks = [*comp.support, *comp.cutoffs()]
+            if isinstance(comp, Conditioned):
+                marks += comp.marginal.atoms()
+            gaps = cdf_identity_gaps(comp, marks)
+            assert max(gaps.values()) <= 1e-12, (comp, gaps)
 
     def test_two_sided(self):
         c = Conditioned(Uniform(0.0, 4.0), lo=1.0, hi=3.0)
@@ -348,6 +394,11 @@ class TestDiscretize:
         bad = [[0.5, 0.9], [0.5, 1.0], [2 + 1e-6, 4 + 1e-6]]
         with pytest.raises(DomainError):
             discretize(p, bad)
+        # one ulp above the big bidder's top atom: covers the support, but
+        # a value is the atom only when it equals it
+        off = [[0.5, 1.0], [0.5, 1.0], [2 + 1e-6, math.nextafter(4 + 1e-6, math.inf)]]
+        with pytest.raises(DomainError, match="misses atom"):
+            discretize(p, off)
 
     def test_grid_errors_name_the_first_bad_bidder(self):
         # one exchangeability class, checked once per distinct grid: bidder
@@ -401,6 +452,25 @@ class TestThresholdProbs:
                 if isinstance(prior, ProductPrior):
                     # the one-branch mixture reads as its marginals' q vector
                     assert got == q1q2_from_qvec([m.quantile_q(tau) for m in prior.marginals]), tau
+
+    def test_mixture_equals_table_one_ulp_around_points(self, rng):
+        # tau or r at a support point and one ulp either side: the mixture
+        # path reads quantile_q, the table path compares values directly
+        m = DiscretePMF([0.3, 1.0], [0.5, 0.5])
+        priors = [ProductPrior([m, m])] + [
+            ProductPrior([random_discrete(rng), random_discrete(rng), random_discrete(rng)]) for _ in range(5)
+        ]
+        for j, prior in enumerate(priors):
+            table = discretize(prior)
+            for x in sorted({x for mg in prior.marginals for x in mg.points}):
+                for t in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+                    assert threshold_probs(prior, t) == pytest.approx(threshold_probs(table, t), abs=1e-15), t
+                    if j == 0:  # AR on a random instance takes about 1 s
+                        got = revenue_exact(prior, AnonymousReserve(t)).mean
+                        assert got == pytest.approx(revenue_exact(table, AnonymousReserve(t)).mean, rel=1e-9), t
+        above = math.nextafter(0.3, 1.0)
+        assert threshold_probs(priors[0], above) == (0.75, 0.25)
+        assert revenue_exact(priors[0], AnonymousReserve(above)).mean == pytest.approx(0.4, rel=1e-12)
 
     def test_product_uniforms(self):
         assert threshold_probs(ProductPrior([Uniform(0, 1)] * 2), 0.5) == pytest.approx(
