@@ -52,9 +52,6 @@ from .revenue import (
     mechanism_payments,
     myerson_ind_revenue,
     posted_price_lower_bound,
-    q1_ind,
-    q2_ind,
-    q2_ind_from_q,
     revenue_exact,
     revenue_exact_table,
     revenue_mc,

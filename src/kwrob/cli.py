@@ -46,7 +46,6 @@ from .priors import (
 )
 from .revenue import (
     posted_price_lower_bound,
-    q2_ind,
     revenue_exact,
     revenue_mc,
 )
@@ -108,7 +107,7 @@ def cmd_counterexample(args):
         prior = uniform_q2_counterexample(args.n)
         tau = (args.n - 1.0) / args.n
         kw = verify_kwise(prior, 2)
-        q2i = q2_ind(list(prior.marginals), tau)
+        q2i = threshold_probs(ProductPrior(prior.marginals), tau)[1]
         _, q2adv = threshold_probs(prior, tau)
         report = {
             "kind": "q2",

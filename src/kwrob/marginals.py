@@ -2,11 +2,13 @@
 
 All marginals are bounded. Every variant exposes the same small surface:
 upper quantile q(tau) = Pr[v >= tau] (atom at tau included), its inverse,
-atoms, virtual values and their inverses, and the monopoly reserve (the
-smallest value with virtual value >= 0).  Virtual values and the
-inverses are elementwise over arrays; q_inverse of u ~ Uniform(0, 1] is a
-draw from the marginal.  Discrete marginals take their virtual values from
-the ironed revenue-quantile polyline (its upper concave hull).
+atoms, virtual values and their inverses.  The base class derives the
+rest from that surface: the monopoly reserve (the smallest value with
+virtual value >= 0) and prob_phi_geq = Pr[virtual value >= nu].  Virtual
+values and the inverses are elementwise over arrays; q_inverse of
+u ~ Uniform(0, 1] is a draw from the marginal.  Discrete marginals take
+their virtual values from the ironed revenue-quantile polyline (its upper
+concave hull).
 
 Quantile convention: q is left-continuous and includes the atom at tau,
 i.e. q(tau) = Pr[v >= tau], so the CDF is F(tau) = 1 - q(tau) + atom(tau).
@@ -48,6 +50,12 @@ class Marginal:
         """Smallest support value with virtual value >= 0: the eligibility
         floor of the optimal mechanism."""
         return float(self.phi_geq_inv(0.0))
+
+    def prob_phi_geq(self, nu: float) -> float:
+        """Pr[virtual value >= nu].  The ironed virtual value is
+        nondecreasing in v, so this is q at the first value reaching nu
+        (q(inf) = 0 where none does)."""
+        return self.quantile_q(float(self.phi_geq_inv(nu)))
 
 
 @dataclass(frozen=True)
@@ -100,17 +108,6 @@ class EqualRevenue(Marginal):
         y = np.asarray(y, dtype=float)
         return np.where(y < 0.0, self.lo, np.where(y < self.hi, self.hi, np.inf))
 
-    def prob_phi_geq(self, nu: float) -> float:
-        if nu <= 0.0:
-            return 1.0
-        if nu <= self.hi:
-            return self.lo / self.hi
-        return 0.0
-
-    def phi_levels(self):
-        """Virtual-value levels that carry probability mass, as (level, mass)."""
-        return [(0.0, 1.0 - self.lo / self.hi), (self.hi, self.lo / self.hi)]
-
 
 @dataclass(frozen=True)
 class ShiftedEqualRevenue(Marginal):
@@ -137,7 +134,13 @@ class ShiftedEqualRevenue(Marginal):
         return (self.lo + self.shift, self.hi + self.shift)
 
     def quantile_q(self, tau):
-        return self._base.quantile_q(tau - self.shift)
+        # in the shifted frame, as atom_mass, so q(top) is the atom's mass
+        if tau <= self.lo + self.shift:
+            return 1.0
+        top = self.hi + self.shift
+        if tau >= top:
+            return self.lo / self.hi if tau == top else 0.0
+        return self.lo / (tau - self.shift)
 
     def q_inverse(self, p):
         return self._base.q_inverse(p) + self.shift
@@ -162,17 +165,6 @@ class ShiftedEqualRevenue(Marginal):
         y = np.asarray(y, dtype=float)
         top = self.hi + self.shift
         return np.where(y < self.shift, self.lo + self.shift, np.where(y < top, top, np.inf))
-
-    def prob_phi_geq(self, nu):
-        if nu <= self.shift:
-            return 1.0
-        if nu <= self.hi + self.shift:
-            return self.lo / self.hi
-        return 0.0
-
-    def phi_levels(self):
-        frac = self.lo / self.hi
-        return [(self.shift, 1.0 - frac), (self.hi + self.shift, frac)]
 
 
 @dataclass(frozen=True)
@@ -211,12 +203,6 @@ class Uniform(Marginal):
     def phi_gt_inv(self, y):
         # phi is continuous and increasing up to phi(hi) = hi
         return np.where(np.asarray(y, dtype=float) >= self.hi, np.inf, self.phi_geq_inv(y))
-
-    def prob_phi_geq(self, nu):
-        return self.quantile_q((nu + self.hi) / 2.0)
-
-    def phi_levels(self):
-        return []
 
 
 @dataclass(frozen=True)
@@ -315,15 +301,6 @@ class DiscretePMF(Marginal):
         inf where there is none."""
         k = np.searchsorted(self._phi_max, y, side="right")
         return np.append(self.points, np.inf)[k]
-
-    def prob_phi_geq(self, nu):
-        return sum(m for m, ph in zip(self.masses, self.ironed.phi) if ph >= nu)
-
-    def phi_levels(self):
-        levels = {}
-        for m, ph in zip(self.masses, self.ironed.phi):
-            levels[ph] = levels.get(ph, 0.0) + m
-        return sorted(levels.items())
 
 
 # ---------------------------------------------------------------------------

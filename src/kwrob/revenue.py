@@ -27,13 +27,14 @@ predicates live here as well.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import DiscretePMF, DomainError, Marginal, check_regular, revenue_at_quantile
+from .marginals import DiscretePMF, DomainError, check_regular, revenue_at_quantile
 from .mechanisms import (
     HIGHEST_VALUE,
     AnonymousReserve,
@@ -52,7 +53,6 @@ from .priors import (
     _grid_cells,
     cell_values,
     natural_grids,
-    q1q2_from_qvec,
     sample,
     threshold_probs,
     verify_kwise,
@@ -270,22 +270,6 @@ def revenue_mc(
     return RevenueEstimate(mean, Z_95 * sd / math.sqrt(n_samples), n_samples, False)
 
 
-# ---------------------------------------------------------------------------
-# Independent-prior threshold probabilities (closed forms)
-
-
-def q1_ind(marginals, tau: float) -> float:
-    return q1q2_from_qvec([m.quantile_q(tau) for m in marginals])[0]
-
-
-def q2_ind(marginals, tau: float) -> float:
-    return q1q2_from_qvec([m.quantile_q(tau) for m in marginals])[1]
-
-
-def q2_ind_from_q(qs) -> float:
-    return q1q2_from_qvec(qs)[1]
-
-
 def ar_revenue_integral(r, q1, q2, hi, breakpoints=(), abs_tol=1e-9) -> float:
     """AR revenue from its integral representation: r Q1(r) plus the
     integral of Q2 over [r, hi]."""
@@ -314,59 +298,60 @@ class ExAnteSummary:
         return float(sum(self.rev))
 
 
-def _phi_mass_at(m: Marginal, nu: float) -> float:
-    return sum(w for lvl, w in m.phi_levels() if abs(lvl - nu) <= 1e-12 * max(1.0, abs(lvl), abs(nu)))
-
-
-def _snap(x, candidates, tol):
-    for c in candidates:
-        if abs(x - c) <= tol * max(1.0, abs(c)):
-            return c
-    return x
+def _sup_where(pred, marks) -> float:
+    """sup{x : pred(x)} for a pred that holds below some point and fails
+    above it, on a sum that jumps only at the marks, is continuous between
+    them, and fails pred past the last one; -inf where pred fails at every
+    mark.  The last mark where pred holds is the answer unless pred still
+    holds one float above it, and then the answer lies in the gap up to the
+    next mark, where it is bisected to adjacent floats."""
+    marks = sorted(set(marks))
+    k = bisect.bisect_left(marks, True, key=lambda x: not pred(x))
+    if k == 0:
+        return -math.inf
+    lo = math.nextafter(marks[k - 1], math.inf)
+    if not pred(lo):
+        return marks[k - 1]
+    hi = marks[k]
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return lo
 
 
 def ex_ante_level(marginals, budget: float = 0.5) -> ExAnteSummary:
     """Virtual-value level of the ex-ante relaxation that sells `budget`
     units in expectation.
 
-    tau_ex = inf{nu : sum_i Pr[phi_i(v_i) >= nu] <= budget}.  When a
-    probability atom at the critical level makes the sum jump across the
-    budget, the atoms are scaled by a common factor so the selling
+    tau_ex = inf{nu : S(nu) <= budget}, S(nu) = sum_i Pr[phi_i(v_i) >= nu].
+    When a probability atom at the critical level makes the sum jump across
+    the budget, the atoms are scaled by a common factor so the selling
     probabilities add up to the budget exactly (randomized demotion of the
     borderline types).  Selling never goes below the monopoly reserves: for
     tau_ex < 0 the relaxation simply keeps the budget slack, since serving
-    negative virtual values only loses revenue.
+    negative virtual values only loses revenue.  tau_ex is -inf when S never
+    exceeds the budget (one bidder at budget 1).
+
+    Both levels come from the marks where their sums can jump: S at the
+    virtual values of each marginal's support ends and atoms, the count
+    G(v) = sum_i q_i(v) at those values themselves.
     """
     if not 0.0 < budget <= 1.0:
         raise DomainError("budget must be in (0, 1]")
     marginals = list(marginals)
+    marks = [(m, x) for m in marginals for x in (*m.support, *m.atoms())]
 
     def S(nu):
         return sum(m.prob_phi_geq(nu) for m in marginals)
 
-    levels = sorted({lvl for m in marginals for lvl, _ in m.phi_levels()})
-    lo = min([float(m.virtual_value(m.support[0])) for m in marginals] + levels + [0.0]) - 1.0
-    hi = max(m.support[1] for m in marginals) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if S(mid) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    tau_ex = _snap(hi, levels, 1e-9)
-    if S(tau_ex) > budget + 1e-12 and tau_ex not in levels:
-        tau_ex = hi  # keep the bisection point when no atom explains the jump
-
+    tau_ex = _sup_where(lambda nu: S(nu) > budget, [float(m.virtual_value(x)) for m, x in marks])
     lam = max(tau_ex, 0.0)
-    q_at = [m.prob_phi_geq(lam) for m in marginals]
-    if tau_ex >= 0.0 and S(lam) > budget + 1e-12:
-        q_above = [m.prob_phi_geq(lam) - _phi_mass_at(m, lam) for m in marginals]
-        atom = [a - b for a, b in zip(q_at, q_above)]
-        total_atom = sum(atom)
-        theta = (budget - sum(q_above)) / total_atom if total_atom > 0 else 0.0
+    qs = [m.prob_phi_geq(lam) for m in marginals]
+    if tau_ex >= 0.0:
+        # S(lam) > budget: demote the atom at lam, q(lam) - q(lam+)
+        q_above = [m.prob_phi_geq(math.nextafter(lam, math.inf)) for m in marginals]
+        atom = [a - b for a, b in zip(qs, q_above)]
+        theta = (budget - sum(q_above)) / sum(atom)
         qs = [a + theta * b for a, b in zip(q_above, atom)]
-    else:
-        qs = q_at
     v_bar = []
     for m in marginals:
         v = float(m.phi_geq_inv(lam))
@@ -378,24 +363,15 @@ def ex_ante_level(marginals, budget: float = 0.5) -> ExAnteSummary:
     # single posted price v_bar_i would undervalue it.
     revs = [revenue_at_quantile(m, q) for m, q in zip(marginals, qs)]
 
-    # r_ex = sup{v : sum_i q_i(v) >= 1};  s0 = expected count strictly above
-    atoms = sorted({a for m in marginals for a in m.atoms()})
-
+    # r_ex = sup{v : G(v) >= 1};  s0 = G(r_ex+), the expected count strictly
+    # above.  G(v) >= 1 wherever some q_i(v) = 1, so r_ex is at least each
+    # marginal's q_inverse(1), however the sum of its masses rounds.
     def G(v):
         return sum(m.quantile_q(v) for m in marginals)
 
-    glo = min(m.support[0] for m in marginals) - 1.0
-    ghi = max(m.support[1] for m in marginals) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (glo + ghi)
-        if G(mid) >= 1.0:
-            glo = mid
-        else:
-            ghi = mid
-    r_ex = _snap(glo, atoms + [m.support[0] for m in marginals] + [m.support[1] for m in marginals], 1e-9)
-    if G(r_ex) < 1.0 - 1e-12:
-        r_ex = glo
-    s0 = sum(m.quantile_q(r_ex) - m.atom_mass(r_ex) for m in marginals)
+    r_ex = _sup_where(lambda v: G(v) >= 1.0, [x for _, x in marks])
+    r_ex = max(r_ex, *(float(m.q_inverse(1.0)) for m in marginals))
+    s0 = G(math.nextafter(r_ex, math.inf))
     return ExAnteSummary(tau_ex, tuple(v_bar), tuple(qs), tuple(revs), r_ex, s0, budget)
 
 

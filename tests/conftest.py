@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, Uniform, check_regular
+from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, ShiftedEqualRevenue, Uniform, check_regular
 from kwrob.io import write_csv
 from kwrob.mechanisms import HIGHEST_VALUE
 from kwrob.priors import (
@@ -19,6 +19,8 @@ from kwrob.priors import (
     Conditioned,
     FixedValue,
     MixturePrior,
+    q1q2_from_qvec,
+    threshold_probs,
 )
 
 
@@ -132,6 +134,21 @@ def q1q2_enumerate(qs):
     return q1, q2
 
 
+def q1_ind(marginals, tau):
+    """Q1 at tau under the independent prior on these marginals."""
+    return threshold_probs(ProductPrior(marginals), tau)[0]
+
+
+def q2_ind(marginals, tau):
+    """Q2 at tau under the independent prior on these marginals."""
+    return threshold_probs(ProductPrior(marginals), tau)[1]
+
+
+def q2_ind_from_q(qs):
+    """Q2 of independent events with probabilities qs."""
+    return q1q2_from_qvec(qs)[1]
+
+
 def cdf_identity_gaps(comp, marks):
     """Per x at each mark and one ulp either side: the gap between the CDF
     read as 1 - q(x) + atom(x) and read as 1 - q(x+), with x+ the next float
@@ -190,6 +207,22 @@ def _phi_inv(m, y, strict):
     # (shifted) equal revenue: phi is its shift below the top atom
     lo, top = m.support
     return phi_inv_scan((lo, top), (getattr(m, "shift", 0.0), top), y, strict)
+
+
+def prob_phi_geq_reference(m, nu):
+    """Pr[virtual value >= nu] by the per-class formulas the marginals
+    carried before the base class derived it from phi_geq_inv and q."""
+    if isinstance(m, Uniform):
+        return m.quantile_q((nu + m.hi) / 2.0)
+    if isinstance(m, DiscretePMF):
+        return sum(w for w, ph in zip(m.masses, m.ironed.phi) if ph >= nu)
+    # (shifted) equal revenue: its shift below the top atom
+    shift = getattr(m, "shift", 0.0)
+    if nu <= shift:
+        return 1.0
+    if nu <= m.hi + shift:
+        return m.lo / m.hi
+    return 0.0
 
 
 def phi_reference(m, v):
@@ -360,6 +393,22 @@ def random_discrete(rng, max_pts=4, lo=0.1, hi=10.0):
             continue
         return DiscretePMF(pts.tolist(), w.tolist())
     raise RuntimeError
+
+
+def random_marginal(rng):
+    """One marginal of a random class: equal revenue, shifted equal
+    revenue, uniform, or discrete with Dirichlet masses (whose sum may
+    round one ulp off 1)."""
+    kind = int(rng.integers(4))
+    lo = float(rng.uniform(0.05, 1.0))
+    if kind == 0:
+        return EqualRevenue(lo, lo * float(rng.uniform(1.0, 10.0)))
+    if kind == 1:
+        return ShiftedEqualRevenue(lo, lo * float(rng.uniform(1.0, 10.0)), float(rng.uniform(0.0, 1.0)))
+    if kind == 2:
+        return Uniform(lo, lo + float(rng.uniform(0.1, 3.0)))
+    pts = np.unique(np.round(rng.uniform(0.1, 10.0, size=int(rng.integers(1, 5))), 3))
+    return DiscretePMF(pts.tolist(), rng.dirichlet(np.ones(len(pts))).tolist())
 
 
 def random_scaled_regular_family(rng, n_max=5):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import q1q2_enumerate, random_regular_discrete, table_q1q2_enumerate
+from conftest import q1q2_enumerate, q2_ind, q2_ind_from_q, random_regular_discrete, table_q1q2_enumerate
 from kwrob import (
     AnonymousReserve,
     Myerson,
@@ -28,8 +28,6 @@ from kwrob import (
     myerson_counterexample,
     myerson_ind_revenue,
     posted_price_lower_bound,
-    q2_ind,
-    q2_ind_from_q,
     q2_ind_near_bound,
     q2_ind_far_bound,
     regular_quantile_bound,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_scaled_regular_family
+from conftest import q2_ind, random_scaled_regular_family
 from kwrob import (
     AnonymousReserve,
     DiscretePMF,
@@ -21,7 +21,6 @@ from kwrob import (
     split_integral_identity,
     lb1,
     lb2,
-    q2_ind,
     q2_ratio_lower_bound,
     q2_ind_near_bound,
     q2_ind_far_bound,
@@ -401,7 +400,8 @@ class TestMergePredicate:
 
 class TestQ1RatioChecker:
     def test_adversarial_prior_satisfies_ratio(self):
-        from kwrob import check_q1_ratio, q1_ind, threshold_probs, uniform_q2_counterexample
+        from conftest import q1_ind
+        from kwrob import check_q1_ratio, threshold_probs, uniform_q2_counterexample
 
         prior = uniform_q2_counterexample(10)
         tau = 0.9

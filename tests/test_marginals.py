@@ -14,7 +14,7 @@ from kwrob import (
     regular_quantile_bound,
     revenue_curve,
 )
-from conftest import cdf_identity_gaps, phi_inv_scan, random_discrete
+from conftest import cdf_identity_gaps, phi_inv_scan, prob_phi_geq_reference, random_discrete, random_marginal
 from kwrob.marginals import revenue_at_quantile
 from kwrob.mechanisms import virtual_values
 
@@ -60,6 +60,18 @@ class TestQuantile:
         m = ShiftedEqualRevenue(n, n * n, eps)
         assert m.quantile_q(n + eps) == 1.0
 
+    def test_shifted_er_ends_in_own_frame(self):
+        # (n^2 + eps) - eps need not be n^2, nor (n + eps) - eps be n: q
+        # reads both ends in the shifted frame, so Pr[v >= top] is the atom
+        rng = np.random.default_rng(16)
+        draws = [(64, 3.2138545457220143e-06)]
+        draws += [(int(rng.integers(2, 401)), float(10.0 ** rng.uniform(-7.0, -5.0))) for _ in range(2000)]
+        for n, eps in draws:
+            m = ShiftedEqualRevenue(float(n), float(n * n), eps)
+            lo, top = m.support
+            assert m.quantile_q(top) == m.atom_mass(top) == m.lo / m.hi, (n, eps)
+            assert m.quantile_q(lo) == 1.0, (n, eps)
+
     def test_q_plus_left_cdf_is_one(self):
         # q(tau) = Pr[v >= tau] and Pr[v < tau] partition the line
         for m in [EqualRevenue(0.5, 2.0), Uniform(0.2, 3.0), DiscretePMF([1, 2, 5], [0.2, 0.5, 0.3])]:
@@ -84,6 +96,25 @@ class TestValueRule:
     def test_atom_and_quantile_agree_one_ulp_around_atoms(self, m):
         gaps = cdf_identity_gaps(m, [*m.support, *m.atoms()])
         assert max(gaps.values()) <= 1e-12, gaps
+
+
+class TestProbPhiGeq:
+    def test_matches_the_per_class_formulas(self, rng):
+        """The derived Pr[phi >= nu] against the formulas it replaced, at
+        every virtual-value level and one ulp either side: exact on the
+        parametric classes, and up to summation order on DiscretePMF."""
+        ms = MARGINALS + [ShiftedEqualRevenue(64.0, 4096.0, 3.2138545457220143e-06)]
+        ms += [random_marginal(rng) for _ in range(200)]
+        for m in ms:
+            xs = m.points if isinstance(m, DiscretePMF) else m.support
+            levels = [0.0, *(float(m.virtual_value(x)) for x in xs)]
+            for level in levels:
+                for nu in (math.nextafter(level, -math.inf), level, math.nextafter(level, math.inf)):
+                    got, want = m.prob_phi_geq(nu), prob_phi_geq_reference(m, nu)
+                    if isinstance(m, DiscretePMF):
+                        assert abs(got - want) <= 1e-15, (m, nu)
+                    else:
+                        assert got == want, (m, nu)
 
 
 class TestQInverse:

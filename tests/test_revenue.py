@@ -1,20 +1,31 @@
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import q1q2_enumerate, random_regular_discrete, slot_mixtures, table_q1q2_enumerate
+from conftest import (
+    q1_ind,
+    q1q2_enumerate,
+    q2_ind,
+    random_marginal,
+    random_regular_discrete,
+    slot_mixtures,
+    table_q1q2_enumerate,
+)
 from kwrob import (
     AnonymousReserve,
     Branch,
     DiscretePMF,
     DomainError,
+    EqualRevenue,
     FixedValue,
     MixturePrior,
     Myerson,
     ProductPrior,
+    ShiftedEqualRevenue,
     TablePrior,
     Uniform,
     ar_revenue_integral,
@@ -23,8 +34,6 @@ from kwrob import (
     ex_ante_level,
     myerson_counterexample,
     natural_grids,
-    q1_ind,
-    q2_ind,
     revenue_exact,
     revenue_exact_table,
     revenue_mc,
@@ -246,7 +255,7 @@ class TestIndependentClosedForms:
         assert q2_ind(ms, (n - 1) / n) == pytest.approx(expect, abs=1e-12)
 
     def test_enumeration_oracle(self):
-        from kwrob import q2_ind_from_q
+        from conftest import q2_ind_from_q
 
         for qs in [(0.1, 0.2, 0.3, 0.4), (0.5, 0.5), (1.0, 0.3), (1.0, 1.0, 0.2), (0.0, 0.7)]:
             assert q2_ind_from_q(qs) == pytest.approx(q1q2_enumerate(qs)[1], abs=1e-14)
@@ -356,6 +365,47 @@ class TestExAnte:
         r_star, r_ex = 0.5, 1 - 1 / n
         for v0 in np.linspace(r_star, r_ex, 50, endpoint=False):
             assert v0 * n * uni.quantile_q(v0) >= opt - 1e-9
+
+
+class TestExAnteMarks:
+    """ex_ante_level reads both levels off the marks where their sums jump."""
+
+    @staticmethod
+    def count(ms, v):
+        return sum(m.quantile_q(v) for m in ms)
+
+    def test_random_mixed_classes(self, rng):
+        for _ in range(1000):
+            ms = [random_marginal(rng) for _ in range(int(rng.integers(1, 6)))]
+            ea = ex_ante_level(ms)
+            assert 0.0 <= ea.s0 <= 1.0 + 1e-12, ms
+            assert self.count(ms, ea.r_ex) >= 1.0 - 1e-12, ms
+            assert self.count(ms, math.nextafter(ea.r_ex, math.inf)) < 1.0 + 1e-12, ms
+            if ea.tau_ex >= 0.0:
+                assert sum(ea.q) == pytest.approx(0.5, abs=1e-12), ms
+
+    def test_shifted_top_atom(self):
+        # r_ex is the shifted marginal's top atom, which q reads in its own frame
+        ms = [
+            ShiftedEqualRevenue(0.21676554576715795, 1.5194856123246303, 0.30627818797101736),
+            EqualRevenue(0.8728583247673515, 3.8726517559008466),
+            Uniform(0.8713477912369889, 1.683887437806641),
+            Uniform(0.8781495587119538, 2.4357091420351873),
+        ]
+        ea = ex_ante_level(ms)
+        assert ea.r_ex == ms[0].support[1]
+        assert ea.s0 == pytest.approx(0.8696816642581261, abs=1e-12)
+
+    @pytest.mark.parametrize("zero_mass_bottom", [False, True])
+    def test_one_bidder_masses_summing_below_one(self, zero_mass_bottom):
+        # Pr[v >= 4.717] sums to one ulp below 1, so the count is below 1 at
+        # every mark; the lowest point of positive mass still has q = 1
+        points, masses = (4.717, 5.345, 7.093, 7.287), (0.065268, 0.358621, 0.378761, 0.19734999999999991)
+        if zero_mass_bottom:
+            points, masses = (1.0, *points), (0.0, *masses)
+        ea = ex_ante_level([DiscretePMF(points, masses)])
+        assert ea.r_ex == 4.717
+        assert ea.s0 == pytest.approx(0.934732, abs=1e-12)
 
 
 class TestThreeWise:
