@@ -21,7 +21,6 @@ from .mechanisms import (
     Mechanism,
     Myerson,
     Outcome,
-    myerson_iid_equals_ar,
     run_mechanism,
 )
 from .priors import (
@@ -59,12 +58,9 @@ from .revenue import (
 from .bounds import (
     ARCertificate,
     BoundReport,
-    equal_split_monotone_check,
-    q2_ind_grid_max,
     case2a_integral,
     certify_ar_constant,
     certify_iid_constant,
-    check_q1_ratio,
     split_integral_identity,
     lb1,
     lb2,

@@ -81,16 +81,6 @@ def lb2_vec(s):
     return np.where(s > 1.0, out, 0.0)
 
 
-def check_q1_ratio(q1_pairwise: float, q1_independent: float) -> BoundReport:
-    lhs = Q1_RATIO * q1_pairwise
-    return BoundReport(
-        "q1_ratio",
-        {"q1": q1_pairwise, "q1_ind": q1_independent},
-        Q1_RATIO,
-        (lhs, q1_independent, lhs >= q1_independent - 1e-9),
-    )
-
-
 def q1_count_bound(s: float) -> float:
     """Pr[at least one event] >= s/(s+1) under pairwise independence."""
     if not 0.0 <= s < math.inf:
@@ -205,6 +195,14 @@ def _lb2_kinks_in_s(s_lo: float, s_hi: float, m_cap: int = 100_000):
     return np.unique(roots[(s_lo < roots) & (roots < s_hi)])
 
 
+def _ratio_floor(betas, lb2_grid):
+    """F(beta) = beta LB1(1/beta) + int_beta^1 LB2(1/u) du on an array of
+    betas, the integral interpolated on lb2_grid (`lb2_cumulative_grid()`
+    when None)."""
+    u, integral_to_one = lb2_cumulative_grid() if lb2_grid is None else lb2_grid
+    return betas * lb1_vec(1.0 / betas) + np.interp(betas, u, integral_to_one)
+
+
 def certify_iid_constant(grid: int = 10_000, lb2_grid=None) -> BoundReport:
     """Minimise F(beta) = beta LB1(1/beta) + int_beta^1 LB2(1/u) du over
     beta in [0, 1].  The minimum certifies the robustness constant for
@@ -219,11 +217,8 @@ def certify_iid_constant(grid: int = 10_000, lb2_grid=None) -> BoundReport:
     """
     if grid < 1000:
         raise DomainError("grid must be >= 1000")
-    u, integral_to_one = lb2_cumulative_grid() if lb2_grid is None else lb2_grid
     betas = np.linspace(1e-6, 1.0, grid)
-    head = betas * lb1_vec(1.0 / betas)
-    tails = np.interp(betas, u, integral_to_one)
-    F = head + tails
+    F = _ratio_floor(betas, lb2_grid)
     idx = int(np.argmin(F))
     beta_star = float(betas[idx])
     fmin = float(F[idx])
@@ -253,11 +248,10 @@ def lb2_cumulative_grid():
 def iid_ratio_curve(n_rows: int = 1000, lb2_grid=None):
     """Rows (beta, LB1(1/beta), LB2(1/beta), F(beta)) for the ratio figure.
     lb2_grid as in `certify_iid_constant`."""
-    u, integral_to_one = lb2_cumulative_grid() if lb2_grid is None else lb2_grid
     betas = np.linspace(1.0 / n_rows, 1.0, n_rows)
     lb1s = lb1_vec(1.0 / betas)
     lb2s = lb2_vec(1.0 / betas)
-    F = betas * lb1s + np.interp(betas, u, integral_to_one)
+    F = _ratio_floor(betas, lb2_grid)
     return [
         (float(b), float(a1), float(a2), float(f))
         for b, a1, a2, f in zip(betas, lb1s, lb2s, F)
@@ -387,76 +381,6 @@ def certify_ar_constant(p_bar: float = 0.674) -> ARCertificate:
     return ARCertificate(
         p_bar, case1, exact_ratio, integral, case2a, qr, case2b, certified, certified <= AR_TARGET
     )
-
-
-# ---------------------------------------------------------------------------
-# Oracles: direct maximisation of Q2_ind over probability
-# vectors, and the monotone-merge checks backing the closed-form bounds
-
-
-def q2_ind_upper_objective(p, tau):
-    """1 - (1 + sum p_i/(tau(1-p_i))) / prod(1 + p_i/(tau(1-p_i))): the
-    quantity maximised over probability vectors p with a fixed sum to bound
-    Q2_ind(tau) for regular marginals."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p >= 1.0):
-        ok = p[p < 1.0]
-        # a certain bidder contributes an unbounded factor; limit objective
-        others = 1.0 + ok / (tau * (1.0 - ok))
-        return 1.0 - 1.0 / float(np.prod(others))
-    terms = p / (tau * (1.0 - p))
-    return 1.0 - (1.0 + float(terms.sum())) / float(np.prod(1.0 + terms))
-
-
-def _sorted_compositions(total_ticks, parts):
-    """Non-increasing integer tuples of length `parts` summing to
-    total_ticks (partitions padded with zeros)."""
-
-    def rec(remaining, cap, slots):
-        if slots == 1:
-            if remaining <= cap:
-                yield (remaining,)
-            return
-        lo = (remaining + slots - 1) // slots
-        for first in range(min(cap, remaining), lo - 1, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
-
-    yield from rec(total_ticks, total_ticks, parts)
-
-
-def q2_ind_grid_max(s0: float, tau: float, n: int, resolution: int = 200):
-    """Grid-search maximum of the Q2_ind upper-bound objective subject to
-    sum p_i = s0, p_i >= 0, at grid resolution 1/resolution.  The objective
-    is symmetric, so only sorted vectors are enumerated.  Returns
-    (max_value, argmax_p)."""
-    if n > 6:
-        raise DomainError("grid search supports n <= 6")
-    if not 0.0 < s0 <= 1.0:
-        raise DomainError("s0 must be in (0, 1]")
-    ticks = round(s0 * resolution)
-    best_val, best_p = -np.inf, None
-    for comp in _sorted_compositions(ticks, n):
-        p = np.array(comp, dtype=float) / resolution
-        val = q2_ind_upper_objective(p, tau)
-        if val > best_val:
-            best_val, best_p = val, p
-    return float(best_val), best_p
-
-
-def equal_split_monotone_check(s: float, m_max: int) -> bool:
-    """True iff f(m) = 1 - (1 - s/m)^m (1 + m s/(m - s)) is nondecreasing on
-    integers m in [ceil(s)+1, m_max] and stays below the m -> infinity limit
-    1 - e^{-s}(1+s)."""
-    if not 0.0 < s <= 1.0:
-        raise DomainError("s must be in (0, 1]")
-    if m_max < 2:
-        raise DomainError("m_max must be >= 2")
-    m = np.arange(math.ceil(s) + 1, m_max + 1, dtype=float)
-    f = 1.0 - (1.0 - s / m) ** m * (1.0 + m * s / (m - s))
-    if np.any(np.diff(f) < -1e-12):
-        return False
-    return bool(np.all(f <= q2_ind_near_bound(s) + 1e-12))
 
 
 def bounds_table_rows(s_grid=None, s0_grid=None):

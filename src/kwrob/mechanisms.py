@@ -196,15 +196,3 @@ def run_mechanism(mech: Mechanism, values) -> Outcome:
 def mechanism_payments(mech: Mechanism, V) -> np.ndarray:
     """Payment on each row of a (rows x bidders) value matrix (run_batch)."""
     return run_batch(mech, V)[1]
-
-
-def myerson_iid_equals_ar(marginal: Marginal, values) -> bool:
-    """With i.i.d. regular bidders and highest-value tie-breaking, the
-    optimal mechanism is the second-price auction at the monopoly
-    reserve; check the two outcomes coincide on this value vector."""
-    n = len(values)
-    a = run_mechanism(Myerson([marginal] * n, HIGHEST_VALUE), values)
-    b = run_mechanism(AnonymousReserve(marginal.monopoly_reserve()), values)
-    if a.winner != b.winner:
-        return False
-    return abs(a.payment - b.payment) <= 1e-9 * max(1.0, abs(b.payment))

@@ -27,13 +27,16 @@ mixture of product-form parts, one per chosen member; _branch_parts is the
 one place that expands them, merging the parts a quantity cannot tell
 apart: per exchangeability class for threshold_probs, which reads all
 bidders symmetrically, and the slot members outside the bidders a subset
-joint reads.  _cell_masses, each bidder's plain and chosen cell masses per
-branch, is the one source of cell masses: a subset's joint (_joint) sums
-outer products of them over the parts, a bidder's marginal is its joint on
-{i}, discretize is the joint of all bidders, and the exact Myerson sweep
-(revenue._myerson_branch_revenue) folds the slot members into one pass per
-branch.  verify_kwise runs one comparison loop, joint against the product
-of marginals per subset, for tables and mixtures alike.
+joint reads.  _kept_cells is the one cell table: it groups the bidders once
+by (exchangeability class, grid), checks and cuts each group's grid, and
+computes each group's plain and chosen cell masses per branch and its
+marginal, shared by every member.  A subset's joint (_joint) sums outer
+products of those masses over the parts, a bidder's marginal is its joint
+on {i}, discretize is the joint of all bidders, and the exact Myerson
+sweep (revenue._myerson_branch_revenue) folds the slot members into one
+pass per branch.  verify_kwise runs one comparison loop, joint against the
+product of marginals per subset, for tables and mixtures alike; on a
+mixture it checks one representative subset per combination of groups.
 
 Sampling draws the chosen member directly, and draws its chosen component
 only for the rows that picked it.  Samples are column-major: `sample`
@@ -214,8 +217,9 @@ class ProductPrior(MixturePrior):
     def __init__(self, marginals):
         if len(marginals) < 1:
             raise DomainError("need at least one marginal")
-        # one component per distinct marginal, shared as in the constructions,
-        # so _cell_masses evaluates each once
+        # one component per distinct marginal, shared as in the constructions;
+        # bidders with one marginal are one exchangeability class, so
+        # _kept_cells computes their cells once per (class, grid) group
         comp = {m: Conditioned(m) for m in set(marginals)}
         super().__init__(marginals, (Branch(1.0, tuple(comp[m] for m in marginals)),))
 
@@ -303,39 +307,9 @@ def _branch_parts(mix: MixturePrior, branch: Branch, bidders=None):
         yield len(group) / len(branch.members), None if key is None else group[0]
 
 
-def _cell_masses(mix: MixturePrior, cells):
-    """Per branch, per bidder i: the (plain, chosen) arrays of exact masses
-    of the cells in cells[i] under bidder i's plain (or unchosen) and chosen
-    components; chosen is None off the slot.  A cell is (lo, hi, singleton):
-    the half-open [lo, hi), or the atom at lo.  Each component object is
-    evaluated once per distinct cell list, since the constructions share
-    one component object across their bidders."""
-    grid_ids = {}
-    grid_of = [grid_ids.setdefault(tuple(c), len(grid_ids)) for c in cells]
-    memo = {}
-
-    def masses(comp, i):
-        if comp is None:
-            return None
-        key = (id(comp), grid_of[i])
-        if key not in memo:
-            memo[key] = np.array(
-                [
-                    comp.atom_mass(lo) if single else comp.quantile_q(lo) - comp.quantile_q(hi)
-                    for lo, hi, single in cells[i]
-                ]
-            )
-        return memo[key]
-
-    return [
-        [tuple(masses(comp, i) for comp in b.component_pair(i)) for i in range(mix.n_bidders)]
-        for b in mix.branches
-    ]
-
-
 def _joint(mix: MixturePrior, masses, bidders):
     """Joint masses of the bidders' cells, one axis per bidder in the given
-    order, from the per-branch cell masses of _cell_masses: each branch part
+    order, from the per-branch cell masses of _kept_cells: each branch part
     contributes the outer product of the bidders' masses under it."""
     joint = np.zeros(tuple(len(masses[0][i][0]) for i in bidders))
     for branch, bm in zip(mix.branches, masses):
@@ -480,62 +454,75 @@ def natural_grids(prior: JointPrior):
     return grids
 
 
-def _grid_cells(grid):
-    """Cells for one bidder: half-open [b_j, b_{j+1}) plus a singleton at the
-    top boundary.  cell = (lo, hi, singleton)."""
-    cells = [(a, b, False) for a, b in zip(grid, grid[1:])]
-    cells.append((grid[-1], grid[-1], True))
-    return cells
-
-
-def _check_grid(prior_mix: MixturePrior, grids):
-    """Raise DomainError naming the first bidder whose grid misses its
-    support, an atom or a cutoff.  Bidders of one exchangeability class
-    share all three, so each (class, grid) is checked once."""
-    checked = set()
-    for i, mg in enumerate(prior_mix.marginals):
-        key = (prior_mix._class_of[i], tuple(grids[i]))
-        if key in checked:
-            continue
-        checked.add(key)
-        g = set(grids[i])
-        lo, hi = mg.support
-        if min(g) > lo or max(g) < hi:
-            raise DomainError(f"grid for bidder {i} does not cover the support")
-        for a in mg.atoms():
-            if a not in g:
-                raise DomainError(f"grid for bidder {i} misses atom at {a}")
-        for comp in _bidder_components(prior_mix, i):
-            for c in comp.cutoffs():
-                if c not in g:
-                    raise DomainError(f"grid for bidder {i} misses cutoff {c}")
+def _check_grid(mix: MixturePrior, i, grid):
+    """Raise DomainError if bidder i's grid misses its support, an atom or
+    a cutoff."""
+    g = set(grid)
+    lo, hi = mix.marginals[i].support
+    if min(g) > lo or max(g) < hi:
+        raise DomainError(f"grid for bidder {i} does not cover the support")
+    for a in mix.marginals[i].atoms():
+        if a not in g:
+            raise DomainError(f"grid for bidder {i} misses atom at {a}")
+    for comp in _bidder_components(mix, i):
+        for c in comp.cutoffs():
+            if c not in g:
+                raise DomainError(f"grid for bidder {i} misses cutoff {c}")
 
 
 def _kept_cells(mix: MixturePrior, grids=None):
-    """The cells of positive mixture-marginal mass (above 1e-15) on the
-    grids (natural_grids when None), after _check_grid.  Returns per bidder
-    the kept cells' representatives (lower endpoints) and marginal masses,
-    and per branch the _cell_masses table masked to the kept cells.  A
-    bidder's marginal is its joint on {i}; bidders of one exchangeability
-    class and grid share all three, so each (class, grid) is computed once."""
+    """The cell table of a mixture on the grids (natural_grids when None).
+
+    Bidders are grouped once by (exchangeability class, grid), in order of
+    each group's first member.  Members of a group share their marginal,
+    their components in every branch and their grid, so the first member
+    stands for the group: its grid is checked (_check_grid, so an error
+    names the first bad bidder) and cut into half-open cells [b_j, b_{j+1})
+    plus a singleton at the top boundary, and per branch its (plain,
+    chosen) cell masses come from quantile_q/atom_mass, chosen None off the
+    slot.  A cell is kept when its mixture-marginal mass, the joint on
+    {i}, is above 1e-15.
+
+    Returns the groups; per bidder the kept cells' representatives (lower
+    endpoints) and marginal masses; and per branch, per bidder, the kept
+    cells' (plain, chosen) masses.  A group's members share one set of
+    arrays."""
     if grids is None:
         grids = natural_grids(mix)
-    _check_grid(mix, grids)
-    cells = [_grid_cells(g) for g in grids]
-    masses = _cell_masses(mix, cells)
-    shared, keys = {}, []
+    by_key = {}
     for i in range(mix.n_bidders):
-        keys.append((mix._class_of[i], tuple(grids[i])))
-        if keys[i] not in shared:
-            marginal = _joint(mix, masses, (i,))
-            keep = marginal > 1e-15
-            shared[keys[i]] = (
-                tuple(c[0] for c, kept in zip(cells[i], keep) if kept),
-                marginal[keep],
-                [tuple(m if m is None else m[keep] for m in bm[i]) for bm in masses],
+        by_key.setdefault((mix._class_of[i], tuple(grids[i])), []).append(i)
+    groups = list(by_key.values())
+    supports, marginals = [None] * mix.n_bidders, [None] * mix.n_bidders
+    masses = [[None] * mix.n_bidders for _ in mix.branches]
+
+    for group in groups:
+        i, grid = group[0], grids[group[0]]
+        _check_grid(mix, i, grid)
+        # (lo, hi, singleton): the half-open [lo, hi), or the atom at lo
+        cells = [(a, b, False) for a, b in zip(grid, grid[1:])] + [(grid[-1], grid[-1], True)]
+        for branch, bm in zip(mix.branches, masses):
+            bm[i] = tuple(
+                None
+                if comp is None
+                else np.array(
+                    [
+                        comp.atom_mass(lo) if single else comp.quantile_q(lo) - comp.quantile_q(hi)
+                        for lo, hi, single in cells
+                    ]
+                )
+                for comp in branch.component_pair(i)
             )
-    supports, marginals, per_branch = zip(*(shared[key] for key in keys))
-    return supports, marginals, list(zip(*per_branch))
+        marginal = _joint(mix, masses, (i,))
+        keep = marginal > 1e-15
+        kept = (tuple(c[0] for c, k in zip(cells, keep) if k), marginal[keep])
+        for bm in masses:
+            pair = tuple(m if m is None else m[keep] for m in bm[i])
+            for j in group:
+                bm[j] = pair
+        for j in group:
+            supports[j], marginals[j] = kept
+    return groups, supports, marginals, masses
 
 
 def discretize(prior: JointPrior, grids=None) -> TablePrior:
@@ -546,7 +533,7 @@ def discretize(prior: JointPrior, grids=None) -> TablePrior:
     separated."""
     if isinstance(prior, TablePrior):
         return prior
-    supports, _, masses = _kept_cells(prior, grids)
+    _, supports, _, masses = _kept_cells(prior, grids)
     size = math.prod(len(s) for s in supports)
     if size > CELL_CAP:
         raise DomainError(f"discretization would need {size} cells")
@@ -631,12 +618,12 @@ def verify_kwise(prior: JointPrior, k: int, grids=None) -> KwiseReport:
 
     One loop compares, per checked subset, its joint cell masses with the
     outer product of its marginals.  A table checks every subset.  A
-    mixture checks one representative subset per combination of
-    exchangeability classes (MixturePrior._class_of), counted once per
+    mixture checks one representative subset per combination of the
+    (exchangeability class, grid) groups of _kept_cells, counted once per
     subset it stands for, so the check is exhaustive over subsets while the
-    work is exhaustive only over classes; the shipped constructions have
-    two classes regardless of n.  Subsets of one size are checked in
-    lexicographic order.
+    work is exhaustive only over groups; the shipped constructions on their
+    natural grids have two groups regardless of n.  Subsets of one size are
+    checked in lexicographic order.
     """
     n = prior.n_bidders
     if not 1 <= k <= n:
@@ -651,19 +638,15 @@ def verify_kwise(prior: JointPrior, k: int, grids=None) -> KwiseReport:
             return prior.pmf.sum(axis=tuple(j for j in range(n) if j not in subset))
 
     else:
-        supports, marginals, masses = _kept_cells(prior, grids)
-        by_class = {}
-        for i, c in enumerate(prior._class_of):
-            by_class.setdefault(c, []).append(i)
-        members = list(by_class.values())
+        groups, supports, marginals, masses = _kept_cells(prior, grids)
         subsets = []
         for size in range(1, k + 1):
             level = []
-            for combo in itertools.combinations_with_replacement(range(len(members)), size):
-                counts = {c: combo.count(c) for c in set(combo)}
-                if all(cnt <= len(members[c]) for c, cnt in counts.items()):
-                    reps = tuple(sorted(i for c, cnt in counts.items() for i in members[c][:cnt]))
-                    multiplicity = math.prod(math.comb(len(members[c]), cnt) for c, cnt in counts.items())
+            for combo in itertools.combinations_with_replacement(range(len(groups)), size):
+                counts = {g: combo.count(g) for g in set(combo)}
+                if all(cnt <= len(groups[g]) for g, cnt in counts.items()):
+                    reps = tuple(sorted(i for g, cnt in counts.items() for i in groups[g][:cnt]))
+                    multiplicity = math.prod(math.comb(len(groups[g]), cnt) for g, cnt in counts.items())
                     level.append((multiplicity, reps))
             subsets += sorted(level, key=lambda t: t[1])
 

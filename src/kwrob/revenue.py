@@ -11,8 +11,8 @@ Exact paths:
                   mechanism takes one sweep per branch over the global
                   "competing key" grid (_myerson_branch_revenue), which
                   folds a random-index slot's members in as a mixture of
-                  leave-one-out key CDFs, under either tie rule, with cell
-                  masses from priors._cell_masses.
+                  leave-one-out key CDFs, under either tie rule, on the
+                  cell table of priors._kept_cells.
 
 Every Myerson payment comes from the one threshold formula,
 mechanisms.threshold_payment: tables and Monte Carlo blocks reach it through
@@ -48,9 +48,7 @@ from .priors import (
     JointPrior,
     ProductPrior,
     TablePrior,
-    _cell_masses,
-    _check_grid,
-    _grid_cells,
+    _kept_cells,
     cell_values,
     natural_grids,
     sample,
@@ -179,21 +177,24 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
     """Exact expected revenue.
 
     AR on product/mixture priors is exact for the continuous prior (closed
-    form Q1/Q2 plus the revenue integral).  The optimal mechanism on
-    product/mixture priors is evaluated exactly on the grid discretization
-    (cell representatives at lower endpoints); on the shipped constructions
-    the two coincide because virtual values are constant within cells.
+    form Q1/Q2 plus the revenue integral); the grids only add quadrature
+    breakpoints.  The optimal mechanism on product/mixture priors is one
+    sweep per branch over the cell table of priors._kept_cells, each cell
+    valued at its lower endpoint.  That value is exact only where the
+    virtual value is constant on every cell and, under highest_value, no
+    two eligible bidders tie on a flat virtual-value level across
+    continuous values.  Both hold on the shipped constructions; README
+    "Notes on exactness" gives the two known faults where they do not
+    (faults A and B of ROADMAP item 1: Uniform(0, 1) x 2, and
+    EqualRevenue(1, 10) x 2 under highest_value).
     """
     if isinstance(prior, TablePrior):
         return revenue_exact_table(prior, mech)
-    if grids is None:
-        grids = natural_grids(prior)
-    elif isinstance(mech, Myerson):
-        # AR reads the grid only as quadrature breakpoints; the sweep prices
-        # its cells, so a grid that misses the support would drop mass
-        _check_grid(prior, grids)
-
     if isinstance(mech, AnonymousReserve):
+        # AR reads the grids only as quadrature breakpoints, so they are not
+        # checked; the sweep below prices cells (_kept_cells checks them)
+        if grids is None:
+            grids = natural_grids(prior)
         hi = max(m.support[1] for m in prior.marginals)
         breaks = sorted({b for g in grids for b in g})
 
@@ -205,12 +206,12 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
 
         return RevenueEstimate(ar_revenue_integral(mech.r, q1, q2, hi, breaks, abs_tol=1e-10), 0.0, 0, True)
 
-    cells = [_grid_cells(g) for g in grids]
-    vals = [np.array([c[0] for c in cs]) for cs in cells]
+    _, supports, _, masses = _kept_cells(prior, grids)
+    vals = [np.array(s) for s in supports]
     total = 0.0
-    for branch, masses in zip(prior.branches, _cell_masses(prior, cells)):
+    for branch, bm in zip(prior.branches, masses):
         if branch.weight != 0.0:
-            total += branch.weight * _myerson_branch_revenue(mech, vals, masses)
+            total += branch.weight * _myerson_branch_revenue(mech, vals, bm)
     return RevenueEstimate(total, 0.0, 0, True)
 
 

@@ -19,6 +19,7 @@ from kwrob.priors import (
     Conditioned,
     FixedValue,
     MixturePrior,
+    natural_grids,
     q1q2_from_qvec,
     threshold_probs,
 )
@@ -491,6 +492,68 @@ def slot_mixtures(draw):
     chosen = tuple(classes[c][2] if c < 2 else None for c in of)
     slotted = Branch(1.0 - w, listed, chosen)
     return MixturePrior([classes[c][0] for c in of], [plain, slotted])
+
+
+# Brute-force oracle: direct maximisation of Q2_ind over probability vectors
+
+
+def q2_ind_upper_objective(p, tau):
+    """1 - (1 + sum p_i/(tau(1-p_i))) / prod(1 + p_i/(tau(1-p_i))): the
+    quantity maximised over probability vectors p with a fixed sum to bound
+    Q2_ind(tau) for regular marginals."""
+    p = np.asarray(p, dtype=float)
+    if np.any(p >= 1.0):
+        ok = p[p < 1.0]
+        # a certain bidder contributes an unbounded factor; limit objective
+        others = 1.0 + ok / (tau * (1.0 - ok))
+        return 1.0 - 1.0 / float(np.prod(others))
+    terms = p / (tau * (1.0 - p))
+    return 1.0 - (1.0 + float(terms.sum())) / float(np.prod(1.0 + terms))
+
+
+def _sorted_compositions(total_ticks, parts):
+    """Non-increasing integer tuples of length `parts` summing to
+    total_ticks (partitions padded with zeros)."""
+
+    def rec(remaining, cap, slots):
+        if slots == 1:
+            if remaining <= cap:
+                yield (remaining,)
+            return
+        lo = (remaining + slots - 1) // slots
+        for first in range(min(cap, remaining), lo - 1, -1):
+            for rest in rec(remaining - first, first, slots - 1):
+                yield (first,) + rest
+
+    yield from rec(total_ticks, total_ticks, parts)
+
+
+def q2_ind_grid_max(s0: float, tau: float, n: int, resolution: int = 200):
+    """Grid-search maximum of the Q2_ind upper-bound objective subject to
+    sum p_i = s0, p_i >= 0, at grid resolution 1/resolution.  The objective
+    is symmetric, so only sorted vectors are enumerated.  Returns
+    (max_value, argmax_p)."""
+    if n > 6:
+        raise DomainError("grid search supports n <= 6")
+    if not 0.0 < s0 <= 1.0:
+        raise DomainError("s0 must be in (0, 1]")
+    ticks = round(s0 * resolution)
+    best_val, best_p = -np.inf, None
+    for comp in _sorted_compositions(ticks, n):
+        p = np.array(comp, dtype=float) / resolution
+        val = q2_ind_upper_objective(p, tau)
+        if val > best_val:
+            best_val, best_p = val, p
+    return float(best_val), best_p
+
+
+def split_grids(mix):
+    """The natural grids with the first cell of bidder n // 2 split at its
+    midpoint, so that bidder's grid differs from the rest of its class."""
+    grids = natural_grids(mix)
+    g = grids[mix.n_bidders // 2]
+    g.insert(1, (g[0] + g[1]) / 2)
+    return grids
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import q1q2_enumerate, q2_ind, q2_ind_from_q, random_regular_discrete, table_q1q2_enumerate
+from conftest import q1q2_enumerate, q2_ind, q2_ind_from_q, q2_ind_grid_max, random_regular_discrete, table_q1q2_enumerate
 from kwrob import (
     AnonymousReserve,
     Myerson,
@@ -37,7 +37,6 @@ from kwrob import (
     uniform_q2_counterexample,
     verify_kwise,
 )
-from kwrob.bounds import q2_ind_grid_max
 from kwrob.marginals import EqualRevenue, ShiftedEqualRevenue, Uniform
 from kwrob.quadrature import integrate
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import q2_ind, random_scaled_regular_family
+from conftest import q2_ind, q2_ind_grid_max, q2_ind_upper_objective, random_scaled_regular_family
 from kwrob import (
     AnonymousReserve,
     DiscretePMF,
@@ -13,8 +13,6 @@ from kwrob import (
     check_regular,
     minimize_revenue,
     revenue_exact,
-    equal_split_monotone_check,
-    q2_ind_grid_max,
     case2a_integral,
     certify_ar_constant,
     certify_iid_constant,
@@ -30,7 +28,7 @@ from kwrob import (
     tail_upper,
     q1_count_bound,
 )
-from kwrob.bounds import Q1_RATIO, _case2a_kinks, _lb2_kinks_in_s, q2_ind_upper_objective
+from kwrob.bounds import Q1_RATIO, BoundReport, _case2a_kinks, _lb2_kinks_in_s
 from kwrob.quadrature import integrate
 
 E = math.e
@@ -322,6 +320,17 @@ class TestCase2aClosedForm:
             assert tau_k[len(s_k) - 1 - j] == 0.5 * (lo + hi)
 
 
+def equal_split_monotone_check(s, m_max):
+    """True iff f(m) = 1 - (1 - s/m)^m (1 + m s/(m - s)) is nondecreasing on
+    integers m in [ceil(s)+1, m_max] and stays below the m -> infinity limit
+    1 - e^{-s}(1+s)."""
+    m = np.arange(math.ceil(s) + 1, m_max + 1, dtype=float)
+    f = 1.0 - (1.0 - s / m) ** m * (1.0 + m * s / (m - s))
+    if np.any(np.diff(f) < -1e-12):
+        return False
+    return bool(np.all(f <= q2_ind_near_bound(s) + 1e-12))
+
+
 class TestGridOracles:
     def test_two_equal_entries_maximize(self):
         val, p = q2_ind_grid_max(1.0, 3.0, 4)
@@ -398,10 +407,20 @@ class TestMergePredicate:
         assert _merge_gain(0.2, 0.2, [0.2], tau) < -1e-6
 
 
+def check_q1_ratio(q1_pairwise, q1_independent):
+    lhs = Q1_RATIO * q1_pairwise
+    return BoundReport(
+        "q1_ratio",
+        {"q1": q1_pairwise, "q1_ind": q1_independent},
+        Q1_RATIO,
+        (lhs, q1_independent, lhs >= q1_independent - 1e-9),
+    )
+
+
 class TestQ1RatioChecker:
     def test_adversarial_prior_satisfies_ratio(self):
         from conftest import q1_ind
-        from kwrob import check_q1_ratio, threshold_probs, uniform_q2_counterexample
+        from kwrob import threshold_probs, uniform_q2_counterexample
 
         prior = uniform_q2_counterexample(10)
         tau = 0.9
@@ -411,13 +430,11 @@ class TestQ1RatioChecker:
         assert rep.passed
 
     def test_product_ratio_one(self):
-        from kwrob import check_q1_ratio
-
         rep = check_q1_ratio(0.4, 0.4)
         assert rep.passed
 
     def test_lp_worst_case_q1(self):
-        from kwrob import build_polytope, check_q1_ratio, minimize_event_prob
+        from kwrob import build_polytope, minimize_event_prob
 
         # four binary bidders with quantile sum 1: the pairwise-worst Q1
         # still clears the 1.299 gap to the independent value

@@ -10,10 +10,9 @@ from kwrob import (
     Myerson,
     ShiftedEqualRevenue,
     Uniform,
-    myerson_iid_equals_ar,
     run_mechanism,
 )
-from kwrob.mechanisms import run_batch
+from kwrob.mechanisms import HIGHEST_VALUE, run_batch
 
 
 class TestRunAR:
@@ -106,6 +105,18 @@ class TestRunMyerson:
     def test_ironed_tie_lex(self):
         o = run_mechanism(Myerson([self.IRONED] * 2, "lex"), [3.642, 3.287])
         assert o.winner == 0 and o.payment == 3.287
+
+
+def myerson_iid_equals_ar(marginal, values):
+    """With i.i.d. regular bidders and highest-value tie-breaking, the
+    optimal mechanism is the second-price auction at the monopoly
+    reserve; check the two outcomes coincide on this value vector."""
+    n = len(values)
+    a = run_mechanism(Myerson([marginal] * n, HIGHEST_VALUE), values)
+    b = run_mechanism(AnonymousReserve(marginal.monopoly_reserve()), values)
+    if a.winner != b.winner:
+        return False
+    return abs(a.payment - b.payment) <= 1e-9 * max(1.0, abs(b.payment))
 
 
 class TestIidEqualsAR:

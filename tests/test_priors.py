@@ -16,6 +16,7 @@ from conftest import (
     random_discrete,
     sample_reference,
     slot_mixtures,
+    split_grids,
     table_csv_reference,
     table_q1q2_enumerate,
 )
@@ -59,7 +60,7 @@ def marginal_cells(prior, i, taus=()):
     its natural grid refined by the taus."""
     grids = natural_grids(prior)
     grids[i] = sorted(set(grids[i]) | set(taus))
-    supports, marginals, _ = _kept_cells(prior, grids)
+    _, supports, marginals, _ = _kept_cells(prior, grids)
     return np.asarray(supports[i]), marginals[i]
 
 
@@ -638,28 +639,33 @@ def heterogeneous_slot_mixture():
 
 class TestVerifierCrossValidation:
     @settings(derandomize=True, deadline=None, max_examples=80)
-    @given(slot_mixtures())
-    @example(heterogeneous_slot_mixture())
-    def test_mixture_agrees_with_table_enumeration(self, mix):
-        # the class-grouped verifier checks one representative subset per
-        # class combination (the first members of each class it meets); it
-        # must agree with the all-subsets check of the discretized table,
-        # violation by violation on those subsets
+    @given(slot_mixtures(), st.booleans())
+    @example(heterogeneous_slot_mixture(), False)
+    @example(uniform_q2_counterexample(4), True)
+    @example(myerson_counterexample(4, 1e-6), True)
+    def test_mixture_agrees_with_table_enumeration(self, mix, split):
+        # the group-wise verifier checks one representative subset per
+        # combination of (class, grid) groups (the first members of each
+        # group it meets); it must agree with the all-subsets check of the
+        # discretized table, violation by violation on those subsets.  A
+        # split grid takes one bidder out of its class's group
         n = mix.n_bidders
-        table = discretize(mix)
-        _, _, masses = _kept_cells(mix)
+        grids = split_grids(mix) if split else natural_grids(mix)
+        table = discretize(mix, grids)
+        groups, _, _, masses = _kept_cells(mix, grids)
         for size in range(1, n + 1):
             for subset in itertools.combinations(range(n), size):
                 others = tuple(j for j in range(n) if j not in subset)
                 want = table.pmf.sum(axis=others)
                 assert np.allclose(_joint(mix, masses, subset), want, rtol=0.0, atol=1e-12)
 
+        group_of = {i: g for g, members in enumerate(groups) for i in members}
+
         def representative(bidders):
-            cls = mix._class_of
-            return all(j in bidders for i in bidders for j in range(i) if cls[j] == cls[i])
+            return all(j in bidders for i in bidders for j in range(i) if group_of[j] == group_of[i])
 
         for k in range(1, n + 1):
-            rep_mix = verify_kwise(mix, k)
+            rep_mix = verify_kwise(mix, k, grids)
             rep_tab = verify_kwise(table, k)
             assert (rep_mix.passed, rep_mix.n_checked) == (rep_tab.passed, rep_tab.n_checked)
             assert rep_mix.max_deviation == pytest.approx(rep_tab.max_deviation, abs=1e-12)

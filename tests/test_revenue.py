@@ -4,7 +4,8 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     q1_ind,
@@ -13,6 +14,7 @@ from conftest import (
     random_marginal,
     random_regular_discrete,
     slot_mixtures,
+    split_grids,
     table_q1q2_enumerate,
 )
 from kwrob import (
@@ -112,17 +114,21 @@ class TestSlotParts:
     against the discretized table."""
 
     @settings(derandomize=True, deadline=None, max_examples=80)
-    @given(slot_mixtures())
-    def test_mixture_matches_its_table(self, mix):
-        grids = natural_grids(mix)
+    @given(slot_mixtures(), st.booleans())
+    @example(uniform_q2_counterexample(4), True)
+    @example(myerson_counterexample(4, 1e-6), True)
+    def test_mixture_matches_its_table(self, mix, split):
+        # a split grid takes one bidder out of its class's (class, grid)
+        # group; the table is exact at the natural grids' points
+        grids = split_grids(mix) if split else natural_grids(mix)
         table = discretize(mix, grids)
-        for tau in sorted({x for g in grids for x in g}):
+        for tau in sorted({x for g in natural_grids(mix) for x in g}):
             assert threshold_probs(mix, tau) == pytest.approx(
                 threshold_probs(table, tau), rel=1e-12, abs=1e-12
             )
         for tie in ("highest_value", "lex"):
             mech = Myerson(list(mix.marginals), tie)
-            assert revenue_exact(mix, mech).mean == pytest.approx(
+            assert revenue_exact(mix, mech, grids).mean == pytest.approx(
                 revenue_exact_table(table, mech).mean, rel=1e-12, abs=1e-12
             )
 
