@@ -23,7 +23,9 @@ infimum (the competitor's value), matching the second-price rule even when
 the tie itself would resolve against the winner.  `run_mechanism` is the
 one-row call, and `mechanism_payments` returns the kernel's payments for
 Monte Carlo blocks, exact table revenue and the LP objective; the exact
-branch sweep calls `threshold_payment` over its whole key grid.
+branch sweep calls `threshold_payment` over its whole key axis, shared by
+all bidders, once per distinct marginal against a competitor of lower and
+of higher index (`idx_star` -1 and n), which under highest_value coincide.
 """
 
 from __future__ import annotations

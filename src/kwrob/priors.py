@@ -33,10 +33,11 @@ computes each group's plain and chosen cell masses per branch and its
 marginal, shared by every member.  A subset's joint (_joint) sums outer
 products of those masses over the parts, a bidder's marginal is its joint
 on {i}, discretize is the joint of all bidders, and the exact Myerson
-sweep (revenue._myerson_branch_revenue) folds the slot members into one
-pass per branch.  verify_kwise runs one comparison loop, joint against the
-product of marginals per subset, for tables and mixtures alike; on a
-mixture it checks one representative subset per combination of groups.
+sweep (revenue._myerson_branch_revenue) reads each group once and folds
+the slot members into one pass per branch.  verify_kwise runs one
+comparison loop, joint against the product of marginals per subset, for
+tables and mixtures alike; on a mixture it checks one representative
+subset per combination of groups.
 
 Sampling draws the chosen member directly, and draws its chosen component
 only for the rows that picked it.  Samples are column-major: `sample`

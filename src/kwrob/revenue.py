@@ -8,17 +8,21 @@ Exact paths:
                   mixture: within a branch part the components are
                   independent.  AR revenue comes from the identity
                   AR(r) = r Q1(r) + integral of Q2 above r.  The optimal
-                  mechanism takes one sweep per branch over the global
-                  "competing key" grid (_myerson_branch_revenue), which
-                  folds a random-index slot's members in as a mixture of
-                  leave-one-out key CDFs, under either tie rule, on the
-                  cell table of priors._kept_cells.
+                  mechanism takes one sweep per branch
+                  (_myerson_branch_revenue) over one key axis shared by
+                  all bidders, the sorted distinct allocation keys of the
+                  cell table of priors._kept_cells, read once per (class,
+                  grid) group.  Leave-one-out products of the key CDFs,
+                  with bidders as array rows, split each key's ties by
+                  index, and a random-index slot's members fold in as a
+                  mixture of those products, under either tie rule.
 
 Every Myerson payment comes from the one threshold formula,
 mechanisms.threshold_payment: tables and Monte Carlo blocks reach it through
 the batch kernel behind mechanism_payments (re-exported here), and the
-branch sweep calls it over the whole key grid once per branch and distinct
-marginal under highest_value, once per bidder under lex.
+branch sweep calls it over the whole key axis once per branch and distinct
+marginal: once under highest_value, and under lex once against a lower and
+once against a higher index.
 Monte Carlo is block-seeded and bit-for-bit reproducible for a fixed (seed,
 block size).  The ex-ante relaxation quantities (threshold level,
 per-bidder prices/probabilities/revenues) and the associated robustness
@@ -88,88 +92,134 @@ def revenue_exact_table(table: TablePrior, mech: Mechanism) -> RevenueEstimate:
     return RevenueEstimate(math.fsum(mass[cells] * pays), 0.0, 0, True)
 
 
-def _myerson_branch_revenue(mech: Myerson, vals, masses):
+def _exclusive_prefix(a, b):
+    """Per row i of the factor matrices a and b (one row per bidder), over
+    the rows j < i: A_i = prod_j a_j and B_i = sum_m b_m prod_{j != m} a_j,
+    the product with one factor a_m swapped for b_m.
+    B comes from the running sum of b_m / a_m over the nonzero a_m; zero
+    factors are counted instead, so one leaves only its own swap and two
+    leave nothing.  Every nonzero a_m is a key CDF, at least the 1e-18 mass
+    floor, so the quotients stay finite."""
+    zero = a == 0.0
+    nonzero = np.where(zero, 1.0, a)
+    prod = np.ones_like(a)
+    np.cumprod(nonzero[:-1], axis=0, out=prod[1:])
+    zeros = np.zeros(a.shape, dtype=int)
+    np.cumsum(zero[:-1], axis=0, out=zeros[1:])
+    A = np.where(zeros == 0, prod, 0.0)
+    ratios, at_zero = np.zeros_like(a), np.zeros_like(a)
+    np.cumsum(np.where(zero, 0.0, b / nonzero)[:-1], axis=0, out=ratios[1:])
+    np.cumsum(np.where(zero, b, 0.0)[:-1], axis=0, out=at_zero[1:])
+    return A, prod * np.select([zeros == 0, zeros == 1], [ratios, at_zero])
+
+
+def _myerson_branch_revenue(mech: Myerson, vals, masses, groups):
     """Exact expected revenue of the virtual-value mechanism on one mixture
     branch.  Bidder i's value is vals[i][c] with probability masses[i][0][c]
     (its plain component) or, when it is the slot's chosen member,
     masses[i][1][c] (chosen is None off the slot); each of the k slot
-    members is chosen with probability s_i = 1/k.
-    The components need not match the marginals the mechanism was designed
-    for - that is the whole point when evaluating adversarial mixtures.
-    Masses of at most 1e-18 are dropped.
+    members is chosen with probability s_i = 1/k.  `groups` partitions the
+    bidders into lists that share their values and masses, as the (class,
+    grid) groups of priors._kept_cells do; only a group's first member is
+    read.  The components need not match the marginals the mechanism was
+    designed for - that is the whole point when evaluating adversarial
+    mixtures.  Masses of at most 1e-18 are dropped.
 
-    Sweep: sort every (bidder, value) pair by its allocation key; column 0
-    of the key grid is "no eligible competitor".  Conditional on the
-    strongest competing key kappa, bidder i wins iff its own key beats
-    kappa and then pays the threshold t_i(kappa).  Within a branch part the
-    bidders are independent, so Pr[strongest competing key <= key_t] is a
-    leave-one-out product of per-bidder key CDFs: A from the plain CDFs Cp,
-    and B, the mixture over chosen members m of s_m Cc_m times the other
-    bidders' Cp, from the recursion B_{i+1} = B_i Cp_i + s_i A_i Cc_i.
-    Bidder i is priced plain against B (A without a slot) and, with weight
-    s_i, chosen against A: one pass per branch under either tie rule.
+    Sweep: one key axis for all bidders, the sorted distinct allocation
+    keys kappa_t of every group's values, (phi, v) under highest_value and
+    phi under lex, with column 0 for "ineligible".  Equal keys of
+    different bidders share a column; the products below resolve the tie
+    toward the lower index.  With W_j(t) = Pr[key_j <= kappa_t] and
+    S_j(t) = Pr[key_j < kappa_t] = W_j(t-1), bidder i's competitors give
+    LW = prod_{j != i} W_j, LS = prod_{j != i} S_j and
+    LM = prod_{j < i} S_j prod_{j > i} W_j.  The strongest competitor sits
+    at kappa_t with a lower index with probability LW - LM; bidder i then
+    needs a key above kappa_t and pays threshold_payment with idx_star =
+    -1.  It sits there with only higher indices with probability LM - LS;
+    bidder i then needs a key of at least kappa_t and pays with idx_star =
+    n.  Column 0 is all in the first case.  Within a branch part the
+    bidders are independent, so each product is a product of prefix and
+    suffix products over the bidder rows (_exclusive_prefix).  In a slot
+    branch bidder i is priced plain against the slot mixture of each
+    product, the sum over chosen members m of s_m times the product with
+    m's plain CDF swapped for its chosen one, and, with weight s_i, chosen
+    against the plain products.  The thresholds are computed once per
+    distinct marginal (they coincide under highest_value), and the rest is
+    array arithmetic over (bidder, key) with no loop over bidders.
     """
     n = len(vals)
     by_value = mech.tie_break == HIGHEST_VALUE
-    k = sum(chosen is not None for _, chosen in masses)  # slot members
-    s = np.array([0.0 if chosen is None else 1.0 / k for _, chosen in masses])
-    cols = []  # per bidder: (phi, value, bidder, plain mass, chosen mass)
-    for i, (v, (p, c)) in enumerate(zip(vals, masses)):
+    # one row class per (group, mechanism marginal): group members may
+    # still face different marginals of the mechanism
+    of_marginal = np.unique([id(m) for m in mech.marginals], return_inverse=True)[1]
+    of_group = np.empty(n, dtype=int)
+    for g, members in enumerate(groups):
+        of_group[members] = g
+    _, reps, row_class = np.unique(of_group * n + of_marginal, return_index=True, return_inverse=True)
+
+    cols = []  # per row class: (phi, value, class, plain mass, chosen mass)
+    for r, i in enumerate(reps):
+        p, c = masses[i]
         p = np.where(p > 1e-18, p, 0.0)
         c = np.zeros_like(p) if c is None else np.where(c > 1e-18, c, 0.0)
         keep = (p > 0.0) | (c > 0.0)
-        v = v[keep]
-        cols.append((virtual_values(mech.marginals[i], v, i), v, np.full(len(v), i), p[keep], c[keep]))
-    phi, val, who, p, c = (np.concatenate(x) for x in zip(*cols))
+        v = np.asarray(vals[i], dtype=float)[keep]
+        cols.append((virtual_values(mech.marginals[i], v, i), v, np.full(len(v), r), p[keep], c[keep]))
+    phi, val, cls, p, c = (np.concatenate(x) for x in zip(*cols))
     phi = np.where(phi >= 0.0, phi, -np.inf)  # ineligible values sort first
-    # ascending allocation keys (phi, v, -i) or (phi, -i); equal keys (one
-    # bidder's ironed-flat values under lex) share a column
-    order = np.lexsort((-who, val, phi) if by_value else (-who, phi))
-    phi, val, who, p, c = phi[order], val[order], who[order], p[order], c[order]
-    new = (phi[1:] != phi[:-1]) | (who[1:] != who[:-1])
+    order = np.lexsort((val, phi) if by_value else (phi,))
+    phi, val, cls, p, c = phi[order], val[order], cls[order], p[order], c[order]
+    new = phi[1:] != phi[:-1]
     if by_value:
         new |= val[1:] != val[:-1]
     new = np.append(True, new) & (phi > -np.inf)
     if not new.any():
         return 0.0  # no eligible value, no sale
     col = np.cumsum(new)  # 0 for the ineligible values
-    key_phi = np.append(-np.inf, phi[new])
-    key_val, key_who = np.append(0.0, val[new]), np.append(-1, who[new])
+    key_phi, key_val = np.append(-np.inf, phi[new]), np.append(0.0, val[new])
 
-    # Cp[i, t], Cc[i, t] = Pr[bidder i's key is ineligible or <= key_t]
-    Cp, Cc = np.zeros((n, len(key_phi))), np.zeros((n, len(key_phi)))
-    np.add.at(Cp, (who, col), p)
-    np.add.at(Cc, (who, col), c)
-    np.cumsum(Cp, axis=1, out=Cp)
-    np.cumsum(Cc, axis=1, out=Cc)
+    # W[., t] = Pr[key ineligible or <= kappa_t], per row class, then per
+    # bidder row
+    Wp, Wc = np.zeros((len(reps), len(key_phi))), np.zeros((len(reps), len(key_phi)))
+    np.add.at(Wp, (cls, col), p)
+    np.add.at(Wc, (cls, col), c)
+    Wp, Wc = np.cumsum(Wp, axis=1)[row_class], np.cumsum(Wc, axis=1)[row_class]
+    member = np.array([masses[i][1] is not None for i in reps])[row_class]
+    k = int(member.sum())  # slot members
+    s = (member / max(k, 1))[:, None]
 
-    # products over the bidders before (A_pre) and after (A_suf) bidder i
-    ones = np.ones((1, len(key_phi)))
-    A_pre = np.concatenate((ones, np.cumprod(Cp[:-1], axis=0)))
-    A_suf = np.concatenate((np.cumprod(Cp[:0:-1], axis=0)[::-1], ones))
-    B_suf, B_pre = np.zeros_like(Cp), np.zeros(len(key_phi))
-    if k:  # without a slot B stays 0 and is never read
-        for i in range(n - 1, 0, -1):
-            B_suf[i - 1] = B_suf[i] * Cp[i] + s[i] * A_suf[i] * Cc[i]
+    def shift(x):  # column t - 1 at t; 0 at column 0, where S_j = 0
+        return np.concatenate((np.zeros((len(x), 1)), x[:, :-1]), axis=1)
 
-    # under highest_value the threshold depends on i only through its
-    # marginal, so bidders sharing a marginal object share one array
-    thresholds, terms = {}, []
-    for i in range(n):
-        tag = id(mech.marginals[i]) if by_value else i
-        if tag not in thresholds:
-            thresholds[tag] = threshold_payment(mech, i, key_phi, key_val, key_who)
-        thr = thresholds[tag]
-        loo_A = A_pre[i] * A_suf[i]
-        loo_B = A_pre[i] * B_suf[i] + B_pre * A_suf[i] if k else loo_A
-        for weight, loo, C in ((1.0, loo_B, Cp[i]), (s[i], loo_A, Cc[i])):
-            if weight:
-                # Pr[strongest competing key = key_t], Pr[bidder i beats it]
-                p_eq, win = loo - np.concatenate(([0.0], loo[:-1])), 1.0 - C
-                ok = (p_eq > 1e-18) & (win > 0.0) & (thr < np.inf)
-                terms.append((weight * p_eq * win)[ok] * thr[ok])
-        if k:
-            B_pre = B_pre * Cp[i] + s[i] * A_pre[i] * Cc[i]
+    # prefix and suffix products over the bidder rows, plain (A) and with
+    # one slot member's plain CDF swapped for s_m times its chosen one (B)
+    chosen = s * Wc
+    A_pre, B_pre = _exclusive_prefix(Wp, chosen)
+    A_suf, B_suf = (x[::-1] for x in _exclusive_prefix(Wp[::-1], chosen[::-1]))
+
+    # per distinct marginal: against a lower index (strict route only under
+    # lex), against a higher one
+    thr_lower, thr_higher = [], []
+    for i in np.unique(of_marginal, return_index=True)[1]:
+        thr_lower.append(threshold_payment(mech, i, key_phi, key_val, -1))
+        thr_higher.append(thr_lower[-1] if by_value else threshold_payment(mech, i, key_phi, key_val, n))
+    thr_lower, thr_higher = np.array(thr_lower)[of_marginal], np.array(thr_higher)[of_marginal]
+
+    terms = []
+
+    def price(weight, lw, lm, W):
+        # Pr[strongest competitor at kappa_t with a lower / only higher
+        # index], Pr[bidder i beats it], and the threshold it then pays
+        for prob, win, thr in ((lw - lm, 1.0 - W, thr_lower), (lm - shift(lw), 1.0 - shift(W), thr_higher)):
+            ok = (prob > 1e-18) & (win > 0.0) & (thr < np.inf)
+            terms.append((weight * prob * win)[ok] * thr[ok])
+
+    lw, lm = A_pre * A_suf, shift(A_pre) * A_suf
+    if k:
+        price(1.0, A_pre * B_suf + B_pre * A_suf, shift(A_pre) * B_suf + shift(B_pre) * A_suf, Wp)
+        price(s, lw, lm, Wc)
+    else:
+        price(1.0, lw, lm, Wp)
     return math.fsum(np.concatenate(terms))
 
 
@@ -179,11 +229,12 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
     AR on product/mixture priors is exact for the continuous prior (closed
     form Q1/Q2 plus the revenue integral); the grids only add quadrature
     breakpoints.  The optimal mechanism on product/mixture priors is one
-    sweep per branch over the cell table of priors._kept_cells, each cell
-    valued at its lower endpoint.  That value is exact only where the
-    virtual value is constant on every cell and, under highest_value, no
-    two eligible bidders tie on a flat virtual-value level across
-    continuous values.  Both hold on the shipped constructions; README
+    sweep per branch over the cell table of priors._kept_cells, on one key
+    axis shared by all bidders and with per-bidder work done once per
+    (class, grid) group, each cell valued at its lower endpoint.  That
+    value is exact only where the virtual value is constant on every cell
+    and, under highest_value, no two eligible bidders tie on a flat
+    virtual-value level across continuous values.  Both hold on the shipped constructions; README
     "Notes on exactness" gives the two known faults where they do not
     (faults A and B of ROADMAP item 1: Uniform(0, 1) x 2, and
     EqualRevenue(1, 10) x 2 under highest_value).
@@ -206,12 +257,11 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
 
         return RevenueEstimate(ar_revenue_integral(mech.r, q1, q2, hi, breaks, abs_tol=1e-10), 0.0, 0, True)
 
-    _, supports, _, masses = _kept_cells(prior, grids)
-    vals = [np.array(s) for s in supports]
+    groups, supports, _, masses = _kept_cells(prior, grids)
     total = 0.0
     for branch, bm in zip(prior.branches, masses):
         if branch.weight != 0.0:
-            total += branch.weight * _myerson_branch_revenue(mech, vals, bm)
+            total += branch.weight * _myerson_branch_revenue(mech, supports, bm, groups)
     return RevenueEstimate(total, 0.0, 0, True)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, ShiftedEqualRevenue, Uniform, check_regular
 from kwrob.io import write_csv
-from kwrob.mechanisms import HIGHEST_VALUE
+from kwrob.mechanisms import HIGHEST_VALUE, threshold_payment, virtual_values
 from kwrob.priors import (
     Branch,
     Conditioned,
@@ -360,6 +360,94 @@ def kwise_basis_csr_reference(shape, masses, k):
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     indices = np.concatenate([b.ravel() for b in blocks])
     return indptr, indices, np.ones(indices.size), np.concatenate(rhs)
+
+
+def myerson_branch_revenue_reference(mech, vals, masses):
+    """Reference for revenue._myerson_branch_revenue, as the revenue module
+    computed it before the bidders shared one key axis: a key grid with
+    its own columns per bidder, so no two bidders share a key, and a
+    Python loop over the bidders.
+
+    Exact expected revenue of the virtual-value mechanism on one mixture
+    branch.  Bidder i's value is vals[i][c] with probability
+    masses[i][0][c] (its plain component) or, when it is the slot's chosen
+    member, masses[i][1][c] (chosen is None off the slot); each of the k
+    slot members is chosen with probability s_i = 1/k.  Masses of at most
+    1e-18 are dropped.
+
+    Sweep: sort every (bidder, value) pair by its allocation key; column 0
+    of the key grid is "no eligible competitor".  Conditional on the
+    strongest competing key kappa, bidder i wins iff its own key beats
+    kappa and then pays the threshold t_i(kappa).  Within a branch part the
+    bidders are independent, so Pr[strongest competing key <= key_t] is a
+    leave-one-out product of per-bidder key CDFs: A from the plain CDFs Cp,
+    and B, the mixture over chosen members m of s_m Cc_m times the other
+    bidders' Cp, from the recursion B_{i+1} = B_i Cp_i + s_i A_i Cc_i.
+    Bidder i is priced plain against B (A without a slot) and, with weight
+    s_i, chosen against A: one pass per branch under either tie rule.
+    """
+    n = len(vals)
+    by_value = mech.tie_break == HIGHEST_VALUE
+    k = sum(chosen is not None for _, chosen in masses)  # slot members
+    s = np.array([0.0 if chosen is None else 1.0 / k for _, chosen in masses])
+    cols = []  # per bidder: (phi, value, bidder, plain mass, chosen mass)
+    for i, (v, (p, c)) in enumerate(zip(vals, masses)):
+        p = np.where(p > 1e-18, p, 0.0)
+        c = np.zeros_like(p) if c is None else np.where(c > 1e-18, c, 0.0)
+        keep = (p > 0.0) | (c > 0.0)
+        v = v[keep]
+        cols.append((virtual_values(mech.marginals[i], v, i), v, np.full(len(v), i), p[keep], c[keep]))
+    phi, val, who, p, c = (np.concatenate(x) for x in zip(*cols))
+    phi = np.where(phi >= 0.0, phi, -np.inf)  # ineligible values sort first
+    # ascending allocation keys (phi, v, -i) or (phi, -i); equal keys (one
+    # bidder's ironed-flat values under lex) share a column
+    order = np.lexsort((-who, val, phi) if by_value else (-who, phi))
+    phi, val, who, p, c = phi[order], val[order], who[order], p[order], c[order]
+    new = (phi[1:] != phi[:-1]) | (who[1:] != who[:-1])
+    if by_value:
+        new |= val[1:] != val[:-1]
+    new = np.append(True, new) & (phi > -np.inf)
+    if not new.any():
+        return 0.0  # no eligible value, no sale
+    col = np.cumsum(new)  # 0 for the ineligible values
+    key_phi = np.append(-np.inf, phi[new])
+    key_val, key_who = np.append(0.0, val[new]), np.append(-1, who[new])
+
+    # Cp[i, t], Cc[i, t] = Pr[bidder i's key is ineligible or <= key_t]
+    Cp, Cc = np.zeros((n, len(key_phi))), np.zeros((n, len(key_phi)))
+    np.add.at(Cp, (who, col), p)
+    np.add.at(Cc, (who, col), c)
+    np.cumsum(Cp, axis=1, out=Cp)
+    np.cumsum(Cc, axis=1, out=Cc)
+
+    # products over the bidders before (A_pre) and after (A_suf) bidder i
+    ones = np.ones((1, len(key_phi)))
+    A_pre = np.concatenate((ones, np.cumprod(Cp[:-1], axis=0)))
+    A_suf = np.concatenate((np.cumprod(Cp[:0:-1], axis=0)[::-1], ones))
+    B_suf, B_pre = np.zeros_like(Cp), np.zeros(len(key_phi))
+    if k:  # without a slot B stays 0 and is never read
+        for i in range(n - 1, 0, -1):
+            B_suf[i - 1] = B_suf[i] * Cp[i] + s[i] * A_suf[i] * Cc[i]
+
+    # under highest_value the threshold depends on i only through its
+    # marginal, so bidders sharing a marginal object share one array
+    thresholds, terms = {}, []
+    for i in range(n):
+        tag = id(mech.marginals[i]) if by_value else i
+        if tag not in thresholds:
+            thresholds[tag] = threshold_payment(mech, i, key_phi, key_val, key_who)
+        thr = thresholds[tag]
+        loo_A = A_pre[i] * A_suf[i]
+        loo_B = A_pre[i] * B_suf[i] + B_pre * A_suf[i] if k else loo_A
+        for weight, loo, C in ((1.0, loo_B, Cp[i]), (s[i], loo_A, Cc[i])):
+            if weight:
+                # Pr[strongest competing key = key_t], Pr[bidder i beats it]
+                p_eq, win = loo - np.concatenate(([0.0], loo[:-1])), 1.0 - C
+                ok = (p_eq > 1e-18) & (win > 0.0) & (thr < np.inf)
+                terms.append((weight * p_eq * win)[ok] * thr[ok])
+        if k:
+            B_pre = B_pre * Cp[i] + s[i] * A_pre[i] * Cc[i]
+    return math.fsum(np.concatenate(terms))
 
 
 def random_regular_discrete(rng, max_pts=4, lo=0.1, hi=10.0):

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    myerson_branch_revenue_reference,
     q1_ind,
     q1q2_enumerate,
     q2_ind,
+    random_discrete,
     random_marginal,
     random_regular_discrete,
     slot_mixtures,
@@ -20,6 +22,7 @@ from conftest import (
 from kwrob import (
     AnonymousReserve,
     Branch,
+    Conditioned,
     DiscretePMF,
     DomainError,
     EqualRevenue,
@@ -43,6 +46,7 @@ from kwrob import (
     threshold_probs,
     uniform_q2_counterexample,
 )
+from kwrob.priors import _kept_cells
 from kwrob.revenue import _myerson_branch_revenue, posted_price_lower_bound
 
 
@@ -79,11 +83,11 @@ class TestExactTable:
         assert via_table == pytest.approx(2.5, abs=1e-12)
         assert revenue_exact(prior, mech).mean == pytest.approx(via_table, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [40, 100, 300])
+    @pytest.mark.parametrize("n", [40, 100, 300, 1000, 2000])
     @pytest.mark.parametrize("tie", ["highest_value", "lex"])
     def test_counterexample_closed_form(self, n, tie):
-        # under lex every slot member is priced separately, yet the whole
-        # slot branch is still one sweep: lex at n = 300 stays fast.  The
+        # each slot branch is one sweep over a key axis shared by all
+        # bidders, so even n = 2000 stays fast under both tie rules.  The
         # terms are summed correctly rounded, so the error stays within a
         # few units in the last place at every n
         eps = 1e-6
@@ -141,7 +145,7 @@ class TestProductSweep:
     def sweep(mech, dists):
         vals = [np.asarray(v, dtype=float) for v, _ in dists]
         masses = [(np.asarray(p, dtype=float), None) for _, p in dists]
-        return _myerson_branch_revenue(mech, vals, masses)
+        return _myerson_branch_revenue(mech, vals, masses, [[i] for i in range(len(dists))])
 
     def brute(self, mech, dists):
         total = 0.0
@@ -212,6 +216,80 @@ class TestProductSweep:
         assert self.sweep(mech, dists) == pytest.approx(
             self.brute(mech, dists), abs=1e-12
         )
+
+
+class TestSharedKeyAxis:
+    """The branch sweep on one key axis shared by all bidders against the
+    reference sweep with its own key columns per bidder, and against
+    enumeration where bidders of different marginals tie on one key."""
+
+    @staticmethod
+    def assert_matches_reference(prior, mech, grids=None):
+        groups, supports, _, masses = _kept_cells(prior, grids)
+        vals = [np.array(s) for s in supports]
+        for bm in masses:
+            assert _myerson_branch_revenue(mech, supports, bm, groups) == pytest.approx(
+                myerson_branch_revenue_reference(mech, vals, bm), rel=1e-15, abs=0.0
+            )
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(slot_mixtures(), st.booleans())
+    def test_slot_mixtures(self, mix, split):
+        grids = split_grids(mix) if split else natural_grids(mix)
+        for tie in ("highest_value", "lex"):
+            self.assert_matches_reference(mix, Myerson(list(mix.marginals), tie), grids)
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 300])
+    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
+    def test_constructions(self, n, tie):
+        for prior in (myerson_counterexample(n, 1e-6), uniform_q2_counterexample(n)):
+            self.assert_matches_reference(prior, Myerson(list(prior.marginals), tie))
+
+    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
+    def test_random_products(self, tie, rng):
+        # bidders repeat a few marginals, so they share (class, grid)
+        # groups; the mechanism may tell members of one group apart by
+        # designing for other masses on the same points
+        for _ in range(40):
+            pool = [random_discrete(rng) for _ in range(int(rng.integers(1, 4)))]
+            ms = [pool[int(j)] for j in rng.integers(0, len(pool), size=int(rng.integers(1, 7)))]
+            designed = {id(m): DiscretePMF(m.points, rng.dirichlet(np.ones(len(m.points)))) for m in pool}
+            mech_ms = [designed[id(m)] if rng.random() < 0.5 else m for m in ms]
+            self.assert_matches_reference(ProductPrior(ms), Myerson(mech_ms, tie))
+
+    # two marginals with different points below a shared top point 3,
+    # where both have virtual value 3
+    A = DiscretePMF([2.5, 3.0], [0.5, 0.5])
+    B = DiscretePMF([2.0, 3.0], [0.4, 0.6])
+
+    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
+    def test_interleaved_ties_product(self, tie):
+        assert self.A.virtual_value(3.0) == self.B.virtual_value(3.0) == 3.0
+        ms = [self.A, self.B, self.A, self.B]
+        mech = Myerson(ms, tie)
+        prior = ProductPrior(ms)
+        dists = [(m.points, m.masses) for m in ms]
+        brute = TestProductSweep().brute(mech, dists)
+        assert revenue_exact(prior, mech).mean == pytest.approx(brute, rel=1e-14)
+        assert revenue_exact_table(discretize(prior), mech).mean == pytest.approx(brute, rel=1e-14)
+        assert TestProductSweep.sweep(mech, dists) == pytest.approx(brute, rel=1e-14)
+
+    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
+    def test_interleaved_ties_slot(self, tie):
+        # the slot's chosen member sits at the shared top point, where the
+        # other bidders, of either marginal, can tie with it
+        ms = [self.A, self.B, self.A, self.B]
+        prior = MixturePrior(
+            ms,
+            [
+                Branch(0.5, tuple(FixedValue(m.points[0]) for m in ms)),
+                Branch(0.5, tuple(Conditioned(m) for m in ms), chosen=(FixedValue(3.0),) * 4),
+            ],
+        )
+        mech = Myerson(ms, tie)
+        via_table = revenue_exact_table(discretize(prior), mech).mean
+        assert revenue_exact(prior, mech).mean == pytest.approx(via_table, rel=1e-14)
+        self.assert_matches_reference(prior, mech)
 
 
 class TestMonteCarlo:
