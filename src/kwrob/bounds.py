@@ -235,10 +235,13 @@ def certify_iid_constant(grid: int = 10_000, lb2_grid=None) -> BoundReport:
 def lb2_cumulative_grid():
     """(u, int_u^1 LB2(1/x) dx) on a dense u-grid, kink-refined; read by the
     minimisation and the figure emitter."""
-    base = np.linspace(1e-6, 1.0, 400_001)
-    extra = 1.0 / _lb2_kinks_in_s(1.0, 1e6, m_cap=4000)
+    u = np.linspace(1e-6, 1.0, 400_001)
+    extra = np.unique(1.0 / _lb2_kinks_in_s(1.0, 1e6, m_cap=4000))
     extra = extra[extra > 1e-6]
-    u = np.unique(np.concatenate([base, extra]))
+    # both sorted: insert the kinks the base grid lacks at their places
+    at = np.searchsorted(u, extra)
+    new = u[np.minimum(at, u.size - 1)] != extra
+    u = np.insert(u, at[new], extra[new])
     vals = lb2_vec(1.0 / u)
     seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(u)
     cum_from_left = np.concatenate([[0.0], np.cumsum(seg)])
@@ -269,17 +272,38 @@ def _case2a_g(p_bar):
     return g
 
 
+_KINK_BRACKET = 64 * np.finfo(float).eps  # relative half-width of a seeded kink bracket
+
+
 def _case2a_kinks(p_bar):
     """Ascending tau in (0, 1) where floor(g^2/(g-1)) jumps to m = 5..20000:
-    each LB2 kink in s is inverted through g by bisection, all kinks
-    advancing together, 80 halvings each."""
+    each LB2 kink s in (1, 2) inverted through g by bisection on the
+    predicate g(tau) > s, all kinks advancing together.
+
+    g(tau) = s is the quadratic s pq tau^2 + (s-1)(p^2+q^2) tau - (2-s) pq = 0
+    (q = 1 - p), whose root in (0, 1) is, without cancellation,
+    t = 2(2-s) pq / ((s-1)(p^2+q^2) + sqrt(D)).  The rounded root is up to
+    ~100 ulps off the float crossing (at p = 0.01), so it only seeds the
+    bracket t(1 -+ _KINK_BRACKET); a kink whose bracket fails the predicate
+    starts from [0, 1].  g in floats is nonincreasing (each operation is
+    monotone and rounds monotonically), so the tau with g(tau) > s are a
+    prefix of the floats, and halving until no bracket moves ends each kink
+    on the adjacent pair of floats, and the midpoint, that 80 halvings from
+    [0, 1] reach for every kink above 2^-27: about 9 halvings, not 80."""
     g = _case2a_g(p_bar)
-    s_k = _lb2_kinks_in_s(1.0, 2.0, m_cap=20_000)
-    lo, hi = np.zeros(len(s_k)), np.ones(len(s_k))
+    s = _lb2_kinks_in_s(1.0, 2.0, m_cap=20_000)
+    pq, b = p_bar * (1.0 - p_bar), (s - 1.0) * (p_bar**2 + (1.0 - p_bar) ** 2)
+    t = 2.0 * (2.0 - s) * pq / (b + np.sqrt(b * b + 4.0 * s * (2.0 - s) * pq * pq))
+    lo, hi = t * (1.0 - _KINK_BRACKET), t * (1.0 + _KINK_BRACKET)
+    bad = ~(g(lo) > s) | (g(hi) > s)
+    lo[bad], hi[bad] = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        above = g(mid) > s_k
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        above = g(mid) > s
+        new_lo, new_hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return (0.5 * (lo + hi))[::-1]  # g decreases, so ascending s is descending tau
 
 

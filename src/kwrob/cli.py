@@ -252,8 +252,7 @@ def _write_threshold_curve(args, spec, prior, marginals):
         taus = np.linspace(
             float(spec["lo"]), float(spec["hi"]), int(spec.get("count", 101))
         ).tolist()
-    independent = ProductPrior(marginals)
-    rows = [(tau, *threshold_probs(prior, tau), *threshold_probs(independent, tau)) for tau in taus]
+    rows = zip(taus, *threshold_probs(prior, taus), *threshold_probs(ProductPrior(marginals), taus))
     write_csv(_outdir(args) / "threshold_curve.csv", ["tau", "q1", "q2", "q1_ind", "q2_ind"], rows)
 
 

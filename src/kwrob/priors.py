@@ -548,43 +548,63 @@ def discretize(prior: JointPrior, grids=None) -> TablePrior:
 def q1q2_from_qvec(qs) -> tuple:
     """(Pr[at least one above], Pr[at least two above]) for independent
     events with probabilities qs, to full relative precision in the tails.
+    A matrix of qs reads one event vector per row and gives one (Q1, Q2)
+    entry per row; a vector gives floats.
 
     Q1 = 1 - prod(1 - q_i) comes from expm1 of the summed log1p(-q_i); Q2
     sums, over the last event i that occurs, q_i * Pr[one of j < i occurs]
     * prod_{j > i}(1 - q_j).  Every term is nonnegative, and a certain
     event (q = 1) gives log1p(-1) = -inf and a factor exactly 0."""
-    q = np.clip(np.asarray(qs, dtype=float), 0.0, 1.0)
+    # rows contiguous, so each row's sums run as a vector's do (pairwise)
+    q = np.clip(np.ascontiguousarray(qs, dtype=float), 0.0, 1.0)
     with np.errstate(divide="ignore"):
         logs = np.log1p(-q)
-    any_before = 0.0 - np.expm1(np.concatenate(([0.0], np.cumsum(logs[:-1]))))
-    none_after = np.append(np.cumprod((1.0 - q)[:0:-1])[::-1], 1.0)
-    return float(0.0 - np.expm1(logs.sum())), float(np.sum(q * any_before * none_after))
+    edge = np.zeros(q.shape[:-1] + (1,))
+    any_before = 0.0 - np.expm1(np.concatenate((edge, np.cumsum(logs[..., :-1], axis=-1)), axis=-1))
+    none_after = np.concatenate((np.cumprod((1.0 - q)[..., :0:-1], axis=-1)[..., ::-1], edge + 1.0), axis=-1)
+    q1 = 0.0 - np.expm1(logs.sum(axis=-1))
+    q2 = np.sum(q * any_before * none_after, axis=-1)
+    return (float(q1), float(q2)) if q.ndim == 1 else (q1, q2)
 
 
-def threshold_probs(prior: JointPrior, tau: float) -> tuple:
-    """Exact (Q1, Q2) = Pr[>=1 value >= tau], Pr[>=2 values >= tau]."""
-    if math.isnan(tau):
+def threshold_probs(prior: JointPrior, tau) -> tuple:
+    """Exact (Q1, Q2) = Pr[>=1 value >= tau], Pr[>=2 values >= tau].
+
+    tau is a float, giving floats, or an array of floats, giving two arrays
+    of tau's shape whose entries equal the scalar calls bit for bit.  An
+    array is evaluated in one pass: the table's cell values, a branch's
+    parts, its class representatives and a part's chosen column are found
+    once for all tau, and each part's (tau x bidders) q matrix is reduced
+    by one q1q2_from_qvec call.  A NaN anywhere in tau raises DomainError."""
+    taus = np.asarray(tau, dtype=float)
+    if np.isnan(taus).any():
         raise DomainError("tau must not be NaN")
+    ts = taus.ravel().tolist()
     if isinstance(prior, TablePrior):
-        counts = (cell_values(prior.supports) >= tau).sum(axis=1)
-        flat = prior.pmf.ravel()
-        return float(flat[counts >= 1].sum()), float(flat[counts >= 2].sum())
-    # one quantile_q per exchangeability class, gathered in bidder order:
-    # a class's members share their components in every branch
-    classes = np.asarray(prior._class_of)
-    reps = np.unique(classes, return_index=True)[1]
-    q1 = q2 = 0.0
-    for branch in prior.branches:
-        q_plain = np.array([branch.components[r].quantile_q(tau) for r in reps])[classes]
-        for share, chosen in _branch_parts(prior, branch):
-            qs = q_plain
-            if chosen is not None:
-                qs = q_plain.copy()
-                qs[chosen] = branch.chosen[chosen].quantile_q(tau)
-            t1, t2 = q1q2_from_qvec(qs)
-            q1 += branch.weight * share * t1
-            q2 += branch.weight * share * t2
-    return q1, q2
+        values, flat = cell_values(prior.supports), prior.pmf.ravel()
+        counts = [(values >= t).sum(axis=1) for t in ts]
+        q1 = np.array([flat[c >= 1].sum() for c in counts])
+        q2 = np.array([flat[c >= 2].sum() for c in counts])
+    else:
+        # one quantile_q per exchangeability class, gathered in bidder order:
+        # a class's members share their components in every branch
+        classes = np.asarray(prior._class_of)
+        reps = np.unique(classes, return_index=True)[1]
+        q1, q2 = np.zeros(len(ts)), np.zeros(len(ts))
+        for branch in prior.branches:
+            comps = [branch.components[r] for r in reps]
+            q_plain = np.array([[c.quantile_q(t) for c in comps] for t in ts]).reshape(len(ts), len(comps))[:, classes]
+            for share, chosen in _branch_parts(prior, branch):
+                qs = q_plain
+                if chosen is not None:
+                    qs = q_plain.copy()
+                    qs[:, chosen] = [branch.chosen[chosen].quantile_q(t) for t in ts]
+                t1, t2 = q1q2_from_qvec(qs)
+                q1 += branch.weight * share * t1
+                q2 += branch.weight * share * t2
+    if taus.ndim == 0:
+        return float(q1[0]), float(q2[0])
+    return q1.reshape(taus.shape), q2.reshape(taus.shape)
 
 
 # ---------------------------------------------------------------------------

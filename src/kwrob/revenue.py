@@ -268,8 +268,9 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
 def posted_price_lower_bound(marginals) -> float:
     """max_i r*_i q_i(r*_i): selling to one bidder at their monopoly reserve
     is a truthful mechanism, so this lower-bounds the optimal revenue under
-    the independent prior."""
-    return max(r * m.quantile_q(r) for m in marginals for r in [m.monopoly_reserve()])
+    the independent prior.  Bidders sharing a marginal share its term, so
+    the max runs over the distinct marginals."""
+    return max(r * m.quantile_q(r) for m in dict.fromkeys(marginals) for r in [m.monopoly_reserve()])
 
 
 # ---------------------------------------------------------------------------

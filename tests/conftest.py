@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, ShiftedEqualRevenue, Uniform, check_regular
 from kwrob.io import write_csv
 from kwrob.mechanisms import HIGHEST_VALUE, threshold_payment, virtual_values
+from kwrob.bounds import _case2a_g, _lb2_kinks_in_s, lb2_vec
 from kwrob.priors import (
     Branch,
     Conditioned,
     FixedValue,
     MixturePrior,
+    TablePrior,
+    _branch_parts,
+    cell_values,
     natural_grids,
     q1q2_from_qvec,
     threshold_probs,
@@ -448,6 +452,71 @@ def myerson_branch_revenue_reference(mech, vals, masses):
         if k:
             B_pre = B_pre * Cp[i] + s[i] * A_pre[i] * Cc[i]
     return math.fsum(np.concatenate(terms))
+
+
+def q1q2_from_qvec_reference(qs):
+    """Reference for priors.q1q2_from_qvec on one event vector, as the
+    priors module computed it before it reduced a matrix row by row."""
+    q = np.clip(np.asarray(qs, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        logs = np.log1p(-q)
+    any_before = 0.0 - np.expm1(np.concatenate(([0.0], np.cumsum(logs[:-1]))))
+    none_after = np.append(np.cumprod((1.0 - q)[:0:-1])[::-1], 1.0)
+    return float(0.0 - np.expm1(logs.sum())), float(np.sum(q * any_before * none_after))
+
+
+def threshold_probs_reference(prior, tau):
+    """Reference for priors.threshold_probs at one float tau, as the priors
+    module computed it before it took arrays of tau: the branch parts, the
+    class representatives and the chosen column found anew for each tau."""
+    if math.isnan(tau):
+        raise DomainError("tau must not be NaN")
+    if isinstance(prior, TablePrior):
+        counts = (cell_values(prior.supports) >= tau).sum(axis=1)
+        flat = prior.pmf.ravel()
+        return float(flat[counts >= 1].sum()), float(flat[counts >= 2].sum())
+    classes = np.asarray(prior._class_of)
+    reps = np.unique(classes, return_index=True)[1]
+    q1 = q2 = 0.0
+    for branch in prior.branches:
+        q_plain = np.array([branch.components[r].quantile_q(tau) for r in reps])[classes]
+        for share, chosen in _branch_parts(prior, branch):
+            qs = q_plain
+            if chosen is not None:
+                qs = q_plain.copy()
+                qs[chosen] = branch.chosen[chosen].quantile_q(tau)
+            t1, t2 = q1q2_from_qvec_reference(qs)
+            q1 += branch.weight * share * t1
+            q2 += branch.weight * share * t2
+    return q1, q2
+
+
+def case2a_kinks_reference(p_bar):
+    """Reference for bounds._case2a_kinks, as the bounds module computed it
+    before it seeded the bisection: every kink bisected from [0, 1], 80
+    halvings."""
+    g = _case2a_g(p_bar)
+    s_k = _lb2_kinks_in_s(1.0, 2.0, m_cap=20_000)
+    lo, hi = np.zeros(len(s_k)), np.ones(len(s_k))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = g(mid) > s_k
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return (0.5 * (lo + hi))[::-1]
+
+
+def lb2_cumulative_grid_reference():
+    """Reference for bounds.lb2_cumulative_grid, as the bounds module
+    computed it before it merged the two sorted grids: np.unique of their
+    concatenation."""
+    base = np.linspace(1e-6, 1.0, 400_001)
+    extra = 1.0 / _lb2_kinks_in_s(1.0, 1e6, m_cap=4000)
+    extra = extra[extra > 1e-6]
+    u = np.unique(np.concatenate([base, extra]))
+    vals = lb2_vec(1.0 / u)
+    seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(u)
+    cum_from_left = np.concatenate([[0.0], np.cumsum(seg)])
+    return u, cum_from_left[-1] - cum_from_left
 
 
 def random_regular_discrete(rng, max_pts=4, lo=0.1, hi=10.0):

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import q2_ind, q2_ind_grid_max, q2_ind_upper_objective, random_scaled_regular_family
+from conftest import (
+    case2a_kinks_reference,
+    lb2_cumulative_grid_reference,
+    q2_ind,
+    q2_ind_grid_max,
+    q2_ind_upper_objective,
+    random_scaled_regular_family,
+)
 from kwrob import (
     AnonymousReserve,
     DiscretePMF,
@@ -28,7 +35,8 @@ from kwrob import (
     tail_upper,
     q1_count_bound,
 )
-from kwrob.bounds import Q1_RATIO, BoundReport, _case2a_kinks, _lb2_kinks_in_s
+from kwrob import bounds
+from kwrob.bounds import Q1_RATIO, BoundReport, _case2a_kinks, _lb2_kinks_in_s, lb2_cumulative_grid
 from kwrob.quadrature import integrate
 
 E = math.e
@@ -318,6 +326,46 @@ class TestCase2aClosedForm:
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if g(mid) > s_k[j] else (lo, mid)
             assert tau_k[len(s_k) - 1 - j] == 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.3, 0.5 - 1e-9, 0.5, 0.674, 0.9, 0.99])
+    def test_seeded_kinks_equal_plain_bisection(self, p):
+        assert np.array_equal(_case2a_kinks(p), case2a_kinks_reference(p))
+
+    @pytest.mark.parametrize("half_width", [0.0, 1e-16, 1e-3])
+    def test_any_bracket_gives_the_same_kinks(self, half_width, monkeypatch):
+        # a zero-width bracket always fails and falls back to [0, 1]; one
+        # below an ulp fails for some kinks; a wide one holds and needs
+        # more halvings.  None of them moves a bit
+        monkeypatch.setattr(bounds, "_KINK_BRACKET", half_width)
+        for p in (0.05, 0.674):
+            assert np.array_equal(_case2a_kinks(p), case2a_kinks_reference(p))
+
+
+class TestLb2CumulativeGrid:
+    def test_merged_grid_equals_unique_of_concatenation(self):
+        u, integral = lb2_cumulative_grid()
+        u_ref, integral_ref = lb2_cumulative_grid_reference()
+        assert np.array_equal(u, u_ref) and np.array_equal(integral, integral_ref)
+        assert np.all(np.diff(u) > 0.0)
+
+    def test_kinks_on_grid_points_are_not_doubled(self, monkeypatch):
+        # kinks that land on base grid points, or on each other, appear once
+        import conftest
+
+        real = _lb2_kinks_in_s
+        base = np.linspace(1e-6, 1.0, 400_001)[::997]
+        on_grid = 1.0 / base[1.0 / (1.0 / base) == base]
+
+        def with_duplicates(s_lo, s_hi, m_cap):
+            s = real(s_lo, s_hi, m_cap)
+            return np.sort(np.concatenate([s, s[:50], on_grid]))
+
+        monkeypatch.setattr(bounds, "_lb2_kinks_in_s", with_duplicates)
+        monkeypatch.setattr(conftest, "_lb2_kinks_in_s", with_duplicates)
+        u, integral = lb2_cumulative_grid()
+        u_ref, integral_ref = lb2_cumulative_grid_reference()
+        assert len(on_grid) > 100 and np.all(np.diff(u) > 0.0)
+        assert np.array_equal(u, u_ref) and np.array_equal(integral, integral_ref)
 
 
 def equal_split_monotone_check(s, m_max):

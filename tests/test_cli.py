@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import case2a_kinks_reference, lb2_cumulative_grid_reference, threshold_probs_reference
 from kwrob import (
     DiscretePMF,
     DomainError,
@@ -17,6 +18,7 @@ from kwrob import (
     q1q2_from_qvec,
     revenue_exact,
 )
+from kwrob import bounds, cli, revenue
 from kwrob.cli import build_parser, main
 
 
@@ -271,6 +273,49 @@ class TestDeterminism:
         run_cli(["bounds", "table", "--out", str(a)])
         run_cli(["bounds", "table", "--out", str(b)])
         assert (a / "bounds.csv").read_bytes() == (b / "bounds.csv").read_bytes()
+
+
+class TestAgainstReferences:
+    """The batched threshold curve, the seeded kink bisection and the
+    merged LB2 grid write the bytes the references write, on the paper's
+    commands at n = 300."""
+
+    @staticmethod
+    def outputs(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def run_both(self, tmp_path, monkeypatch, argv):
+        assert run_cli(argv + ["--out", str(tmp_path / "new")]) == 0
+
+        def per_tau(prior, tau):
+            if np.ndim(tau) == 0:
+                return threshold_probs_reference(prior, tau)
+            return tuple(map(np.array, zip(*[threshold_probs_reference(prior, t) for t in tau])))
+
+        monkeypatch.setattr(cli, "threshold_probs", per_tau)
+        monkeypatch.setattr(revenue, "threshold_probs", per_tau)
+        monkeypatch.setattr(bounds, "_case2a_kinks", case2a_kinks_reference)
+        monkeypatch.setattr(bounds, "lb2_cumulative_grid", lb2_cumulative_grid_reference)
+        assert run_cli(argv + ["--out", str(tmp_path / "ref")]) == 0
+        new, ref = self.outputs(tmp_path / "new"), self.outputs(tmp_path / "ref")
+        assert new == ref
+        return new
+
+    def test_revenue_with_curve(self, tmp_path, monkeypatch, capsys):
+        cfg = {
+            "prior": {"type": "myerson_counterexample", "n": 300, "eps": 3.3e-6},
+            "mechanism": {"type": "ar", "r": 123.4},
+            "mode": "exact",
+            "curve": {"lo": 0.0, "hi": 2.0, "count": 101},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        files = self.run_both(tmp_path, monkeypatch, ["revenue", "--config", str(path)])
+        assert set(files) == {"revenue.json", "threshold_curve.csv"}
+
+    @pytest.mark.parametrize("target, names", [("2.63", {"reproduce_2.63.json", "ratio_curve.csv"}), ("18.07", {"reproduce_18.07.json"})])
+    def test_reproduce(self, target, names, tmp_path, monkeypatch, capsys):
+        assert set(self.run_both(tmp_path, monkeypatch, ["reproduce", target])) == names
 
 
 class TestReadme:

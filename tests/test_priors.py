@@ -13,12 +13,14 @@ from conftest import (
     FullMarginal,
     cdf_identity_gaps,
     q1q2_enumerate,
+    q1q2_from_qvec_reference,
     random_discrete,
     sample_reference,
     slot_mixtures,
     split_grids,
     table_csv_reference,
     table_q1q2_enumerate,
+    threshold_probs_reference,
 )
 from kwrob import (
     AnonymousReserve,
@@ -514,6 +516,75 @@ class TestThresholdProbs:
         assert all(b <= a + 1e-12 for a, b in zip(q1s, q1s[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(q2s, q2s[1:]))
         assert all(q2 <= q1 + 1e-12 for q1, q2 in zip(q1s, q2s))
+
+
+def marks_and_neighbours(prior):
+    """Every grid boundary of the prior (support ends, atoms, cutoffs and
+    fixed values) and the floats either side of it."""
+    marks = sorted({x for g in natural_grids(prior) for x in g})
+    return [y for x in marks for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+
+def assert_batch_equals_reference(prior, taus):
+    q1, q2 = threshold_probs(prior, np.array(taus))
+    assert q1.shape == q2.shape == (len(taus),)
+    for tau, a, b in zip(taus, q1.tolist(), q2.tolist()):
+        assert (a, b) == threshold_probs_reference(prior, tau), tau
+
+
+class TestBatchedThresholdProbs:
+    """An array of tau gives, entry by entry, the scalar calls' bits."""
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 300])
+    def test_constructions(self, n):
+        myerson = myerson_counterexample(n, 3.3e-6)
+        priors = [myerson, uniform_q2_counterexample(n), ProductPrior(myerson.marginals)]
+        for prior in priors:
+            taus = np.linspace(0.0, 2.0, 101).tolist() + np.linspace(0.0, n * n + 1.0, 51).tolist()
+            assert_batch_equals_reference(prior, taus + marks_and_neighbours(prior))
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(slot_mixtures())
+    def test_slot_mixtures(self, mix):
+        taus = marks_and_neighbours(mix) + np.linspace(0.0, 11.0, 23).tolist()
+        assert_batch_equals_reference(mix, taus)
+        assert_batch_equals_reference(discretize(mix), taus)
+
+    def test_table(self, rng):
+        supports = [(0.0, 1.0, 2.0), (0.5, 1.0, 1.5), (1.0, 3.0)]
+        table = TablePrior(supports, rng.dirichlet(np.ones(18)).reshape(3, 3, 2))
+        assert_batch_equals_reference(table, marks_and_neighbours(table) + [-1.0, 0.7, 4.0])
+
+    def test_scalar_and_shaped_tau(self):
+        prior = uniform_q2_counterexample(5)
+        got = threshold_probs(prior, 0.8)
+        assert type(got[0]) is float and type(got[1]) is float
+        assert got == threshold_probs_reference(prior, 0.8)
+        assert threshold_probs(prior, np.float64(0.8)) == got
+        grid = np.array([[0.1, 0.8], [0.9, 1.0]])
+        q1, q2 = threshold_probs(prior, grid)
+        assert q1.shape == q2.shape == (2, 2)
+        assert (q1[0, 1], q2[0, 1]) == got
+        q1, q2 = threshold_probs(prior, [])
+        assert q1.shape == q2.shape == (0,)
+
+    @pytest.mark.parametrize("taus", [[math.nan], [0.5, math.nan], [[0.2, 0.3], [math.nan, 0.4]]])
+    def test_nan_anywhere_raises(self, taus):
+        prior = uniform_q2_counterexample(4)
+        for p in (prior, discretize(prior)):
+            with pytest.raises(DomainError, match="NaN"):
+                threshold_probs(p, taus)
+
+    def test_q1q2_rows_equal_vectors(self, rng):
+        # each row reduces as a vector does, whatever the matrix's layout;
+        # rows of 1 to 40 events, some certain, some in the far tails
+        for n in (1, 2, 7, 8, 9, 40):
+            qs = rng.uniform(0.0, 1.0, (12, n)) ** rng.uniform(0.1, 30.0, (12, 1))
+            qs[rng.random(qs.shape) < 0.1] = 1.0
+            for matrix in (qs, np.asfortranarray(qs), qs.T.copy().T):
+                q1, q2 = q1q2_from_qvec(matrix)
+                for row, a, b in zip(qs, q1.tolist(), q2.tolist()):
+                    assert (a, b) == q1q2_from_qvec_reference(row) == q1q2_from_qvec(row)
 
 
 class TestSampling:
