@@ -232,6 +232,9 @@ def certify_iid_constant(grid: int = 10_000, lb2_grid=None) -> BoundReport:
     )
 
 
+_LB2_PIECE = 1 << 14  # segments per piece of lb2_cumulative_grid's sums
+
+
 def lb2_cumulative_grid():
     """(u, int_u^1 LB2(1/x) dx) on a dense u-grid, kink-refined; read by the
     minimisation and the figure emitter."""
@@ -242,10 +245,17 @@ def lb2_cumulative_grid():
     at = np.searchsorted(u, extra)
     new = u[np.minimum(at, u.size - 1)] != extra
     u = np.insert(u, at[new], extra[new])
-    vals = lb2_vec(1.0 / u)
-    seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(u)
-    cum_from_left = np.concatenate([[0.0], np.cumsum(seg)])
-    return u, cum_from_left[-1] - cum_from_left  # int_u^1
+    # trapezoid sums from the left, a piece of _LB2_PIECE segments at a
+    # time so the temporaries stay small; seeding a piece's first segment
+    # with the sum so far gives every prefix the float a single cumsum gives
+    cum = np.zeros(u.size)
+    for a in range(0, u.size - 1, _LB2_PIECE):
+        x = u[a : a + _LB2_PIECE + 1]
+        vals = lb2_vec(1.0 / x)
+        seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(x)
+        seg[0] += cum[a]
+        np.cumsum(seg, out=cum[a + 1 : a + x.size])
+    return u, np.subtract(cum[-1], cum, out=cum)  # int_u^1
 
 
 def iid_ratio_curve(n_rows: int = 1000, lb2_grid=None):

@@ -112,7 +112,17 @@ def fmt(x) -> str:
 
 
 def write_csv(path, header, rows):
-    _write_lines(path, header, (",".join(fmt(x) if not isinstance(x, str) else x for x in row) for row in rows))
+    """One line per row, each cell through fmt (a string as it is).  A row
+    of floats only is formatted by one % operation: "%.17g" % x makes the
+    same float-to-string call as format(x, ".17g")."""
+
+    def line(row):
+        row = tuple(row)
+        if all(isinstance(x, float) for x in row):
+            return ",".join(["%" + FLOAT_FORMAT] * len(row)) % row
+        return ",".join(x if isinstance(x, str) else fmt(x) for x in row)
+
+    _write_lines(path, header, map(line, rows))
 
 
 def _write_lines(path, header, lines):

@@ -6,7 +6,9 @@ atoms, virtual values and their inverses.  The base class derives the
 rest from that surface: the monopoly reserve (the smallest value with
 virtual value >= 0) and prob_phi_geq = Pr[virtual value >= nu].  Virtual
 values and the inverses are elementwise over arrays; q_inverse of
-u ~ Uniform(0, 1] is a draw from the marginal.  Discrete marginals take
+u ~ Uniform(0, 1] is a draw from the marginal.  Each class inverts q in
+place (`_q_inverse_inplace`), which the sampler runs on its own draws;
+the public q_inverse runs it on a copy.  Discrete marginals take
 their virtual values from the ironed revenue-quantile polyline (its upper
 concave hull).
 
@@ -51,6 +53,11 @@ class Marginal:
         floor of the optimal mechanism."""
         return float(self.phi_geq_inv(0.0))
 
+    def q_inverse(self, p):
+        """Value v with q(v) = p, elementwise; DomainError outside [0, 1].
+        p itself is not written."""
+        return self._q_inverse_inplace(_probabilities(np.array(p, dtype=float)))
+
     def prob_phi_geq(self, nu: float) -> float:
         """Pr[virtual value >= nu].  The ironed virtual value is
         nondecreasing in v, so this is q at the first value reaching nu
@@ -82,10 +89,16 @@ class EqualRevenue(Marginal):
             return 0.0
         return self.lo / tau
 
-    def q_inverse(self, p):
-        """Value v with q(v) = p, elementwise; DomainError outside [0, 1]."""
-        p = _probabilities(p)
-        return np.divide(self.lo, p, out=np.full(p.shape, float(self.hi)), where=p > self.lo / self.hi)
+    def _q_inverse_inplace(self, p):
+        """q_inverse written over the float array p, checked to lie in
+        [0, 1]; returns p."""
+        at_top = p <= self.lo / self.hi
+        # lo / p can divide by zero or overflow only where p is at_top,
+        # which the top value then overwrites
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(self.lo, p, out=p)
+        p[at_top] = self.hi
+        return p
 
     def atom_mass(self, x: float) -> float:
         return self.lo / self.hi if x == self.hi else 0.0
@@ -142,8 +155,10 @@ class ShiftedEqualRevenue(Marginal):
             return self.lo / self.hi if tau == top else 0.0
         return self.lo / (tau - self.shift)
 
-    def q_inverse(self, p):
-        return self._base.q_inverse(p) + self.shift
+    def _q_inverse_inplace(self, p):
+        p = self._base._q_inverse_inplace(p)
+        p += self.shift
+        return p
 
     def atom_mass(self, x):
         # in the shifted frame: (hi + shift) - shift need not be hi
@@ -183,8 +198,9 @@ class Uniform(Marginal):
     def quantile_q(self, tau):
         return float(np.clip((self.hi - tau) / (self.hi - self.lo), 0.0, 1.0))
 
-    def q_inverse(self, p):
-        return self.hi - _probabilities(p) * (self.hi - self.lo)
+    def _q_inverse_inplace(self, p):
+        p *= self.hi - self.lo
+        return np.subtract(self.hi, p, out=p)
 
     def atom_mass(self, x):
         return 0.0
@@ -248,13 +264,12 @@ class DiscretePMF(Marginal):
             return 0.0
         return float(self._tail[k])
 
-    def q_inverse(self, p):
-        """Largest point whose tail Pr[v >= point] reaches p, elementwise,
-        kept among the points of positive mass; DomainError outside [0, 1]."""
-        p = _probabilities(p)
+    def _q_inverse_inplace(self, p):
+        """The largest point whose tail Pr[v >= point] reaches p, kept among
+        the points of positive mass, written over p."""
         # -tail ascends in point order
-        k = np.searchsorted(-self._tail, -p, side="right") - 1
-        return np.asarray(self.points)[np.clip(k, *self._positive_span)]
+        k = np.searchsorted(-self._tail, np.negative(p, out=p), side="right") - 1
+        return np.take(self.points, np.clip(k, *self._positive_span), out=p)
 
     @cached_property
     def _positive_span(self):

@@ -30,6 +30,7 @@ of higher index (`idx_star` -1 and n), which under highest_value coincide.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .marginals import DomainError, Marginal
 
 HIGHEST_VALUE = "highest_value"
 LEX = "lex"
+_PIECE_ROWS = 1 << 14  # rows per piece of a sweep: its per-row state fits a core's cache
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,13 @@ def virtual_values(m: Marginal, v, i: int):
     return m.virtual_value(v)
 
 
-def threshold_payment(mech: Myerson, i: int, phi_star, val_star, idx_star):
+def threshold_payment(mech: Myerson, i, phi_star, val_star, idx_star):
     """inf over bids b of bidder i that still win against its strongest
     eligible competitor, elementwise over arrays of that competitor's
-    virtual value phi_star, value val_star and index idx_star.  With no
-    eligible competitor (phi_star = -inf, idx_star = -1) it is the
-    eligibility floor; inf where no bid wins.
+    virtual value phi_star, value val_star and index idx_star.  i is one
+    bidder, or an array of bidders, one per element, that share one
+    marginal.  With no eligible competitor (phi_star = -inf, idx_star = -1)
+    it is the eligibility floor; inf where no bid wins.
 
     Routes to the win: strictly beat the competing virtual value, or match
     it and win the tie.  For highest_value the tie route's infimum is the
@@ -98,7 +101,7 @@ def threshold_payment(mech: Myerson, i: int, phi_star, val_star, idx_star):
     lex it exists only when i has the smaller index.  Eligibility
     (virtual value >= 0) floors everything.
     """
-    m = mech.marginals[i]
+    m = mech.marginals[i if np.ndim(i) == 0 else i[0]]
     t_strict = m.phi_gt_inv(phi_star)
     t_geq = m.phi_geq_inv(phi_star)
     if mech.tie_break == HIGHEST_VALUE:
@@ -109,14 +112,16 @@ def threshold_payment(mech: Myerson, i: int, phi_star, val_star, idx_star):
 
 
 def _columns(V):
-    """(bidder, values) per column of V, each read once into a contiguous
-    array (a view when V is column-major, as `priors.sample` returns it)
-    and checked finite and nonnegative."""
+    """(bidder, values, min, max) per column of V, which has at least one
+    row, each column read once into a contiguous array (a view when V is
+    column-major, as `priors.sample` returns it) and checked finite and
+    nonnegative through its min and max, which NaN makes NaN."""
     for i in range(V.shape[1]):
         v = np.ascontiguousarray(V[:, i])
-        if not ((v >= 0.0) & (v < np.inf)).all():
+        lo, hi = v.min(), v.max()
+        if not (lo >= 0.0 and hi < np.inf):
             raise DomainError(f"values of bidder {i} must be finite and nonnegative")
-        yield i, v
+        yield i, v, lo, hi
 
 
 def run_batch(mech: Mechanism, V):
@@ -128,59 +133,111 @@ def run_batch(mech: Mechanism, V):
     Myerson ranks eligible bidders (virtual value >= 0) by virtual value,
     then by value under highest_value, and prices its winner against the
     second key with threshold_payment.  Remaining ties go to the lower
-    index.  Myerson's top two are updated only on the rows where the
-    bidder enters them, a few per row over the whole sweep.  Raises
+    index.  The rows are swept in pieces of _PIECE_ROWS, so the per-row
+    state a sweep updates stays in cache.  Each column is checked through
+    its min and max, and its comparisons are written into masks allocated
+    once per piece; Myerson's top two are updated only on the rows where
+    the bidder enters them, a few per row over the whole sweep, and its
+    winners are priced per distinct marginal, not per bidder.  Raises
     DomainError for a value that is not finite and nonnegative or that its
-    Myerson marginal cannot produce.
+    Myerson marginal cannot produce, naming the first such value in column
+    order.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise DomainError(f"expected a (rows, bidders) value matrix, got shape {V.shape}")
     rows, n = V.shape
-    NEG = -np.inf
     if isinstance(mech, AnonymousReserve):
-        top, second, winner = np.full(rows, NEG), np.full(rows, NEG), np.zeros(rows, dtype=int)
-        for i, v in _columns(V):
-            winner[v > top] = i
-            second = np.maximum(second, np.minimum(top, v))
-            top = np.maximum(top, v)
-        winner[top < mech.r] = -1
-        return winner, np.where(winner >= 0, np.maximum(mech.r, second), 0.0)
+        sweep = functools.partial(_ar_piece, mech)
+    else:
+        if n != len(mech.marginals):
+            raise DomainError(f"expected {len(mech.marginals)} values per row, got {n}")
+        kinds = {}
+        of_bidder = [kinds.setdefault(m, len(kinds)) for m in mech.marginals]
+        kind_of = np.array(of_bidder + [-1], dtype=np.min_scalar_type(-1 - len(kinds)))  # -1: no sale
+        sweep = functools.partial(_myerson_piece, mech, kind_of, len(kinds))
+    winners, pays = np.empty(rows, dtype=int), np.empty(rows)
+    try:
+        for a in range(0, rows, _PIECE_ROWS):
+            winners[a : a + _PIECE_ROWS], pays[a : a + _PIECE_ROWS] = sweep(V[a : a + _PIECE_ROWS])
+    except DomainError:
+        # a piece names its own first bad value: raise the one a sweep of
+        # whole columns meets first
+        for i, v, _, _ in _columns(V):
+            if isinstance(mech, Myerson):
+                virtual_values(mech.marginals[i], v, i)
+        raise
+    return winners, pays
 
-    if n != len(mech.marginals):
-        raise DomainError(f"expected {len(mech.marginals)} values per row, got {n}")
+
+def _ar_piece(mech: AnonymousReserve, V):
+    """AR's sweep and prices on the rows of V."""
+    rows = V.shape[0]
+    top, second, winner = np.full(rows, -np.inf), np.full(rows, -np.inf), np.zeros(rows, dtype=int)
+    above, low = np.empty(rows, dtype=bool), np.empty(rows)
+    for i, v, _, _ in _columns(V):
+        winner[np.greater(v, top, out=above)] = i
+        np.maximum(second, np.minimum(top, v, out=low), out=second)
+        np.maximum(top, v, out=top)
+    winner[top < mech.r] = -1
+    return winner, np.where(winner >= 0, np.maximum(mech.r, second), 0.0)
+
+
+def _myerson_piece(mech: Myerson, kind_of, n_kinds, V):
+    """Myerson's sweep and pricing on the rows of V.  kind_of[i] numbers
+    bidder i's marginal among the distinct ones (n_kinds of them), and
+    kind_of[-1] is -1."""
+    rows = V.shape[0]
+    NEG = -np.inf
     by_value = mech.tie_break == HIGHEST_VALUE
     b_phi, b_val, b_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
     s_phi, s_val, s_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
-    for i, v in _columns(V):
-        phi = virtual_values(mech.marginals[i], v, i)
-        phi = np.where(phi >= 0.0, phi, NEG)
-        beats_best = phi > b_phi
-        beats_second = phi > s_phi
+    beats_best, beats_second, ineligible, tie, larger = (np.empty(rows, dtype=bool) for _ in range(5))
+    for i, v, v_lo, v_hi in _columns(V):
+        m = mech.marginals[i]
+        lo, hi = m.support
+        if v_lo < lo - 1e-9 or v_hi > hi + 1e-9:
+            virtual_values(m, v, i)  # raises, naming the first value outside
+        phi = m.virtual_value(v)
+        phi[np.less(phi, 0.0, out=ineligible)] = NEG
+        if i == 0:
+            # the first bidder is the best key wherever it is eligible
+            b_phi, b_val, b_idx = phi, np.where(ineligible, b_val, v), np.where(ineligible, b_idx, 0)
+            continue
+        np.greater(phi, b_phi, out=beats_best)
+        np.greater(phi, s_phi, out=beats_second)
         if by_value:
-            beats_best |= (phi == b_phi) & (v > b_val) & (phi > NEG)
-            beats_second |= (phi == s_phi) & (v > s_val) & (phi > NEG)
-        # only rows where the newcomer enters the top two change: where it
-        # beats the best, the old best is demoted to second (one gathered
-        # array at a time, to keep the block's peak memory down); elsewhere
-        # it may take second place
-        top = np.flatnonzero(beats_best)
-        sec = np.flatnonzero(beats_second & ~beats_best)
+            # a virtual-value tie goes to the larger value, among eligible
+            # bidders (tie > ineligible is tie and eligible)
+            for beats, k_phi, k_val in ((beats_best, b_phi, b_val), (beats_second, s_phi, s_val)):
+                np.equal(phi, k_phi, out=tie)
+                tie &= np.greater(v, k_val, out=larger)
+                beats |= np.greater(tie, ineligible, out=tie)
+        # only rows where the newcomer enters the top two change.  The best
+        # key is never below the second, so beats_best implies beats_second:
+        # of the rows that enter, those that beat the best demote it to
+        # second, and the others take second place
+        enter = np.flatnonzero(beats_second)
+        to_top = beats_best[enter]
+        top, sec = enter[to_top], enter[np.logical_not(to_top, out=to_top)]
         for second, best in ((s_phi, b_phi), (s_val, b_val), (s_idx, b_idx)):
             second[top] = best[top]
         b_phi[top], b_val[top], b_idx[top] = phi[top], v[top], i
         s_phi[sec], s_val[sec], s_idx[sec] = phi[sec], v[sec], i
 
+    # price the winners once per distinct marginal; b_val holds each
+    # winner's value, V[row, b_idx] as the sweep read it
     pay = np.zeros(rows)
-    for i in np.unique(b_idx[b_idx >= 0]):
-        won = b_idx == i
-        pay[won] = threshold_payment(mech, i, s_phi[won], s_val[won], s_idx[won])
-    won = np.flatnonzero(b_idx >= 0)
-    value = V[won, b_idx[won]]
-    if np.any(pay[won] > value + 1e-9):
-        k = int(np.argmax(pay[won] - value))
-        raise AssertionError(f"threshold {pay[won][k]} above the winning value {value[k]}")
-    pay[won] = np.minimum(pay[won], value)
+    kind = kind_of[b_idx]
+    for k in range(n_kinds):
+        at = np.flatnonzero(kind == k)
+        if at.size == 0:
+            continue
+        thr, value = threshold_payment(mech, b_idx[at], s_phi[at], s_val[at], s_idx[at]), b_val[at]
+        if np.any(thr > value + 1e-9):
+            j = int(np.argmax(thr - value))
+            raise AssertionError(f"threshold {thr[j]} above the winning value {value[j]}")
+        pay[at] = np.minimum(thr, value)
     return b_idx, pay
 
 

@@ -40,10 +40,14 @@ tables and mixtures alike; on a mixture it checks one representative
 subset per combination of groups.
 
 Sampling draws the chosen member directly, and draws its chosen component
-only for the rows that picked it.  Samples are column-major: `sample`
-fills a bidder-major (n, rows) buffer, one contiguous row per draw, and
-returns its (rows, n) transpose, so every bidder's column is contiguous.
-Table priors come back in the same layout.
+only for the rows that picked it: a branch's slot rows are grouped by
+member once (a stable radix sort of the pick), so each member's rows are
+one slice.  Samples are column-major: `sample` fills a bidder-major
+(n, rows) buffer, one contiguous row per draw, and returns its (rows, n)
+transpose, so every bidder's column is contiguous.  Each draw is
+transformed in place (u -> 1 - u -> the conditioned quantile -> the
+marginal's in-place inverse), straight in the bidder's row when one branch
+holds every row.  Table priors come back in the same layout.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .marginals import (
     Marginal,
     ShiftedEqualRevenue,
     Uniform,
+    _probabilities,
 )
 
 CELL_CAP = 100_000
@@ -116,9 +121,15 @@ class Conditioned:
     def cutoffs(self):
         return [c for c in (self.lo, self.hi) if c is not None]
 
-    def sample(self, rng, size):
-        u = 1.0 - rng.random(size)  # in (0, 1]
-        return self.marginal.q_inverse(self._q_hi + u * (self._q_lo - self._q_hi))
+    def sample(self, rng, size, out=None):
+        """size draws, written into out (a contiguous float array of that
+        length) when given: q_inverse of q_hi + u (q_lo - q_hi), u uniform
+        on (0, 1], each step in place."""
+        u = rng.random(size, out=out)
+        np.subtract(1.0, u, out=u)  # in (0, 1]
+        u *= self._q_lo - self._q_hi
+        u += self._q_hi
+        return self.marginal._q_inverse_inplace(_probabilities(u))
 
 
 @dataclass(frozen=True)
@@ -138,8 +149,10 @@ class FixedValue:
     def cutoffs(self):
         return [self.value]
 
-    def sample(self, rng, size):
-        return np.full(size, self.value)
+    def sample(self, rng, size, out=None):
+        out = np.empty(size) if out is None else out
+        out.fill(self.value)
+        return out
 
 
 @dataclass(frozen=True)
@@ -389,7 +402,10 @@ def sample(prior: JointPrior, seed, size=None) -> np.ndarray:
     when there is one branch, so a ProductPrior gets one draw per marginal
     in bidder order), then per branch the slot pick, then per bidder one
     draw of its plain component for the branch's rows and one of its chosen
-    component for the rows that picked it."""
+    component for the rows that picked it.  A branch that holds every row
+    draws straight into the bidder's row of the buffer; the slot's rows are
+    grouped by member once per branch (a stable sort of the pick), so each
+    member's rows are one slice, in ascending order."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m = 1 if size is None else int(size)
     if isinstance(prior, TablePrior):
@@ -400,25 +416,41 @@ def sample(prior: JointPrior, seed, size=None) -> np.ndarray:
     else:
         out = np.empty((prior.n_bidders, m))
         if len(prior.branches) == 1:
-            branch_rows = [np.arange(m)]
+            in_branch = [np.ones(m, dtype=bool)]
         else:
             weights = np.array([b.weight for b in prior.branches])
             branch_idx = rng.choice(len(weights), size=m, p=weights / weights.sum())
-            branch_rows = [np.flatnonzero(branch_idx == bi) for bi in range(len(weights))]
-        for branch, rows in zip(prior.branches, branch_rows):
+            in_branch = [branch_idx == bi for bi in range(len(weights))]
+        for branch, mask in zip(prior.branches, in_branch):
+            rows = np.flatnonzero(mask)
             if rows.size == 0:
                 continue
-            members = branch.members
-            if members:
-                picked = np.array(members)[rng.integers(0, len(members), size=rows.size)]
+            slot = _slot_rows(branch.members, rows, rng) if branch.members else {}
+            # where the branch's draws go: the whole row, its mask (a write
+            # that scans all m rows) or its row indices (costlier per row),
+            # the mask once the branch holds an eighth of the rows
+            at = None if rows.size == m else mask if 8 * rows.size >= m else rows
             for i in range(prior.n_bidders):
                 plain, chosen = branch.component_pair(i)
-                out[i, rows] = plain.sample(rng, rows.size)
-                if chosen is not None:
-                    mine = rows[picked == i]
-                    if mine.size:
-                        out[i, mine] = chosen.sample(rng, mine.size)
+                if at is None:
+                    plain.sample(rng, m, out=out[i])
+                else:
+                    out[i][at] = plain.sample(rng, rows.size)
+                if chosen is not None and slot[i].size:
+                    out[i, slot[i]] = chosen.sample(rng, slot[i].size)
     return out[:, 0] if size is None else out.T
+
+
+def _slot_rows(members, rows, rng):
+    """Per slot member, the ascending rows (of the branch's `rows`) that
+    picked it: one uniform pick per row, grouped by a stable sort, so each
+    member's rows equal rows[pick == member] element for element."""
+    pick = rng.integers(0, len(members), size=rows.size)
+    # the smallest integer dtype lets numpy sort by radix
+    order = np.argsort(pick.astype(np.min_scalar_type(len(members) - 1)), kind="stable")
+    ends = np.cumsum(np.bincount(pick, minlength=len(members)))
+    grouped = rows[order]
+    return dict(zip(members, np.split(grouped, ends[:-1])))
 
 
 # ---------------------------------------------------------------------------

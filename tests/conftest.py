@@ -12,7 +12,6 @@ import pytest
 from hypothesis import strategies as st
 
 from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, ShiftedEqualRevenue, Uniform, check_regular
-from kwrob.io import write_csv
 from kwrob.mechanisms import HIGHEST_VALUE, threshold_payment, virtual_values
 from kwrob.bounds import _case2a_g, _lb2_kinks_in_s, lb2_vec
 from kwrob.priors import (
@@ -173,9 +172,9 @@ def table_cells(table):
 
 
 def table_csv_reference(table, path):
-    """The table CSV written cell by cell through write_csv."""
+    """The table CSV written cell by cell through write_csv_reference."""
     header = [f"v{i+1}" for i in range(table.n_bidders)] + ["mass"]
-    write_csv(path, header, [list(values) + [mass] for values, mass in table_cells(table)])
+    write_csv_reference(path, header, [list(values) + [mass] for values, mass in table_cells(table)])
 
 
 def table_q1q2_enumerate(table, tau):
@@ -320,6 +319,129 @@ def sample_reference(prior, seed, size):
                     vals = np.where(mine, chosen.sample(rng, rows.size), vals)
             out[rows, i] = vals
     return out
+
+
+def q_inverse_reference(m, p):
+    """Reference for the marginals' q_inverse, as the marginals module
+    computed it before each class inverted in place: a new array per
+    step."""
+    p = np.asarray(p, dtype=float)
+    if isinstance(m, ShiftedEqualRevenue):
+        return q_inverse_reference(EqualRevenue(m.lo, m.hi), p) + m.shift
+    if isinstance(m, EqualRevenue):
+        return np.divide(m.lo, p, out=np.full(p.shape, float(m.hi)), where=p > m.lo / m.hi)
+    if isinstance(m, Uniform):
+        return m.hi - p * (m.hi - m.lo)
+    k = np.searchsorted(-m._tail, -p, side="right") - 1
+    return np.asarray(m.points)[np.clip(k, *m._positive_span)]
+
+
+def component_sample_reference(comp, rng, size):
+    """Reference for a branch component's draws, as the priors module
+    computed them before it drew in place: q_inverse of
+    q_hi + (1 - u)(q_lo - q_hi), or a full array of a fixed value."""
+    if isinstance(comp, FixedValue):
+        return np.full(size, comp.value)
+    u = 1.0 - rng.random(size)
+    return q_inverse_reference(comp.marginal, comp._q_hi + u * (comp._q_lo - comp._q_hi))
+
+
+def sample_by_mask_reference(prior, seed, size=None):
+    """Reference for priors.sample, as the priors module drew before it
+    grouped the slot rows: a mixture draws its branch per row (none for
+    one branch), then per branch the slot pick, then per bidder its plain
+    component for the branch's rows and its chosen component for
+    rows[picked == i], written into an (n, size) buffer by index."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    m = 1 if size is None else int(size)
+    out = np.empty((prior.n_bidders, m))
+    if len(prior.branches) == 1:
+        branch_rows = [np.arange(m)]
+    else:
+        weights = np.array([b.weight for b in prior.branches])
+        branch_idx = rng.choice(len(weights), size=m, p=weights / weights.sum())
+        branch_rows = [np.flatnonzero(branch_idx == bi) for bi in range(len(weights))]
+    for branch, rows in zip(prior.branches, branch_rows):
+        if rows.size == 0:
+            continue
+        members = branch.members
+        if members:
+            picked = np.array(members)[rng.integers(0, len(members), size=rows.size)]
+        for i in range(prior.n_bidders):
+            plain, chosen = branch.component_pair(i)
+            out[i, rows] = component_sample_reference(plain, rng, rows.size)
+            if chosen is not None:
+                mine = rows[picked == i]
+                if mine.size:
+                    out[i, mine] = component_sample_reference(chosen, rng, mine.size)
+    return out[:, 0] if size is None else out.T
+
+
+def run_batch_reference(mech, V):
+    """Reference for mechanisms.run_batch, as the mechanisms module swept
+    before it checked columns by min and max: three-pass checks, new
+    arrays for every comparison, and winners priced bidder by bidder."""
+    V = np.asarray(V, dtype=float)
+    rows, n = V.shape
+    NEG = -np.inf
+
+    def columns():
+        for i in range(n):
+            v = np.ascontiguousarray(V[:, i])
+            if not ((v >= 0.0) & (v < np.inf)).all():
+                raise DomainError(f"values of bidder {i} must be finite and nonnegative")
+            yield i, v
+
+    if not hasattr(mech, "marginals"):
+        top, second, winner = np.full(rows, NEG), np.full(rows, NEG), np.zeros(rows, dtype=int)
+        for i, v in columns():
+            winner[v > top] = i
+            second = np.maximum(second, np.minimum(top, v))
+            top = np.maximum(top, v)
+        winner[top < mech.r] = -1
+        return winner, np.where(winner >= 0, np.maximum(mech.r, second), 0.0)
+    by_value = mech.tie_break == HIGHEST_VALUE
+    b_phi, b_val, b_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
+    s_phi, s_val, s_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
+    for i, v in columns():
+        phi = virtual_values(mech.marginals[i], v, i)
+        phi = np.where(phi >= 0.0, phi, NEG)
+        beats_best = phi > b_phi
+        beats_second = phi > s_phi
+        if by_value:
+            beats_best |= (phi == b_phi) & (v > b_val) & (phi > NEG)
+            beats_second |= (phi == s_phi) & (v > s_val) & (phi > NEG)
+        top = np.flatnonzero(beats_best)
+        sec = np.flatnonzero(beats_second & ~beats_best)
+        for second, best in ((s_phi, b_phi), (s_val, b_val), (s_idx, b_idx)):
+            second[top] = best[top]
+        b_phi[top], b_val[top], b_idx[top] = phi[top], v[top], i
+        s_phi[sec], s_val[sec], s_idx[sec] = phi[sec], v[sec], i
+    pay = np.zeros(rows)
+    for i in np.unique(b_idx[b_idx >= 0]):
+        won = b_idx == i
+        pay[won] = threshold_payment(mech, i, s_phi[won], s_val[won], s_idx[won])
+    won = np.flatnonzero(b_idx >= 0)
+    value = V[won, b_idx[won]]
+    assert not np.any(pay[won] > value + 1e-9)
+    pay[won] = np.minimum(pay[won], value)
+    return b_idx, pay
+
+
+def write_csv_reference(path, header, rows):
+    """Reference for io.write_csv, as the io module wrote it before it
+    formatted float rows by one % operation: every cell on its own."""
+
+    def fmt(x):
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return format(float(x), ".17g")
+
+    lines = [",".join(x if isinstance(x, str) else fmt(x) for x in row) for row in rows]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def kwise_rows_reference(shape, masses, k):

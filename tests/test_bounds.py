@@ -348,6 +348,15 @@ class TestLb2CumulativeGrid:
         assert np.array_equal(u, u_ref) and np.array_equal(integral, integral_ref)
         assert np.all(np.diff(u) > 0.0)
 
+    @pytest.mark.parametrize("piece", [257, 1000, 1 << 14, 1 << 19])
+    def test_piecewise_sums_equal_one_cumsum(self, piece, monkeypatch):
+        # pieces that do not divide the grid and one piece for the whole
+        # grid give the floats of a single cumsum
+        monkeypatch.setattr(bounds, "_LB2_PIECE", piece)
+        u, integral = lb2_cumulative_grid()
+        u_ref, integral_ref = lb2_cumulative_grid_reference()
+        assert np.array_equal(u, u_ref) and np.array_equal(integral, integral_ref)
+
     def test_kinks_on_grid_points_are_not_doubled(self, monkeypatch):
         # kinks that land on base grid points, or on each other, appear once
         import conftest

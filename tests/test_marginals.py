@@ -14,7 +14,14 @@ from kwrob import (
     regular_quantile_bound,
     revenue_curve,
 )
-from conftest import cdf_identity_gaps, phi_inv_scan, prob_phi_geq_reference, random_discrete, random_marginal
+from conftest import (
+    cdf_identity_gaps,
+    phi_inv_scan,
+    prob_phi_geq_reference,
+    q_inverse_reference,
+    random_discrete,
+    random_marginal,
+)
 from kwrob.marginals import revenue_at_quantile
 from kwrob.mechanisms import virtual_values
 
@@ -139,6 +146,19 @@ class TestQInverse:
         for bad in (1.5, -0.1):
             with pytest.raises(DomainError):
                 m.q_inverse(np.array([0.3, bad, 0.9]))
+
+    def test_matches_reference_and_leaves_argument_unchanged(self, rng):
+        # the public q_inverse runs the in-place inverse on a copy
+        ms = [EqualRevenue(0.5, 1.0), ShiftedEqualRevenue(2.0, 4.0, 1e-5), Uniform(0.0, 2.0)]
+        ms += [random_discrete(rng) for _ in range(5)]
+        for m in ms:
+            p = np.concatenate([rng.random(200), [0.0, 1.0, 0.5, 1e-17]])
+            kept = p.copy()
+            got = m.q_inverse(p)
+            assert np.array_equal(p, kept)
+            assert got is not p and np.array_equal(got, q_inverse_reference(m, kept))
+            assert m.q_inverse(p.tolist()).tolist() == got.tolist()
+            assert float(m.q_inverse(0.25)) == float(q_inverse_reference(m, 0.25))
 
     def test_zero_mass_point_never_drawn_at_one(self):
         # the tail above the zero-mass point 1 sums to 0.9999999999999998

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import myerson_reference, random_discrete, random_regular_discrete
+from conftest import myerson_reference, random_discrete, random_regular_discrete, run_batch_reference
 from kwrob import (
     AnonymousReserve,
     DiscretePMF,
@@ -12,7 +12,19 @@ from kwrob import (
     Uniform,
     run_mechanism,
 )
+from kwrob import mechanisms
 from kwrob.mechanisms import HIGHEST_VALUE, run_batch
+from kwrob.priors import (
+    Branch,
+    Conditioned,
+    FixedValue,
+    MixturePrior,
+    ProductPrior,
+    cell_values,
+    myerson_counterexample,
+    sample,
+    uniform_q2_counterexample,
+)
 
 
 class TestRunAR:
@@ -252,3 +264,95 @@ class TestKernelAgainstReference:
         ms, V = self._instance(rng, n=8, rows=4096)
         winners = self._check(Myerson(ms, tie), V)
         assert len(np.unique(winners)) >= 3
+
+
+class TestKernelAgainstParentSweep:
+    """run_batch against the sweep that checked columns in three passes,
+    made a new array per comparison, priced winners bidder by bidder and
+    swept all rows at once: winners and payments bit for bit, dtypes and
+    error messages included, with the rows in one piece or in pieces of 7."""
+
+    @pytest.fixture(params=[None, 7], ids=["one_piece", "pieces_of_7"], autouse=True)
+    def piece_rows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(mechanisms, "_PIECE_ROWS", request.param)
+
+    @staticmethod
+    def _mechanisms(marginals, r):
+        return [AnonymousReserve(r), Myerson(marginals, "highest_value"), Myerson(marginals, "lex")]
+
+    @staticmethod
+    def _same(mech, V):
+        got, want = run_batch(mech, V), run_batch_reference(mech, V)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @staticmethod
+    def _priors(rng):
+        m = [EqualRevenue(0.5, 1.0), Uniform(0.0, 2.0), DiscretePMF([0.5, 1.5], [0.4, 0.6])]
+        slot = MixturePrior(
+            m,
+            [
+                Branch(0.3, (FixedValue(1.0), Conditioned(m[1], hi=1.0), Conditioned(m[2]))),
+                Branch(0.7, (Conditioned(m[0], hi=1.0), Conditioned(m[1], hi=2.0), Conditioned(m[2])), (FixedValue(1.0), FixedValue(2.0), None)),
+            ],
+        )
+        pool = [EqualRevenue(1.0, 4.0), ShiftedEqualRevenue(1.0, 3.0, 0.5), Uniform(0.0, 2.0)]
+        products = [
+            ProductPrior([pool[k] if k < 3 else random_discrete(rng) for k in rng.integers(0, 4, size=int(rng.integers(1, 7)))])
+            for _ in range(6)
+        ]
+        return [myerson_counterexample(n, 3e-6) for n in (2, 8, 64)] + [uniform_q2_counterexample(5), slot] + products
+
+    def test_sampled_blocks(self, rng):
+        for p in self._priors(rng):
+            for seed, size in ((1, 1), (2, 777), ([3, 0], 1 << 12)):
+                V = sample(p, seed, size)
+                for mech in self._mechanisms(p.marginals, float(rng.uniform(0.2, 2.0))):
+                    self._same(mech, V)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_cell_matrices(self, n, rng):
+        # every cell of an lp instance's support: ties on value and on
+        # (ironed) virtual value in most rows
+        for _ in range(3):
+            ms = [DiscretePMF((1.0, 2.0, 3.0), rng.dirichlet([2.0] * 3)) for _ in range(n)]
+            V = cell_values([m.points for m in ms])
+            for mech in self._mechanisms(ms, float(rng.uniform(2.2, 2.8))):
+                self._same(mech, V)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf, 5.0, 0.75])
+    def test_error_messages(self, bad):
+        # the middle column's marginal is discrete: 0.75 lies in its support
+        # range but is not one of its points
+        p = myerson_counterexample(8, 1e-6)
+        ms = list(p.marginals)
+        ms[4] = DiscretePMF([0.125, 0.5, 1.0], [0.5, 0.25, 0.25])
+        V = np.array(sample(p, 1, 50))
+        V[:, 4] = np.resize(ms[4].points, 50)
+        V[17, 4] = bad
+        for mech in self._mechanisms(ms, 0.5):
+            errors = []
+            for kernel in (run_batch, run_batch_reference):
+                try:
+                    kernel(mech, V)
+                    errors.append(None)
+                except DomainError as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1]
+            assert (errors[0] is None) == (isinstance(mech, AnonymousReserve) and bad in (5.0, 0.75))
+
+    def test_first_bad_value_in_column_order(self):
+        # bad values in a late row of column 2 and an early row of column 5:
+        # a sweep of whole columns meets column 2 first, whatever the pieces
+        p = myerson_counterexample(8, 1e-6)
+        V = np.array(sample(p, 1, 50))
+        for early, late in ((np.nan, -1.0), (5.0, np.inf), (np.inf, 5.0)):
+            W = V.copy()
+            W[45, 2], W[3, 5] = late, early
+            for mech in self._mechanisms(p.marginals, 0.5):
+                with pytest.raises(DomainError) as got:
+                    run_batch(mech, W)
+                with pytest.raises(DomainError) as want:
+                    run_batch_reference(mech, W)
+                assert str(got.value) == str(want.value)

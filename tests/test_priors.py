@@ -15,6 +15,7 @@ from conftest import (
     q1q2_enumerate,
     q1q2_from_qvec_reference,
     random_discrete,
+    sample_by_mask_reference,
     sample_reference,
     slot_mixtures,
     split_grids,
@@ -691,6 +692,55 @@ class TestSampling:
         exact = threshold_probs(p, tau)[1]
         se = math.sqrt(exact * (1 - exact) / 1_000_000)
         assert abs(emp - exact) < 4 * se
+
+
+class TestSamplingAgainstMaskedSampler:
+    """sample against the sampler that took each slot member's rows by a
+    mask and drew each step into a new array, bit for bit, including the
+    constructions whose chosen component consumes randomness."""
+
+    @staticmethod
+    def _same(prior, seed, size):
+        got, want = sample(prior, seed, size), sample_by_mask_reference(prior, seed, size)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        if got.ndim == 2:
+            assert got.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 301])
+    def test_myerson_construction(self, n):
+        p = myerson_counterexample(n, 3e-6)
+        for seed, size in ((3, None), (3, 1), (4, 0), (5, 999), ([7, 1], 1 << 12)):
+            self._same(p, seed, size)
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_uniform_q2_construction(self, n):
+        p = uniform_q2_counterexample(n)
+        for seed, size in ((3, None), (3, 1), (4, 0), (5, 999), ([7, 1], 1 << 12)):
+            self._same(p, seed, size)
+
+    def test_heterogeneous_slot(self):
+        for seed in range(5):
+            self._same(heterogeneous_slot_mixture(), seed, 3000)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(slot_mixtures(), st.integers(0, 2**31), st.integers(0, 600))
+    def test_slot_mixtures(self, mix, seed, size):
+        self._same(mix, seed, size)
+
+    def test_product_priors(self, rng):
+        pool = [EqualRevenue(1.0, 4.0), ShiftedEqualRevenue(1.0, 3.0, 0.5), Uniform(0.0, 2.0)]
+        for trial in range(20):
+            n = int(rng.integers(1, 7))
+            ms = [pool[k] if k < len(pool) else random_discrete(rng) for k in rng.integers(0, len(pool) + 1, size=n)]
+            for size in (None, 0, 1, int(rng.integers(2, 3000))):
+                self._same(ProductPrior(ms), trial, size)
+
+    def test_one_branch_takes_every_row(self):
+        # the weight-0 branch never draws, so the other holds the whole block
+        m = Uniform(0.0, 1.0)
+        p = MixturePrior([m] * 3, [Branch(1.0, (Conditioned(m, hi=0.5),) * 3, (FixedValue(0.75),) * 3), Branch(0.0, (FixedValue(1.0),) * 3)])
+        for seed, size in ((1, None), (2, 1), (3, 500)):
+            self._same(p, seed, size)
 
 
 def heterogeneous_slot_mixture():
