@@ -10,6 +10,23 @@ The constraints are sparse rows Pr[x_S = c] = prod masses for |S| <= k.  The
 solver gets their closed-form basis, the rows whose c avoids each bidder's
 last support point (rank 1 + sum_{1<=|S|<=k} prod_{i in S} (m_i - 1)); the
 others follow by inclusion-exclusion, and all re-check the written table.
+
+The minimisers solve the LP on a quotient.  With C the objective on the
+cell grid, two points a, b of bidder i merge when C.take(a, axis=i) and
+C.take(b, axis=i) are equal as floats; each class gets its points' summed
+mass P_i, and the quotient polytope is the same row family on the classes.
+This is exact for any k:
+- projecting a fine k-wise table onto the classes gives a quotient table
+  with the same objective, since C is constant on classes;
+- a quotient table x-bar lifts to x(v) = x-bar(class(v)) prod_i p_i(v_i) /
+  P_i(class(v_i)), refining each class independently and in proportion to
+  the masses, which keeps every |S| <= k marginal in product form;
+- every quotient row is a sum of fine rows and C is constant on classes,
+  so quotient duals y price each fine cell as its class: the fine reduced
+  costs are the quotient's, and the certificate checked on the quotient
+  (dual feasibility, gap) certifies the fine LP.
+The lifted table is re-checked against the fine full row family, the
+residual written.  When nothing merges, the solver gets the fine LP.
 """
 
 from __future__ import annotations
@@ -148,6 +165,12 @@ def _rows(shape, masses, k):
 
 
 def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:
+    return _table(poly, *_certified_optimum(poly.A_red, poly.b_red, c))
+
+
+def _certified_optimum(A_red, b_red, c):
+    """Solve min c.x over A_red x = b_red, x >= 0 with its duality
+    certificate; returns (x, objective, gap, iterations)."""
     # HiGHS may break x >= 0 by its primal feasibility tolerance; keep that
     # below FEAS_TOL, since the table written is x clipped at 0.  Presolve
     # is off: the rows are a full-rank basis with positive right-hand sides,
@@ -155,8 +178,8 @@ def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:
     # __getattr__ imports it.
     res = sys.modules[__name__].linprog(
         c,
-        A_eq=poly.A_red,
-        b_eq=poly.b_red,
+        A_eq=A_red,
+        b_eq=b_red,
         bounds=(0.0, None),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "presolve": False},
@@ -169,25 +192,65 @@ def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:
     # costs c - A^T y >= 0) and close the gap, so by weak duality b.y is a
     # lower bound that obj meets
     y = np.asarray(res.eqlin.marginals, dtype=float)
-    worst = float(np.min(c - poly.A_red.T @ y))
+    worst = float(np.min(c - A_red.T @ y))
     if worst < -GAP_TOL * max(1.0, float(np.max(np.abs(c)))):
         raise RuntimeError(f"dual infeasible: reduced cost {worst}")
-    dual_obj = float(poly.b_red @ y)
+    dual_obj = float(b_red @ y)
     gap = abs(obj - dual_obj)
     if gap > GAP_TOL * max(1.0, abs(obj)):
         raise RuntimeError(f"duality gap {gap} exceeds tolerance")
+    return x, obj, gap, int(getattr(res, "nit", 0))
+
+
+def _table(poly: KwisePolytope, x, obj, gap, nit) -> WorstCaseSolution:
+    """The table written for solver output x on poly's cells: x clipped at 0
+    and renormalised, re-checked against the full row family."""
     pmf = np.maximum(x, 0.0)
     pmf /= pmf.sum()
     resid = float(np.max(np.abs(poly.A @ pmf - poly.b)))
     if resid > FEAS_TOL:
         raise RuntimeError(f"table violates constraints, residual {resid}")
-    table = TablePrior(poly.full_supports, pmf)
-    nit = int(getattr(res, "nit", 0))
-    return WorstCaseSolution(table, obj, gap, nit, resid)
+    return WorstCaseSolution(TablePrior(poly.full_supports, pmf), obj, gap, nit, resid)
+
+
+def _point_classes(C, axis):
+    """Label each support point on `axis` by its class, in order of first
+    appearance: two points share a class when their slices of C are equal
+    as floats.  Adding 0.0 turns -0.0 into 0.0, so for finite C equal
+    slices are exactly those with equal bytes."""
+    rows = np.moveaxis(C, axis, 0).reshape(C.shape[axis], -1) + 0.0
+    keys = {}
+    return np.array([keys.setdefault(row.tobytes(), len(keys)) for row in rows])
+
+
+def _solve_quotient(poly: KwisePolytope, c) -> WorstCaseSolution:
+    """`_solve(poly, c)` on the quotient that merges the support points c
+    cannot tell apart, with its table lifted back to poly's cells.
+
+    Each class gets its points' summed mass and each quotient cell the
+    objective of its first point; quotient x-bar lifts to
+    x(v) = x-bar(class(v)) prod_i p_i(v_i) / P_i(class(v_i)), and that table
+    is re-checked against poly's full row family.  When no points merge,
+    this is `_solve(poly, c)`."""
+    shape = tuple(len(s) for s in poly.supports)
+    C = np.asarray(c, dtype=float).reshape(shape)
+    labels = [_point_classes(C, i) for i in range(len(shape))]
+    qshape = tuple(int(lab.max()) + 1 for lab in labels)
+    if qshape == shape:
+        return _solve(poly, c)
+    firsts = [np.unique(lab, return_index=True)[1] for lab in labels]
+    qmasses = [np.bincount(lab, weights=m) for lab, m in zip(labels, poly.masses)]
+    A, b, basis = _rows(qshape, qmasses, poly.k)
+    x, obj, gap, nit = _certified_optimum(A[basis], b[basis], C[np.ix_(*firsts)].ravel())
+    lifted = x.reshape(qshape)
+    for i, (lab, m, qm) in enumerate(zip(labels, poly.masses, qmasses)):
+        within = (m / qm[lab]).reshape([-1 if j == i else 1 for j in range(len(shape))])
+        lifted = lifted.take(lab, axis=i) * within
+    return _table(poly, lifted.ravel(), obj, gap, nit)
 
 
 def minimize_revenue(poly: KwisePolytope, mech: Mechanism) -> WorstCaseSolution:
-    return _solve(poly, mechanism_payments(mech, cell_values(poly.full_supports)))
+    return _solve_quotient(poly, mechanism_payments(mech, cell_values(poly.full_supports)))
 
 
 def minimize_event_prob(poly: KwisePolytope, tau: float, count_at_least: int) -> WorstCaseSolution:
@@ -196,4 +259,4 @@ def minimize_event_prob(poly: KwisePolytope, tau: float, count_at_least: int) ->
     if math.isnan(tau):
         raise DomainError("tau must not be NaN")
     V = cell_values(poly.full_supports)
-    return _solve(poly, ((V >= tau).sum(axis=1) >= count_at_least).astype(float))
+    return _solve_quotient(poly, ((V >= tau).sum(axis=1) >= count_at_least).astype(float))

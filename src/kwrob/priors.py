@@ -392,9 +392,13 @@ def uniform_q2_counterexample(n: int) -> MixturePrior:
 # Sampling
 
 
-def sample(prior: JointPrior, seed, size=None) -> np.ndarray:
+def sample(prior: JointPrior, seed, size=None, out=None) -> np.ndarray:
     """Draw from the prior; deterministic for a fixed seed.  Returns an
     (size, n) matrix, or a single length-n vector when size is None.
+    Given `out`, a float64 (n, size) array whose rows are contiguous (a
+    leading column slice of a larger buffer will do), the draws are
+    written there, every entry overwritten, and the result is its
+    transpose; they are the same draws as without it.
 
     The matrix is the transpose of a bidder-major (n, size) buffer, so each
     bidder's column is contiguous (Fortran order) and the mechanism sweeps
@@ -408,13 +412,17 @@ def sample(prior: JointPrior, seed, size=None) -> np.ndarray:
     member's rows are one slice, in ascending order."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m = 1 if size is None else int(size)
+    if out is None:
+        out = np.empty((prior.n_bidders, m))
+    elif out.shape != (prior.n_bidders, m) or out.dtype != np.float64 or out.strides[1] != out.itemsize:
+        raise DomainError(f"out must be a float64 ({prior.n_bidders}, {m}) array with contiguous rows")
     if isinstance(prior, TablePrior):
         flat = prior.pmf.ravel()
         idx = rng.choice(flat.size, size=m, p=flat / flat.sum())
         multi = np.unravel_index(idx, prior.pmf.shape)
-        out = np.stack([np.asarray(s)[j] for s, j in zip(prior.supports, multi)])
+        for i, (s, j) in enumerate(zip(prior.supports, multi)):
+            out[i] = np.asarray(s)[j]
     else:
-        out = np.empty((prior.n_bidders, m))
         if len(prior.branches) == 1:
             in_branch = [np.ones(m, dtype=bool)]
         else:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -301,11 +302,17 @@ def revenue_mc(
         fits = (1 << 26) // (8 * prior.n_bidders)
         block_size = 1 << min(16, max(fits.bit_length() - 1, 0))
     n_blocks = (n_samples + block_size - 1) // block_size
+    # one sample buffer per thread, refilled by each of its blocks: a fresh
+    # one per block would be a new mapping above glibc's mmap threshold
+    # (34 MB at n = 64), whose pages all fault on first write
+    local = threading.local()
 
     def one_block(b):
         m = min(block_size, n_samples - b * block_size)
+        if not hasattr(local, "buf"):
+            local.buf = np.empty((prior.n_bidders, min(block_size, n_samples)))
         rng = np.random.default_rng([seed, b])
-        V = sample(prior, rng, size=m)
+        V = sample(prior, rng, size=m, out=local.buf[:, :m])
         pays = mechanism_payments(mech, V)
         return float(pays.sum()), float((pays * pays).sum())
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import kwrob.lp
-from kwrob.mechanisms import HIGHEST_VALUE, LEX
+from kwrob.mechanisms import HIGHEST_VALUE, LEX, mechanism_payments
+from kwrob.priors import cell_values
 
 from conftest import random_discrete, random_regular_discrete
 from kwrob import (
@@ -162,6 +163,124 @@ class TestPresolveOff:
                 for sol in (off, on):
                     assert value_of(sol.table) == pytest.approx(on.objective, rel=1e-12, abs=1e-12)
                     assert np.max(np.abs(poly.A @ sol.table.pmf.ravel() - poly.b)) <= kwrob.lp.FEAS_TOL
+
+
+class TestQuotient:
+    """The LP on the classes of support points the objective cannot tell
+    apart, lifted back to the fine cells."""
+
+    POINTS = ([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
+
+    @staticmethod
+    def quotient_columns(monkeypatch, solve):
+        # the number of cells each LP handed to HiGHS had
+        from scipy.optimize import linprog
+
+        seen = []
+
+        def spy(c, **kw):
+            seen.append(len(c))
+            return linprog(c, **kw)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(kwrob.lp, "linprog", spy)
+            sol = solve()
+        return sol, seen
+
+    def test_reserve_between_top_points_merges_every_bidder(self, monkeypatch):
+        poly = build_polytope([self.POINTS] * 4, 2)
+        sol, seen = self.quotient_columns(monkeypatch, lambda: minimize_revenue(poly, AnonymousReserve(2.5)))
+        assert seen == [2**4]  # each bidder keeps {1, 2} against {3}
+        assert np.max(np.abs(poly.A @ sol.table.pmf.ravel() - poly.b)) <= kwrob.lp.FEAS_TOL
+        fine = kwrob.lp._solve(poly, mechanism_payments(AnonymousReserve(2.5), cell_values(poly.full_supports)))
+        assert sol.objective == pytest.approx(fine.objective, rel=1e-9)
+
+    def test_reserve_below_middle_point_merges_none(self, monkeypatch):
+        # with nothing merged the call is _solve itself, bit for bit
+        poly = build_polytope([self.POINTS] * 4, 2)
+        sol, seen = self.quotient_columns(monkeypatch, lambda: minimize_revenue(poly, AnonymousReserve(1.5)))
+        assert seen == [3**4]
+        fine = kwrob.lp._solve(poly, mechanism_payments(AnonymousReserve(1.5), cell_values(poly.full_supports)))
+        assert sol.objective == fine.objective
+        assert np.array_equal(sol.table.pmf, fine.table.pmf)
+
+    def test_reserve_above_every_point_gives_the_product(self):
+        poly = build_polytope([self.POINTS] * 4, 2)
+        sol = minimize_revenue(poly, AnonymousReserve(4.0))
+        assert sol.objective == 0.0
+        assert np.max(np.abs(sol.table.pmf.ravel() - poly.product_pmf())) <= 1e-15
+
+    def test_lifted_table_is_rechecked_on_the_fine_family(self, monkeypatch):
+        # all quotient mass on the cell where nobody clears the reserve:
+        # zero objective and zero duals pass the certificate, but the lift
+        # breaks every marginal, which only the fine re-check sees
+        poly = build_polytope([self.POINTS] * 4, 2)
+
+        def fake_linprog(c, **kw):
+            assert len(c) == 2**4 and c[0] == 0.0
+            x = np.zeros(len(c))
+            x[0] = 1.0
+            duals = SimpleNamespace(marginals=np.zeros(len(kw["b_eq"])))
+            return SimpleNamespace(success=True, x=x, eqlin=duals, nit=0, message="")
+
+        monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
+        with pytest.raises(RuntimeError, match="table violates constraints"):
+            minimize_revenue(poly, AnonymousReserve(2.5))
+
+    def test_dual_infeasible_quotient_certificate_raises(self, monkeypatch):
+        # y = 1 on the total-mass row prices every cell at 1, so the cell
+        # where nobody clears the reserve (c = 0) has reduced cost -1: the
+        # quotient's duals are checked as _solve checks its own
+        poly = build_polytope([self.POINTS] * 4, 2)
+
+        def fake_linprog(c, **kw):
+            assert len(c) == 2**4 and c[0] == 0.0
+            y = np.zeros(len(kw["b_eq"]))
+            y[0] = 1.0
+            duals = SimpleNamespace(marginals=y)
+            return SimpleNamespace(success=True, x=np.zeros(len(c)), eqlin=duals, nit=0, message="")
+
+        monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
+        with pytest.raises(RuntimeError, match="dual infeasible"):
+            minimize_revenue(poly, AnonymousReserve(2.5))
+
+    def test_quotient_matches_the_fine_lp(self, rng):
+        # every objective kind, on instances whose points merge in
+        # different ways: the quotient's value is the fine LP's, and the
+        # lifted table is k-wise independent with the given marginals
+        merged = full = 0
+        for _ in range(16):
+            n = int(rng.integers(2, 6))
+            marginals = [random_discrete(rng, max_pts=3) for _ in range(n)]
+            k = int(rng.integers(1, n + 1))
+            poly = build_polytope([(m.points, m.masses) for m in marginals], k)
+            points = sorted({v for m in marginals for v in m.points})
+            on = float(rng.choice(points))
+            between = float(np.mean(rng.choice(points, size=2, replace=False)))
+            V = cell_values(poly.full_supports)
+            objectives = [mechanism_payments(mech, V) for mech in (
+                Myerson(marginals, HIGHEST_VALUE),
+                Myerson(marginals, LEX),
+                AnonymousReserve(on),
+                AnonymousReserve(between),
+            )]
+            objectives += [((V >= on).sum(axis=1) >= count).astype(float) for count in (1, 2)]
+            for c in objectives:
+                sol = kwrob.lp._solve_quotient(poly, c)
+                fine = kwrob.lp._solve(poly, c)
+                C = c.reshape([len(v) for v in poly.supports])
+                merged += any(
+                    len({tuple(row) for row in np.moveaxis(C, i, 0).reshape(C.shape[i], -1).tolist()}) < C.shape[i]
+                    for i in range(C.ndim)
+                )
+                assert sol.objective == pytest.approx(fine.objective, rel=1e-9, abs=1e-12)
+                assert float(c @ sol.table.pmf.ravel()) == pytest.approx(fine.objective, rel=1e-9, abs=1e-12)
+                assert np.max(np.abs(poly.A @ sol.table.pmf.ravel() - poly.b)) <= kwrob.lp.FEAS_TOL
+                assert verify_kwise(sol.table, k).passed
+                if k == n:
+                    full += 1
+                    assert np.max(np.abs(sol.table.pmf.ravel() - poly.product_pmf())) <= kwrob.lp.FEAS_TOL
+        assert merged > 0 and full > 0
 
 
 class TestMinimizeRevenue:

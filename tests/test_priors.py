@@ -705,6 +705,10 @@ class TestSamplingAgainstMaskedSampler:
         assert got.shape == want.shape and np.array_equal(got, want)
         if got.ndim == 2:
             assert got.T.flags.c_contiguous
+            # the same draws into the leading columns of a used, wider buffer
+            buf = np.full((prior.n_bidders, size + 5), np.nan)
+            into = sample(prior, seed, size, out=buf[:, :size])
+            assert np.array_equal(into, want) and (size == 0 or np.shares_memory(into, buf))
 
     @pytest.mark.parametrize("n", [2, 8, 64, 301])
     def test_myerson_construction(self, n):
@@ -734,6 +738,12 @@ class TestSamplingAgainstMaskedSampler:
             ms = [pool[k] if k < len(pool) else random_discrete(rng) for k in rng.integers(0, len(pool) + 1, size=n)]
             for size in (None, 0, 1, int(rng.integers(2, 3000))):
                 self._same(ProductPrior(ms), trial, size)
+
+    def test_out_must_fit(self):
+        p = uniform_q2_counterexample(3)
+        for bad in (np.empty((4, 9)), np.empty((3, 10)), np.empty((4, 10), dtype=np.float32), np.empty((10, 4)).T):
+            with pytest.raises(DomainError, match="out must be"):
+                sample(p, 1, 10, out=bad)
 
     def test_one_branch_takes_every_row(self):
         # the weight-0 branch never draws, so the other holds the whole block

@@ -37,12 +37,14 @@ from kwrob import (
     check_3wise_inequalities,
     discretize,
     ex_ante_level,
+    mechanism_payments,
     myerson_counterexample,
     natural_grids,
     revenue_exact,
     revenue_exact_table,
     revenue_mc,
     run_mechanism,
+    sample,
     threshold_probs,
     uniform_q2_counterexample,
 )
@@ -318,6 +320,20 @@ class TestMonteCarlo:
             est = revenue_mc(prior, mech, rows + 3, seed=7)
             assert est == revenue_mc(prior, mech, rows + 3, seed=7, block_size=rows)
             assert est != revenue_mc(prior, mech, rows + 3, seed=7, block_size=rows // 2)
+
+    def test_reused_buffer_keeps_every_block_draw(self):
+        # each thread refills one buffer; a short last block (452 rows)
+        # takes its leading columns, and every block's draws are the ones
+        # a fresh sample gives
+        prior = myerson_counterexample(8, 1e-6)
+        mech = Myerson(list(prior.marginals))
+        rows, block = 2500, 1024
+        total = 0.0
+        for b in range(3):
+            V = sample(prior, np.random.default_rng([3, b]), size=min(block, rows - b * block))
+            total += float(mechanism_payments(mech, V).sum())
+        for threads in (1, 2):
+            assert revenue_mc(prior, mech, rows, seed=3, block_size=block, threads=threads).mean == total / rows
 
     def test_reproducible_across_threads(self):
         prior = uniform_q2_counterexample(3)
