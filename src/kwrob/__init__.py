@@ -61,7 +61,6 @@ from .bounds import (
     case2a_integral,
     certify_ar_constant,
     certify_iid_constant,
-    split_integral_identity,
     lb1,
     lb2,
     q2_ratio_lower_bound,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .marginals import DomainError
-from .quadrature import integrate, integrate_to_infinity
+from .quadrature import integrate
 
 E = math.e
 Q1_RATIO = 1.299  # pairwise vs independent: Q1_ind <= 1.299 * Q1
@@ -141,38 +141,12 @@ def tail_core_case2b(p_bar: float) -> float:
     return (2.0 * p_bar**2 - 2.0 * p_bar + 1.0) / p_bar**3 * E / (E - 1.0)
 
 
-# ---------------------------------------------------------------------------
-# The two-sided integral identity used by the tail/core comparison
-
-
-def _fact_integrand(p_bar):
-    def f(x):
-        return p_bar * (1.0 - p_bar) / (((1.0 - p_bar) * x + p_bar) * (p_bar * x + (1.0 - p_bar)))
-
-    return f
-
-
 def _log1p_ratio(x):
     """log1p(x) / x elementwise for x > -1, with its removable singularity
     filled in (1 at x = 0); keeps full relative precision as x -> 0."""
     x = np.asarray(x, dtype=float)
     safe = np.where(x == 0.0, 1.0, x)
     return np.where(x == 0.0, 1.0, np.log1p(safe) / safe)
-
-
-def split_integral_identity(p_bar: float) -> tuple:
-    """(closed form, quadrature over [0,1], quadrature over [1, inf)) of
-    p(1-p) / (((1-p)x + p)(px + (1-p))).  The closed form
-    p(1-p) log((1-p)/p) / (1-2p) is taken as (1-p) log1p(x)/x with
-    x = (1-2p)/p, which is 1/2 at p = 1/2 and keeps full relative
-    precision around it."""
-    if not 0.0 < p_bar < 1.0:
-        raise DomainError("p_bar must be in (0, 1)")
-    closed = (1.0 - p_bar) * float(_log1p_ratio((1.0 - 2.0 * p_bar) / p_bar))
-    f = _fact_integrand(p_bar)
-    left = integrate(f, 0.0, 1.0, abs_tol=1e-11)
-    right = integrate_to_infinity(f, 1.0, abs_tol=1e-11)
-    return closed, left, right
 
 
 # ---------------------------------------------------------------------------

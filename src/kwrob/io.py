@@ -151,12 +151,16 @@ def dump_json(obj, path=None) -> str:
 
 def table_to_csv(table: TablePrior, path):
     """One row per cell in C order (the last bidder varies fastest), as
-    write_csv would write it; each support point is formatted once."""
+    write_csv would write it.  Each support point is formatted once, and
+    the rows are one template filled by one % operation: "%.17g" per mass,
+    except the literal 0 for a +0.0 mass (-0.0 still prints -0)."""
     header = [f"v{i+1}" for i in range(table.n_bidders)] + ["mass"]
     points = [[fmt(v) + "," for v in s] for s in table.supports]
-    values = map("".join, itertools.product(*points))
-    masses = table.pmf.ravel().tolist()
-    _write_lines(path, header, (v + format(m, FLOAT_FORMAT) for v, m in zip(values, masses)))
+    pmf = table.pmf.ravel()
+    zero = (pmf == 0.0) & ~np.signbit(pmf)
+    prefixes = map("".join, itertools.product(*points))
+    template = "\n".join(v + ("0" if z else "%" + FLOAT_FORMAT) for v, z in zip(prefixes, zero.tolist()))
+    _write_lines(path, header, [template % tuple(pmf[~zero].tolist())])
 
 
 def table_from_csv(path) -> TablePrior:

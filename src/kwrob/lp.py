@@ -6,10 +6,14 @@ whose every subset of at most k coordinates has product-form marginals
 mechanism's expected payment, or the probability of a threshold event, over
 that polytope gives exact worst-case instances with a duality certificate.
 
-The constraints are sparse rows Pr[x_S = c] = prod masses for |S| <= k.  The
-solver gets their closed-form basis, the rows whose c avoids each bidder's
-last support point (rank 1 + sum_{1<=|S|<=k} prod_{i in S} (m_i - 1)); the
-others follow by inclusion-exclusion, and all re-check the written table.
+The constraints are sparse rows Pr[x_S = c] = prod masses for |S| <= k,
+defined once as a sequence of per-subset blocks (`_blocks`).  The solver
+gets their closed-form basis, the rows whose c avoids each bidder's last
+support point (rank 1 + sum_{1<=|S|<=k} prod_{i in S} (m_i - 1)), built
+from the blocks directly; the others follow by inclusion-exclusion.  The
+written table is re-checked against every row, one block at a time, so
+no command holds the full family: `KwisePolytope.A` builds it only when
+read.
 
 The minimisers solve the LP on a quotient.  With C the objective on the
 cell grid, two points a, b of bidder i merge when C.take(a, axis=i) and
@@ -25,8 +29,8 @@ This is exact for any k:
   so quotient duals y price each fine cell as its class: the fine reduced
   costs are the quotient's, and the certificate checked on the quotient
   (dual feasibility, gap) certifies the fine LP.
-The lifted table is re-checked against the fine full row family, the
-residual written.  When nothing merges, the solver gets the fine LP.
+The lifted table is re-checked against every fine row, the residual
+written.  When nothing merges, the solver gets the fine LP.
 """
 
 from __future__ import annotations
@@ -36,16 +40,12 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .marginals import DomainError
 from .mechanisms import Mechanism, mechanism_payments
 from .priors import CELL_CAP, TablePrior, cell_values
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 FEAS_TOL = 1e-9
 GAP_TOL = 1e-7
@@ -68,16 +68,30 @@ class KwisePolytope:
     supports: list  # active (non-degenerate) bidders only
     masses: list
     k: int
-    A: scipy.sparse.csr_array  # full constraint family, A p = b
-    b: np.ndarray
-    A_red: scipy.sparse.csr_array  # its basis, the rows handed to the solver
-    b_red: np.ndarray
     fixed: dict  # bidder index -> fixed value (conditioned out)
     order: list  # original indices of the active bidders
 
     @property
+    def shape(self):
+        return tuple(len(s) for s in self.supports)
+
+    @property
     def n_cells(self):
-        return math.prod(len(s) for s in self.supports)
+        return math.prod(self.shape)
+
+    @functools.cached_property
+    def _family(self):
+        return _rows(self.shape, self.masses, self.k)
+
+    @functools.cached_property
+    def _solver_rows(self):
+        return _basis(self.shape, self.masses, self.k)
+
+    # each built on first access; only the fine LP's solve reads A_red, b_red
+    A = property(lambda self: self._family[0], doc="The full constraint family, A p = b (CSR).")
+    b = property(lambda self: self._family[1])
+    A_red = property(lambda self: self._solver_rows[0], doc="Its basis, the rows handed to the solver (CSR).")
+    b_red = property(lambda self: self._solver_rows[1])
 
     @property
     def full_supports(self):
@@ -133,35 +147,61 @@ def build_polytope(marginal_tables, k: int) -> KwisePolytope:
     shape = tuple(len(s) for s in supports)
     if math.prod(shape) > CELL_CAP:
         raise DomainError(f"{math.prod(shape)} cells exceeds the cap {CELL_CAP}")
-    A, b, basis = _rows(shape, masses, k)
-    return KwisePolytope(supports, masses, k, A, b, A[basis], b[basis], fixed, order)
+    return KwisePolytope(supports, masses, k, fixed, order)
 
 
-def _rows(shape, masses, k):
-    """Rows Pr[x_S = c] = prod_{i in S} masses[i][c_i] over the C-order cells
-    of `shape`, for S the empty set (total mass) and then every subset with
-    |S| <= k, each block in C order over c.  Returns (A, b, basis): basis
-    indexes, in order, the rows whose c avoids each bidder's last point."""
-    import scipy.sparse
-
+def _blocks(shape, masses, k):
+    """The row family Pr[x_S = c] = prod_{i in S} masses[i][c_i] over the
+    C-order cells of `shape`, one block per subset: S the empty set (total
+    mass), then every S with 1 <= |S| <= k in combinations order.  Yields
+    (cells, rhs, basis) with a row per c in C order: cells[r] lists the
+    cells of row r ascending, rhs[r] is its right-hand side, and basis[r]
+    says whether c avoids each bidder's last point."""
     n, n_cells = len(shape), math.prod(shape)
     grid = np.arange(n_cells).reshape(shape)
-    blocks, rhs, keep = [grid.reshape(1, n_cells)], [np.ones(1)], [np.ones(1, dtype=bool)]
+    yield grid.reshape(1, n_cells), np.ones(1), np.ones(1, dtype=bool)
     for size in range(1, k + 1):
         for subset in itertools.combinations(range(n), size):
             # with S's axes moved to the front, the cells of each row x_S = c
             # are one ascending run of the C-order ravel: a CSR row as is
-            block = np.moveaxis(grid, subset, range(size))
-            blocks.append(block.reshape(math.prod(block.shape[:size]), -1))
-            rhs.append(functools.reduce(np.multiply.outer, [masses[i] for i in subset]).ravel())
-            keep.append(
-                functools.reduce(np.logical_and.outer, [np.arange(shape[i]) < shape[i] - 1 for i in subset]).ravel()
-            )
-    lengths = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
+            rows = math.prod(shape[i] for i in subset)
+            cells = np.moveaxis(grid, subset, range(size)).reshape(rows, n_cells // rows)
+            rhs = functools.reduce(np.multiply.outer, [masses[i] for i in subset]).ravel()
+            basis = functools.reduce(np.logical_and.outer, [np.arange(shape[i]) < shape[i] - 1 for i in subset])
+            yield cells, rhs, basis.ravel()
+
+
+def _csr(blocks, n_cells):
+    """(A, b) stacking (cells, rhs) blocks: a CSR row of ones per row of cells."""
+    import scipy.sparse
+
+    cells, rhs = zip(*blocks)
+    lengths = np.repeat([c.shape[1] for c in cells], [c.shape[0] for c in cells])
     indptr = np.concatenate([[0], np.cumsum(lengths)])
-    indices = np.concatenate([b.ravel() for b in blocks])
+    indices = np.concatenate([c.ravel() for c in cells])
     A = scipy.sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(lengths.size, n_cells))
-    return A, np.concatenate(rhs), np.flatnonzero(np.concatenate(keep))
+    return A, np.concatenate(rhs)
+
+
+def _rows(shape, masses, k):
+    """The full family of `_blocks` as (A, b)."""
+    return _csr(((cells, rhs) for cells, rhs, _ in _blocks(shape, masses, k)), math.prod(shape))
+
+
+def _basis(shape, masses, k):
+    """The basis rows of `_blocks`, in order, as (A_red, b_red): the rows of
+    `_rows` whose c avoids each bidder's last point, built without it."""
+    blocks = _blocks(shape, masses, k)
+    return _csr(((cells[keep], rhs[keep]) for cells, rhs, keep in blocks), math.prod(shape))
+
+
+def _residual(shape, masses, k, pmf):
+    """max |A pmf - b| over the full family of `_blocks`, one block at a
+    time.  Each row sums its cells in order, as a CSR product does, so this
+    is np.max(np.abs(A @ pmf - b)) bit for bit."""
+    blocks = _blocks(shape, masses, k)
+    worst = [np.max(np.abs(np.cumsum(pmf[cells], axis=1)[:, -1] - rhs)) for cells, rhs, _ in blocks]
+    return float(np.max(worst))
 
 
 def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:
@@ -204,10 +244,10 @@ def _certified_optimum(A_red, b_red, c):
 
 def _table(poly: KwisePolytope, x, obj, gap, nit) -> WorstCaseSolution:
     """The table written for solver output x on poly's cells: x clipped at 0
-    and renormalised, re-checked against the full row family."""
+    and renormalised, re-checked against every row of the family."""
     pmf = np.maximum(x, 0.0)
     pmf /= pmf.sum()
-    resid = float(np.max(np.abs(poly.A @ pmf - poly.b)))
+    resid = _residual(poly.shape, poly.masses, poly.k, pmf)
     if resid > FEAS_TOL:
         raise RuntimeError(f"table violates constraints, residual {resid}")
     return WorstCaseSolution(TablePrior(poly.full_supports, pmf), obj, gap, nit, resid)
@@ -230,9 +270,9 @@ def _solve_quotient(poly: KwisePolytope, c) -> WorstCaseSolution:
     Each class gets its points' summed mass and each quotient cell the
     objective of its first point; quotient x-bar lifts to
     x(v) = x-bar(class(v)) prod_i p_i(v_i) / P_i(class(v_i)), and that table
-    is re-checked against poly's full row family.  When no points merge,
-    this is `_solve(poly, c)`."""
-    shape = tuple(len(s) for s in poly.supports)
+    is re-checked against every row of poly's family.  When no points
+    merge, this is `_solve(poly, c)`."""
+    shape = poly.shape
     C = np.asarray(c, dtype=float).reshape(shape)
     labels = [_point_classes(C, i) for i in range(len(shape))]
     qshape = tuple(int(lab.max()) + 1 for lab in labels)
@@ -240,8 +280,7 @@ def _solve_quotient(poly: KwisePolytope, c) -> WorstCaseSolution:
         return _solve(poly, c)
     firsts = [np.unique(lab, return_index=True)[1] for lab in labels]
     qmasses = [np.bincount(lab, weights=m) for lab, m in zip(labels, poly.masses)]
-    A, b, basis = _rows(qshape, qmasses, poly.k)
-    x, obj, gap, nit = _certified_optimum(A[basis], b[basis], C[np.ix_(*firsts)].ravel())
+    x, obj, gap, nit = _certified_optimum(*_basis(qshape, qmasses, poly.k), C[np.ix_(*firsts)].ravel())
     lifted = x.reshape(qshape)
     for i, (lab, m, qm) in enumerate(zip(labels, poly.masses, qmasses)):
         within = (m / qm[lab]).reshape([-1 if j == i else 1 for j in range(len(shape))])

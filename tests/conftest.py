@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, ShiftedEqualRevenue, Uniform, check_regular
 from kwrob.mechanisms import HIGHEST_VALUE, threshold_payment, virtual_values
-from kwrob.bounds import _case2a_g, _lb2_kinks_in_s, lb2_vec
+from kwrob.bounds import _case2a_g, _lb2_kinks_in_s, _log1p_ratio, lb2_vec
+from kwrob.quadrature import integrate, integrate_to_infinity
 from kwrob.priors import (
     Branch,
     Conditioned,
@@ -639,6 +640,24 @@ def lb2_cumulative_grid_reference():
     seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(u)
     cum_from_left = np.concatenate([[0.0], np.cumsum(seg)])
     return u, cum_from_left[-1] - cum_from_left
+
+
+def split_integral_identity(p_bar):
+    """(closed form, quadrature over [0,1], quadrature over [1, inf)) of
+    p(1-p) / (((1-p)x + p)(px + (1-p))), the two-sided identity of the
+    tail/core comparison.  The closed form p(1-p) log((1-p)/p) / (1-2p) is
+    taken as (1-p) log1p(x)/x with x = (1-2p)/p, which is 1/2 at p = 1/2
+    and keeps full relative precision around it."""
+    if not 0.0 < p_bar < 1.0:
+        raise DomainError("p_bar must be in (0, 1)")
+    closed = (1.0 - p_bar) * float(_log1p_ratio((1.0 - 2.0 * p_bar) / p_bar))
+
+    def f(x):
+        return p_bar * (1.0 - p_bar) / (((1.0 - p_bar) * x + p_bar) * (p_bar * x + (1.0 - p_bar)))
+
+    left = integrate(f, 0.0, 1.0, abs_tol=1e-11)
+    right = integrate_to_infinity(f, 1.0, abs_tol=1e-11)
+    return closed, left, right
 
 
 def random_regular_discrete(rng, max_pts=4, lo=0.1, hi=10.0):

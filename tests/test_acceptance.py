@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import q1q2_enumerate, q2_ind, q2_ind_from_q, q2_ind_grid_max, random_regular_discrete, table_q1q2_enumerate
+from conftest import q1q2_enumerate, q2_ind, q2_ind_from_q, q2_ind_grid_max, random_regular_discrete, split_integral_identity, table_q1q2_enumerate
 from kwrob import (
     AnonymousReserve,
     Myerson,
@@ -20,7 +20,6 @@ from kwrob import (
     certify_iid_constant,
     check_3wise_inequalities,
     ex_ante_level,
-    split_integral_identity,
     lb1,
     lb2,
     minimize_event_prob,

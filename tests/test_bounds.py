@@ -10,6 +10,7 @@ from conftest import (
     q2_ind_grid_max,
     q2_ind_upper_objective,
     random_scaled_regular_family,
+    split_integral_identity,
 )
 from kwrob import (
     AnonymousReserve,
@@ -23,7 +24,6 @@ from kwrob import (
     case2a_integral,
     certify_ar_constant,
     certify_iid_constant,
-    split_integral_identity,
     lb1,
     lb2,
     q2_ratio_lower_bound,

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -399,3 +400,130 @@ class TestMinimizeEventProb:
         poly = build_polytope([BINARY] * 2, 2)
         with pytest.raises(DomainError):
             minimize_event_prob(poly, 1.0, 3)
+
+
+class TestStreamedRows:
+    """The row family is read one subset's block at a time: the solver's
+    basis and the table re-check must equal what the full CSR family gives."""
+
+    @staticmethod
+    def random_polytope(rng, n_fixed=0):
+        # 1-4 points per bidder; a one-point bidder is conditioned out
+        n = int(rng.integers(1, 5))
+        tables = []
+        for i in range(n):
+            m = 1 if i < n_fixed else int(rng.integers(1, 5))
+            tables.append((sorted(rng.choice(10, size=m, replace=False).tolist()), rng.dirichlet(np.ones(m)).tolist()))
+        order = rng.permutation(n)
+        return build_polytope([tables[i] for i in order], int(rng.integers(1, n + 1)))
+
+    @staticmethod
+    def basis_mask(shape, k):
+        # the rows of the full family, in order, whose c avoids each
+        # bidder's last point
+        keep = [True]
+        for size in range(1, k + 1):
+            for subset in itertools.combinations(range(len(shape)), size):
+                keep += [all(c < shape[i] - 1 for i, c in zip(subset, combo))
+                         for combo in itertools.product(*[range(shape[i]) for i in subset])]
+        return np.flatnonzero(keep)
+
+    @staticmethod
+    def assert_same_csr(A, B):
+        assert A.shape == B.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(A, name), getattr(B, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def polytopes(self, rng):
+        for n_fixed in (0, 0, 0, 1, 4):  # 4: at most four bidders, all fixed
+            for _ in range(12):
+                yield self.random_polytope(rng, n_fixed)
+
+    def test_residual_is_the_csr_residual_bit_for_bit(self, rng):
+        seen = set()
+        for poly in self.polytopes(rng):
+            seen.add((bool(poly.fixed), bool(poly.supports)))
+            pmfs = [rng.dirichlet(np.ones(poly.n_cells)), rng.random(poly.n_cells) ** 4]
+            pmfs[1][rng.random(poly.n_cells) < 0.5] = 0.0
+            for pmf in pmfs:
+                streamed = kwrob.lp._residual(poly.shape, poly.masses, poly.k, pmf)
+                assert streamed == float(np.max(np.abs(poly.A @ pmf - poly.b)))
+        assert {(True, True), (True, False), (False, True)} <= seen  # some, all and no bidders fixed
+
+    def test_written_residual_is_the_csr_residual_bit_for_bit(self, rng):
+        for poly in self.polytopes(rng):
+            points = sorted({v for s in poly.full_supports for v in s})
+            for sol in (
+                minimize_revenue(poly, AnonymousReserve(float(rng.choice(points)))),
+                minimize_event_prob(poly, float(np.mean(points)), 1),
+                kwrob.lp._solve(poly, rng.random(poly.n_cells)),
+            ):
+                pmf = sol.table.pmf.ravel()
+                assert sol.feasibility_residual == float(np.max(np.abs(poly.A @ pmf - poly.b)))
+
+    def test_basis_is_the_row_subset_of_the_family(self, rng):
+        for poly in self.polytopes(rng):
+            rows = self.basis_mask(poly.shape, poly.k)
+            self.assert_same_csr(poly.A_red, poly.A[rows])
+            assert np.array_equal(poly.b_red, poly.b[rows])
+
+    def test_basis_on_quotient_shapes(self, rng):
+        # a bidder whose points all merge has one class, so no basis rows:
+        # its blocks keep none of their rows
+        for _ in range(40):
+            shape = tuple(int(m) for m in rng.integers(1, 4, size=int(rng.integers(1, 5))))
+            masses = [rng.dirichlet(np.ones(m)) for m in shape]
+            k = int(rng.integers(1, len(shape) + 1))
+            A, b = kwrob.lp._rows(shape, masses, k)
+            A_red, b_red = kwrob.lp._basis(shape, masses, k)
+            rows = self.basis_mask(shape, k)
+            self.assert_same_csr(A_red, A[rows])
+            assert np.array_equal(b_red, b[rows])
+        A_red, b_red = kwrob.lp._basis((1, 1, 1), [np.ones(1)] * 3, 3)
+        assert A_red.toarray().tolist() == [[1.0]] and b_red.tolist() == [1.0]
+
+    def test_merging_solves_never_build_the_fine_family(self, monkeypatch):
+        poly = build_polytope([TestQuotient.POINTS] * 4, 2)
+        basis, built = kwrob.lp._basis, []
+
+        def no_full_family(*args):
+            raise AssertionError("the full row family was built")
+
+        def spy(shape, masses, k):
+            built.append(shape)
+            return basis(shape, masses, k)
+
+        monkeypatch.setattr(kwrob.lp, "_rows", no_full_family)
+        monkeypatch.setattr(kwrob.lp, "_basis", spy)
+        revenue = minimize_revenue(poly, AnonymousReserve(2.5))
+        event = minimize_event_prob(poly, 2.5, 2)
+        assert built == [(2,) * 4] * 2  # only the quotients' bases
+        for sol in (revenue, event):
+            assert sol.feasibility_residual <= kwrob.lp.FEAS_TOL
+        monkeypatch.undo()
+        for sol in (revenue, event):
+            pmf = sol.table.pmf.ravel()
+            assert sol.feasibility_residual == float(np.max(np.abs(poly.A @ pmf - poly.b)))
+
+    def test_lifted_table_breaking_one_pairwise_row_is_refused(self, monkeypatch):
+        # c = 1 when bidders 0 and 1 both take their top point: they keep
+        # {1, 2} against {3}, and bidders 2 and 3 merge into one class each.
+        # The stub's x meets total mass and both single marginals but puts
+        # no mass where both are low, so it breaks the one pairwise basis
+        # row; zero duals certify its zero objective.
+        poly = build_polytope([TestQuotient.POINTS] * 4, 2)
+        V = cell_values(poly.full_supports)
+        c = ((V[:, 0] == 3.0) & (V[:, 1] == 3.0)).astype(float)
+
+        def fake_linprog(c, **kw):
+            assert c.tolist() == [0.0, 0.0, 0.0, 1.0]
+            x = np.array([0.0, 0.5, 0.5, 0.0])
+            broken = np.flatnonzero(np.abs(kw["A_eq"] @ x - kw["b_eq"]) > 0)
+            assert kw["A_eq"].shape[0] == 4 and broken.tolist() == [3]
+            duals = SimpleNamespace(marginals=np.zeros(len(kw["b_eq"])))
+            return SimpleNamespace(success=True, x=x, eqlin=duals, nit=0, message="")
+
+        monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
+        with pytest.raises(RuntimeError, match="table violates constraints"):
+            kwrob.lp._solve_quotient(poly, c)

@@ -844,6 +844,14 @@ class TestTableCsv:
         pmf = [[1e-300, 0.0], [0.25, 1 / 3], [0.0, 1 - 0.25 - 1 / 3]]
         self.assert_same_bytes(TablePrior(supports, pmf), tmp_path)
 
+    def test_signed_zero_masses(self, tmp_path):
+        # the writer prints a +0.0 mass as the literal 0; a -0.0 mass, which
+        # only a pmf set after construction can hold, still prints -0
+        table = TablePrior([(1.0, 2.0), (0.5, 3.0)], [[0.5, 0.0], [0.0, 0.5]])
+        table.pmf = np.array([[0.5, -0.0], [0.0, 0.5]])
+        self.assert_same_bytes(table, tmp_path)
+        assert (tmp_path / "table.csv").read_text().splitlines()[2:4] == ["1,3,-0", "2,0.5,0"]
+
     def test_conditioned_out_bidder(self, tmp_path):
         marginals = [([0.0, 1.0], [0.5, 0.5]), ([2.0, 5.0, 9.0], [0.0, 1.0, 0.0]), ([0.0, 1.0, 4.0], [0.2, 0.3, 0.5])]
         sol = minimize_event_prob(build_polytope(marginals, 2), 1.0, 2)
