@@ -48,6 +48,8 @@ def _probabilities(p):
 class Marginal:
     """Base of the marginal classes: what follows from their own surface."""
 
+    phi_degree = 0  # degree of prob_phi_geq in nu between its marks (revenue._marks)
+
     def monopoly_reserve(self) -> float:
         """Smallest support value with virtual value >= 0: the eligibility
         floor of the optimal mechanism."""
@@ -186,6 +188,7 @@ class ShiftedEqualRevenue(Marginal):
 class Uniform(Marginal):
     lo: float
     hi: float
+    phi_degree = 1  # Pr[2v - hi >= nu] is linear on [2 lo - hi, hi]
 
     def __post_init__(self):
         if not (self.lo >= 0 and self.hi > self.lo):

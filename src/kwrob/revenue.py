@@ -34,14 +34,16 @@ from __future__ import annotations
 import bisect
 import math
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import DiscretePMF, DomainError, check_regular, revenue_at_quantile
+from .marginals import DomainError, revenue_at_quantile
 from .mechanisms import (
     HIGHEST_VALUE,
+    LEX,
     AnonymousReserve,
     Mechanism,
     Myerson,
@@ -56,6 +58,7 @@ from .priors import (
     _kept_cells,
     cell_values,
     natural_grids,
+    q1q2_from_qvec,
     sample,
     threshold_probs,
     verify_kwise,
@@ -377,6 +380,14 @@ def _sup_where(pred, marks) -> float:
     return lo
 
 
+def _marks(marginals):
+    """Each distinct marginal's support ends and atoms, where sums of
+    quantile_q can jump, and their virtual values, where sums of
+    prob_phi_geq can; between these it is a polynomial of degree phi_degree."""
+    pairs = [(m, x) for m in dict.fromkeys(marginals) for x in (*m.support, *m.atoms())]
+    return [x for _, x in pairs], [float(m.virtual_value(x)) for m, x in pairs]
+
+
 def ex_ante_level(marginals, budget: float = 0.5) -> ExAnteSummary:
     """Virtual-value level of the ex-ante relaxation that sells `budget`
     units in expectation.
@@ -390,19 +401,19 @@ def ex_ante_level(marginals, budget: float = 0.5) -> ExAnteSummary:
     negative virtual values only loses revenue.  tau_ex is -inf when S never
     exceeds the budget (one bidder at budget 1).
 
-    Both levels come from the marks where their sums can jump: S at the
-    virtual values of each marginal's support ends and atoms, the count
-    G(v) = sum_i q_i(v) at those values themselves.
+    Both levels come from the marks where their sums can jump (_marks): S
+    at the virtual values of each marginal's support ends and atoms, the
+    count G(v) = sum_i q_i(v) at those values themselves.
     """
     if not 0.0 < budget <= 1.0:
         raise DomainError("budget must be in (0, 1]")
     marginals = list(marginals)
-    marks = [(m, x) for m in marginals for x in (*m.support, *m.atoms())]
+    values, phis = _marks(marginals)
 
     def S(nu):
         return sum(m.prob_phi_geq(nu) for m in marginals)
 
-    tau_ex = _sup_where(lambda nu: S(nu) > budget, [float(m.virtual_value(x)) for m, x in marks])
+    tau_ex = _sup_where(lambda nu: S(nu) > budget, phis)
     lam = max(tau_ex, 0.0)
     qs = [m.prob_phi_geq(lam) for m in marginals]
     if tau_ex >= 0.0:
@@ -428,7 +439,7 @@ def ex_ante_level(marginals, budget: float = 0.5) -> ExAnteSummary:
     def G(v):
         return sum(m.quantile_q(v) for m in marginals)
 
-    r_ex = _sup_where(lambda v: G(v) >= 1.0, [x for _, x in marks])
+    r_ex = _sup_where(lambda v: G(v) >= 1.0, values)
     r_ex = max(r_ex, *(float(m.q_inverse(1.0)) for m in marginals))
     s0 = G(math.nextafter(r_ex, math.inf))
     return ExAnteSummary(tau_ex, tuple(v_bar), tuple(qs), tuple(revs), r_ex, s0, budget)
@@ -456,49 +467,42 @@ CASE_CONSTANTS = {"case1": 2.0, "case2.1": 32.0, "case2.2a": 64.0, "case2.2b": 6
 GLOBAL_CONSTANT = 64.0
 
 
-def myerson_ind_revenue(marginals, grids=None) -> float:
-    """Exact optimal revenue under the mutually independent prior.
+def myerson_ind_revenue(marginals) -> float:
+    """Optimal revenue under the mutually independent prior, exact up to
+    rounding, from Myerson's identity E[max_i phi_i^+] = integral over
+    t >= 0 of Pr[max_i phi_i >= t] (README "Notes on exactness").  Its Q1
+    of the events phi_i >= t (prob_phi_geq, once per distinct marginal) is
+    a polynomial of degree d <= the summed phi_degree between neighbouring
+    marks, so d // 2 + 1 Gauss-Legendre nodes per piece are exact.  It is
+    the product-prior revenue of Myerson(marginals, LEX)."""
+    from numpy.polynomial.legendre import leggauss  # 2.5-4 ms to load, so no other command pays it
 
-    Discrete marginals go through the product sweep.  Identical regular
-    continuous marginals use the equivalence with the reserve auction at the
-    monopoly price (exact via the revenue integral).  Anything else needs an
-    explicit discretization from the caller.
-    """
-    marginals = list(marginals)
-    if all(isinstance(m, DiscretePMF) for m in marginals):
-        mech = Myerson(marginals, HIGHEST_VALUE)
-        return revenue_exact(ProductPrior(marginals), mech, grids=grids).mean
-    first = marginals[0]
-    if all(m == first for m in marginals):
-        if not check_regular(first):
-            raise DomainError("identical continuous marginals must be regular")
-        prior = ProductPrior(marginals)
-        return revenue_exact(prior, AnonymousReserve(first.monopoly_reserve())).mean
-    raise DomainError(
-        "exact independent optimum needs discrete marginals or identical "
-        "regular ones; discretize first"
-    )
+    counts = Counter(marginals)
+    breaks = np.array(sorted({0.0, *(t for t in _marks(counts)[1] if t > 0.0)}))
+    x, w = leggauss(sum(m.phi_degree * c for m, c in counts.items()) // 2 + 1)
+    half = 0.5 * np.diff(breaks)[:, None]
+    nodes = breaks[:-1, None] + half * (1.0 + x)
+    probs = np.array([[m.prob_phi_geq(t) for m in counts] for t in nodes.ravel().tolist()])
+    q1 = q1q2_from_qvec(np.repeat(probs.reshape(nodes.size, len(counts)), list(counts.values()), axis=1))[0]
+    return math.fsum((half * w).ravel() * q1)
 
 
 def check_3wise_inequalities(marginals, prior: JointPrior, grids=None) -> ThreeWiseReport:
     """Evaluate, exactly, the chain certifying 3-wise robustness of the
-    optimal mechanism on this instance: the ex-ante relaxation upper bound
-    (2 sum rev_i >= optimal independent revenue), the per-case constant
-    (cases split on the budget level's sign, the largest selling
-    probability, and its revenue share), and the global factor 64."""
+    optimal mechanism, Myerson(marginals, LEX), on this instance: the
+    ex-ante relaxation upper bound (2 sum rev_i >= optimal independent
+    revenue), the per-case constant (cases split on the budget level's
+    sign, the largest selling probability, and its revenue share), and the
+    global factor 64."""
     marginals = list(marginals)
-    if not isinstance(prior, ProductPrior):
+    myer_ind = myerson_ind_revenue(marginals)
+    if isinstance(prior, ProductPrior):
+        myer_adv = myer_ind  # Myerson(marginals, LEX)'s revenue on a product prior
+    else:
         report = verify_kwise(prior, k=min(3, prior.n_bidders), grids=grids)
         if not report.passed:
-            raise DomainError(
-                f"prior is not 3-wise independent (max deviation {report.max_deviation})"
-            )
-    myer_ind = myerson_ind_revenue(marginals, grids=grids)
-    if isinstance(prior, ProductPrior):
-        myer_adv = myer_ind
-    else:
-        mech = Myerson(marginals, HIGHEST_VALUE)
-        myer_adv = revenue_exact(prior, mech, grids=grids).mean
+            raise DomainError(f"prior is not 3-wise independent (max deviation {report.max_deviation})")
+        myer_adv = revenue_exact(prior, Myerson(marginals, LEX), grids=grids).mean
     ea = ex_ante_level(marginals, 0.5)
 
     relax_lhs = 2.0 * ea.total_rev
@@ -517,15 +521,4 @@ def check_3wise_inequalities(marginals, prior: JointPrior, grids=None) -> ThreeW
     c = CASE_CONSTANTS[case]
     case_ok = c * myer_adv >= myer_ind - 1e-9
     global_ok = GLOBAL_CONSTANT * myer_adv >= myer_ind - 1e-9
-    return ThreeWiseReport(
-        myer_adv,
-        myer_ind,
-        relax_lhs,
-        relax_ok,
-        case,
-        c,
-        case_ok,
-        GLOBAL_CONSTANT,
-        global_ok,
-        ea,
-    )
+    return ThreeWiseReport(myer_adv, myer_ind, relax_lhs, relax_ok, case, c, case_ok, GLOBAL_CONSTANT, global_ok, ea)

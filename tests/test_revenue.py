@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 
@@ -39,6 +40,7 @@ from kwrob import (
     ex_ante_level,
     mechanism_payments,
     myerson_counterexample,
+    myerson_ind_revenue,
     natural_grids,
     revenue_exact,
     revenue_exact_table,
@@ -48,6 +50,7 @@ from kwrob import (
     threshold_probs,
     uniform_q2_counterexample,
 )
+from kwrob.cli import main
 from kwrob.priors import _kept_cells
 from kwrob.revenue import _myerson_branch_revenue, posted_price_lower_bound
 
@@ -506,6 +509,59 @@ class TestExAnteMarks:
         ea = ex_ante_level([DiscretePMF(points, masses)])
         assert ea.r_ex == 4.717
         assert ea.s0 == pytest.approx(0.934732, abs=1e-12)
+
+
+class TestIndependentOptimum:
+    """myerson_ind_revenue is Myerson's identity E[max_i phi_i^+], exact up
+    to rounding on every product of the shipped classes."""
+
+    C1 = DiscretePMF([1, 2, 3], [0.5, 0.3, 0.2])
+    C2 = DiscretePMF([2, 5, 8, 9], [0.8715, 0.0118, 0.0012, 0.1155])
+
+    @pytest.mark.parametrize(
+        "ms, want",
+        [
+            ([Uniform(0, 1)] * 2, 5 / 12),
+            ([Uniform(0, 1)] * 3, 0.53125),
+            ([EqualRevenue(1, 10)] * 2, 1.9),
+            ([C1] * 2, 1.6),  # highest_value earns 1.29 here
+        ],
+    )
+    def test_closed_forms(self, ms, want):
+        assert myerson_ind_revenue(ms) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_equals_lex_sweep_on_discrete_products(self, rng):
+        products = [[self.C2] * 3, [self.C1] * 6]
+        for _ in range(60):
+            products.append([random_discrete(rng) for _ in range(int(rng.integers(1, 5)))])
+        for _ in range(40):
+            products.append([random_discrete(rng)] * int(rng.integers(2, 6)))
+        for ms in products:
+            lex = revenue_exact(ProductPrior(ms), Myerson(ms, "lex")).mean
+            assert myerson_ind_revenue(ms) == pytest.approx(lex, rel=1e-13, abs=0.0), ms
+        # the ironed instance of ROADMAP fault C2, where highest_value earns 2.2859
+        assert myerson_ind_revenue([self.C2] * 3) == pytest.approx(3.52361825, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [(Uniform(0, 1), 2), (Uniform(0.5, 2), 3), (Uniform(1, 3), 5), (EqualRevenue(1, 10), 2), (EqualRevenue(0.5, 4), 4)],
+    )
+    def test_identical_regular_equals_ar_at_monopoly_reserve(self, m, n):
+        # exact AR integrates Q2 adaptively at abs_tol=1e-10
+        ar = revenue_exact(ProductPrior([m] * n), AnonymousReserve(m.monopoly_reserve())).mean
+        assert myerson_ind_revenue([m] * n) == pytest.approx(ar, rel=1e-10)
+
+    def test_mixed_continuous_product_against_mc(self):
+        ms = [Uniform(0, 1), Uniform(0.5, 2), EqualRevenue(1, 4), ShiftedEqualRevenue(1, 3, 0.5)]
+        mc = revenue_mc(ProductPrior(ms), Myerson(ms, "lex"), 1 << 17, seed=3)
+        assert abs(myerson_ind_revenue(ms) - mc.mean) <= 5 * mc.half_width_95
+
+    @pytest.mark.parametrize("n", [10, 100, 300])
+    def test_equals_counterexample_report(self, n, tmp_path, capsys):
+        assert main(["counterexample", "myerson", "--n", str(n), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / f"counterexample_myerson_n{n}.json").read_text())
+        ind = myerson_ind_revenue(myerson_counterexample(n, report["eps"]).marginals)
+        assert ind == pytest.approx(report["independent_exact_discretized"], rel=1e-13, abs=0.0)
 
 
 class TestThreeWise:
