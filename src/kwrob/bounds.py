@@ -166,7 +166,15 @@ def _lb2_kinks_in_s(s_lo: float, s_hi: float, m_cap: int = 100_000):
     if past.size:
         lower, upper = lower[: past[0] + 1], upper[: past[0] + 1]
     roots = np.concatenate((lower, upper))
-    return np.unique(roots[(s_lo < roots) & (roots < s_hi)])
+    return _distinct(roots[(s_lo < roots) & (roots < s_hi)])
+
+
+def _distinct(a):
+    """np.unique of a float array without NaNs: sorted, repeats dropped.
+    np.unique's masked-array check would import numpy.ma, 10-12 ms on the
+    first certificate in a process."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
 def _ratio_floor(betas, lb2_grid):
@@ -213,7 +221,7 @@ def lb2_cumulative_grid():
     """(u, int_u^1 LB2(1/x) dx) on a dense u-grid, kink-refined; read by the
     minimisation and the figure emitter."""
     u = np.linspace(1e-6, 1.0, 400_001)
-    extra = np.unique(1.0 / _lb2_kinks_in_s(1.0, 1e6, m_cap=4000))
+    extra = _distinct(1.0 / _lb2_kinks_in_s(1.0, 1e6, m_cap=4000))
     extra = extra[extra > 1e-6]
     # both sorted: insert the kinks the base grid lacks at their places
     at = np.searchsorted(u, extra)

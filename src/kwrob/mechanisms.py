@@ -39,7 +39,9 @@ from .marginals import DomainError, Marginal
 
 HIGHEST_VALUE = "highest_value"
 LEX = "lex"
-_PIECE_ROWS = 1 << 14  # rows per piece of a sweep: its per-row state fits a core's cache
+# rows per piece of a sweep, whose per-row state fits a core's cache; also
+# revenue_mc's default Monte Carlo block, so one block is one piece
+_PIECE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)

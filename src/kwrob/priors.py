@@ -214,14 +214,21 @@ class MixturePrior:
     def _class_of(self):
         """Per bidder, the index of its exchangeability class: bidders with
         the same marginal and the same (plain, chosen) components in every
-        branch can be swapped without changing the prior."""
+        branch can be swapped without changing the prior.  Bidders are
+        grouped first by the ids of those objects, which the constructions
+        share, then the groups by value, one representative each; classes
+        are numbered by their first bidder."""
+        columns = [self.marginals] + [c for b in self.branches for c in (b.components, b.chosen) if c is not None]
+        keys = list(zip(*[map(id, column) for column in columns]))
+        first = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
         ids = {}
-        return tuple(
-            ids.setdefault(
-                (m,) + tuple(b.component_pair(i) for b in self.branches), len(ids)
-            )
-            for i, m in enumerate(self.marginals)
-        )
+        of_group = {
+            key: ids.setdefault((self.marginals[i],) + tuple(b.component_pair(i) for b in self.branches), len(ids))
+            for key, i in first.items()
+        }
+        return tuple(of_group[key] for key in keys)
 
 
 class ProductPrior(MixturePrior):
@@ -436,14 +443,16 @@ def sample(prior: JointPrior, seed, size=None, out=None) -> np.ndarray:
             slot = _slot_rows(branch.members, rows, rng) if branch.members else {}
             # where the branch's draws go: the whole row, its mask (a write
             # that scans all m rows) or its row indices (costlier per row),
-            # the mask once the branch holds an eighth of the rows
+            # the mask once the branch holds an eighth of the rows; a partial
+            # branch draws each bidder into one scratch array it reuses
             at = None if rows.size == m else mask if 8 * rows.size >= m else rows
+            scratch = None if at is None else np.empty(rows.size)
             for i in range(prior.n_bidders):
                 plain, chosen = branch.component_pair(i)
                 if at is None:
                     plain.sample(rng, m, out=out[i])
                 else:
-                    out[i][at] = plain.sample(rng, rows.size)
+                    out[i][at] = plain.sample(rng, rows.size, out=scratch)
                 if chosen is not None and slot[i].size:
                     out[i, slot[i]] = chosen.sample(rng, slot[i].size)
     return out[:, 0] if size is None else out.T

@@ -44,6 +44,7 @@ from .marginals import DomainError, revenue_at_quantile
 from .mechanisms import (
     HIGHEST_VALUE,
     LEX,
+    _PIECE_ROWS,
     AnonymousReserve,
     Mechanism,
     Myerson,
@@ -294,20 +295,21 @@ def revenue_mc(
     order, so results are bit-for-bit reproducible for a fixed seed and
     block size regardless of thread count.
 
-    The default block size is the largest power of two up to 2^16 rows
-    whose float64 sample buffer, 8 bytes * rows * bidders, fits in 64 MiB:
-    2^16 rows for up to 128 bidders and fewer above (2^14 at 301), so with
-    more than 128 bidders (the constructions at n >= 128) a seed's draws
-    differ from those of 2^16-row blocks."""
+    The default block size is the largest power of two up to one sweep
+    piece, mechanisms._PIECE_ROWS = 2^14 rows, whose float64 sample
+    buffer, 8 bytes * rows * bidders, fits in 64 MiB: 2^14 rows for up to
+    512 bidders and fewer above (2^13 at 601).  A block is then one piece
+    of `run_batch`'s sweep, and at n = 64 (65 bidders) its buffer is
+    8.5 MB."""
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     if block_size is None:
         fits = (1 << 26) // (8 * prior.n_bidders)
-        block_size = 1 << min(16, max(fits.bit_length() - 1, 0))
+        block_size = min(_PIECE_ROWS, 1 << max(fits.bit_length() - 1, 0))
     n_blocks = (n_samples + block_size - 1) // block_size
     # one sample buffer per thread, refilled by each of its blocks: a fresh
     # one per block would be a new mapping above glibc's mmap threshold
-    # (34 MB at n = 64), whose pages all fault on first write
+    # (8.5 MB at n = 64), whose pages all fault on first write
     local = threading.local()
 
     def one_block(b):

@@ -588,6 +588,18 @@ def q1q2_from_qvec_reference(qs):
     return float(0.0 - np.expm1(logs.sum())), float(np.sum(q * any_before * none_after))
 
 
+def class_of_reference(prior):
+    """Reference for MixturePrior._class_of, as the priors module computed
+    it before it grouped bidders by object identity: per bidder, the index
+    of its (marginal, per-branch (plain, chosen) components) key by value,
+    numbered in order of first bidder."""
+    ids = {}
+    return tuple(
+        ids.setdefault((m,) + tuple(b.component_pair(i) for b in prior.branches), len(ids))
+        for i, m in enumerate(prior.marginals)
+    )
+
+
 def threshold_probs_reference(prior, tau):
     """Reference for priors.threshold_probs at one float tau, as the priors
     module computed it before it took arrays of tau: the branch parts, the

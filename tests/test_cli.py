@@ -349,16 +349,19 @@ class TestEntryPoint:
 
 class TestLazyScipy:
     def test_commands_without_an_lp_do_not_import_scipy(self, tmp_path):
-        # nor numpy.polynomial, which only myerson_ind_revenue loads
+        # nor numpy.polynomial, which only myerson_ind_revenue loads, nor
+        # numpy.ma, which np.unique's masked-array check loads
         root = Path(__file__).resolve().parents[1]
         code = (
             "import sys, kwrob, kwrob.cli\n"
             f"out = {str(tmp_path)!r}\n"
             "assert kwrob.cli.main(['counterexample', 'q2', '--n', '10', '--out', out]) == 0\n"
+            "assert kwrob.cli.main(['reproduce', '2.63', '--out', out]) == 0\n"
             "assert kwrob.cli.main(['reproduce', '18.07', '--out', out]) == 0\n"
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "assert not loaded, loaded[:5]\n"
             "assert 'numpy.polynomial' not in sys.modules\n"
+            "assert 'numpy.ma' not in sys.modules\n"
             "solver = kwrob.lp.linprog\n"
             "import scipy.optimize\n"
             "assert solver is scipy.optimize.linprog\n"

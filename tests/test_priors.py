@@ -12,6 +12,7 @@ from conftest import (
     ConditionalBelow,
     FullMarginal,
     cdf_identity_gaps,
+    class_of_reference,
     q1q2_enumerate,
     q1q2_from_qvec_reference,
     random_discrete,
@@ -766,6 +767,42 @@ def heterogeneous_slot_mixture():
         chosen=(FixedValue(1.0), FixedValue(2.0), None),
     )
     return MixturePrior((m0, m1, m2), (b1, b2))
+
+
+class TestExchangeabilityClasses:
+    """_class_of groups bidders by object identity, then by value; it must
+    number the classes as the value-keyed reference does."""
+
+    @pytest.mark.parametrize("n", [2, 10, 300])
+    def test_constructions(self, n):
+        for p in (myerson_counterexample(n, 1e-6), uniform_q2_counterexample(n)):
+            assert p._class_of == class_of_reference(p)
+
+    def test_product_prior(self):
+        # equal marginals held as distinct objects fall in one class
+        ms = [Uniform(0.0, 1.0), EqualRevenue(1.0, 4.0), Uniform(0.0, 1.0), Uniform(0.0, 2.0), EqualRevenue(1.0, 4.0)]
+        p = ProductPrior(ms)
+        assert p._class_of == class_of_reference(p) == (0, 1, 0, 2, 1)
+
+    def test_equal_but_distinct_components(self):
+        # every bidder holds its own component objects; bidders 0, 2 and 3
+        # are equal by value, bidder 1 differs only in its chosen component
+        m = Uniform(0.0, 1.0)
+        chosen = (FixedValue(0.9), FixedValue(0.8), FixedValue(0.9), FixedValue(0.9))
+        p = MixturePrior(
+            [Uniform(0.0, 1.0) for _ in range(4)],
+            [
+                Branch(0.5, tuple(Conditioned(m) for _ in range(4))),
+                Branch(0.5, tuple(Conditioned(m, hi=0.5) for _ in range(4)), chosen),
+            ],
+        )
+        assert p._class_of == class_of_reference(p) == (0, 1, 0, 0)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(slot_mixtures())
+    @example(heterogeneous_slot_mixture())
+    def test_slot_mixtures(self, mix):
+        assert mix._class_of == class_of_reference(mix)
 
 
 class TestVerifierCrossValidation:

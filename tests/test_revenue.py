@@ -315,9 +315,10 @@ class TestMonteCarlo:
         assert est.mean == 4.0 and est.half_width_95 == 0.0
 
     def test_default_block_size_follows_bidders(self):
-        # the largest power of two up to 2^16 rows whose sample buffer fits
-        # in 64 MiB: 2^16 rows at n = 64 (65 bidders), 2^14 at n = 300
-        for n, rows in ((64, 1 << 16), (300, 1 << 14)):
+        # the largest power of two up to one sweep piece (2^14 rows) whose
+        # sample buffer fits in 64 MiB: 2^14 rows at n = 64 (65 bidders) and
+        # n = 300, 2^13 at n = 600, where the 64 MiB cap binds
+        for n, rows in ((64, 1 << 14), (300, 1 << 14), (600, 1 << 13)):
             prior = myerson_counterexample(n, 1e-6)
             mech = AnonymousReserve(2.0 * n)  # sells when the big bidder clears 2n
             est = revenue_mc(prior, mech, rows + 3, seed=7)

@@ -8,6 +8,14 @@ The parent is git revision REV (default HEAD), exported with `git archive`
 into a temporary directory; the change is the checkout at DIR (default this
 repo's working tree).  Pair k runs the parent first when k is even and the
 change first when k is odd.  Standard library only.
+
+Each end-to-end metric's direction and bound come from BENCHMARK.json.  Per
+metric the summary gives both sides' median and quartiles, the pairs the
+change won (ties count for neither), the parent's quartile spread,
+`claim_met` (the change won at least nine tenths of the pairs and its
+median is better than the parent's by more than that spread) and
+`within_bound` (the change's median is no worse than the parent's by more
+than the bound, a fraction of the parent's median).
 """
 
 import argparse
@@ -23,7 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-BETTER = {"setup_s": min, "first_job_s": min, "job_p50_s": min, "jobs_per_s": max, "cpu_s_per_job": min, "peak_rss_mb": min}
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "KWR_THREADS": "1"}
 
 
@@ -42,13 +50,21 @@ def quartiles(values):
 def summarise(runs):
     parent, change = runs["parent"], runs["change"]
     out = {}
-    for name, best in BETTER.items():
-        wins = sum(c[name] != p[name] and best(c[name], p[name]) == c[name] for p, c in zip(parent, change))
+    for metric in END_TO_END:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        wins = sum(sign * (c[name] - p[name]) < 0 for p, c in zip(parent, change))
+        p_q, c_q = quartiles([r[name] for r in parent]), quartiles([r[name] for r in change])
+        spread = p_q["q3"] - p_q["q1"]
+        gain = sign * (p_q["median"] - c_q["median"])  # > 0 when the change's median is better
         out[name] = {
-            "parent": quartiles([r[name] for r in parent]),
-            "change": quartiles([r[name] for r in change]),
+            "parent": p_q,
+            "change": c_q,
             "change_better_pairs": wins,
             "pairs": len(parent),
+            "parent_quartile_spread": round(spread, 6),
+            "claim_met": 10 * wins >= 9 * len(parent) and gain > spread,
+            "bound": metric["bound"],
+            "within_bound": -gain <= metric["bound"] * p_q["median"],
         }
     out["failed/attempted"] = {
         side: f"{sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}" for side, rs in runs.items()
