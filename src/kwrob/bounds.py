@@ -33,19 +33,10 @@ class BoundReport:
     inputs: dict
     value: float
     inequality: tuple | None = None  # (lhs, rhs, passed)
-    note: str = ""
 
     @property
     def passed(self):
         return self.inequality is None or self.inequality[2]
-
-    def to_dict(self):
-        d = {"bound_id": self.bound_id, "inputs": self.inputs, "value": self.value}
-        if self.inequality is not None:
-            d["lhs"], d["rhs"], d["pass"] = self.inequality
-        if self.note:
-            d["note"] = self.note
-        return d
 
 
 def lb1(s: float) -> float:
@@ -210,7 +201,6 @@ def certify_iid_constant(grid: int = 10_000, lb2_grid=None) -> BoundReport:
         {"grid": grid, "beta_star": beta_star, "constant": 1.0 / fmin},
         fmin,
         (fmin, target - 1e-3, fmin >= target - 1e-3),
-        note="ratio lower bound min_beta [beta LB1(1/beta) + int LB2(1/u) du]",
     )
 
 
@@ -399,18 +389,17 @@ def certify_ar_constant(p_bar: float = 0.674) -> ARCertificate:
     )
 
 
-def bounds_table_rows(s_grid=None, s0_grid=None):
-    """Rows (bound_id, inputs, value) over default grids, for the CLI."""
+def bounds_table_rows():
+    """Rows (bound_id, inputs, value) over fixed grids, for the CLI."""
     rows = []
-    s_grid = np.linspace(0.0, 5.0, 51) if s_grid is None else s_grid
+    s_grid = np.linspace(0.0, 5.0, 51)
     for s in s_grid:
         rows.append(("lb1", f"s={s:.17g}", lb1(float(s))))
     for s in s_grid:
         if s > 1.0:
             rows.append(("lb2", f"s={s:.17g}", lb2(float(s))))
         rows.append(("q1_count", f"s={s:.17g}", q1_count_bound(float(s))))
-    s0_grid = np.linspace(0.0, 1.0, 21) if s0_grid is None else s0_grid
-    for s0 in s0_grid:
+    for s0 in np.linspace(0.0, 1.0, 21):
         rows.append(("tail_upper", f"s0={s0:.17g}", tail_upper(float(s0))))
         rows.append(("q2_ind_near", f"s={s0:.17g}", q2_ind_near_bound(float(s0))))
         if s0 > 0:

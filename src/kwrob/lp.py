@@ -6,14 +6,15 @@ whose every subset of at most k coordinates has product-form marginals
 mechanism's expected payment, or the probability of a threshold event, over
 that polytope gives exact worst-case instances with a duality certificate.
 
-The constraints are sparse rows Pr[x_S = c] = prod masses for |S| <= k,
-defined once as a sequence of per-subset blocks (`_blocks`).  The solver
-gets their closed-form basis, the rows whose c avoids each bidder's last
-support point (rank 1 + sum_{1<=|S|<=k} prod_{i in S} (m_i - 1)), built
-from the blocks directly; the others follow by inclusion-exclusion.  The
-written table is re-checked against every row, one block at a time, so
-no command holds the full family: `KwisePolytope.A` builds it only when
-read.
+Every bidder is an axis of the cell grid, a bidder with one point an axis
+of length 1.  The constraints are sparse rows Pr[x_S = c] = prod masses
+for |S| <= k, defined once as a sequence of per-subset blocks (`_blocks`).
+The solver gets their closed-form basis, the rows whose c avoids each
+bidder's last support point (rank 1 + sum_{1<=|S|<=k} prod_{i in S}
+(m_i - 1)), built from the blocks directly; the others follow by
+inclusion-exclusion.  The written table is re-checked against every row,
+one block at a time, so no command holds the full family:
+`KwisePolytope.A` builds it only when read.
 
 The minimisers solve the LP on a quotient.  With C the objective on the
 cell grid, two points a, b of bidder i merge when C.take(a, axis=i) and
@@ -30,7 +31,8 @@ This is exact for any k:
   costs are the quotient's, and the certificate checked on the quotient
   (dual feasibility, gap) certifies the fine LP.
 The lifted table is re-checked against every fine row, the residual
-written.  When nothing merges, the solver gets the fine LP.
+written.  This is the one solve path: when nothing merges, the labels are
+each axis's own points and the solver gets the fine LP bit for bit.
 """
 
 from __future__ import annotations
@@ -65,11 +67,9 @@ def __getattr__(name):
 
 @dataclass
 class KwisePolytope:
-    supports: list  # active (non-degenerate) bidders only
+    supports: list  # per bidder, its positive-mass points
     masses: list
     k: int
-    fixed: dict  # bidder index -> fixed value (conditioned out)
-    order: list  # original indices of the active bidders
 
     @property
     def shape(self):
@@ -87,30 +87,11 @@ class KwisePolytope:
     def _solver_rows(self):
         return _basis(self.shape, self.masses, self.k)
 
-    # each built on first access; only the fine LP's solve reads A_red, b_red
+    # each built on first access; a solve builds its quotient's basis instead
     A = property(lambda self: self._family[0], doc="The full constraint family, A p = b (CSR).")
     b = property(lambda self: self._family[1])
-    A_red = property(lambda self: self._solver_rows[0], doc="Its basis, the rows handed to the solver (CSR).")
+    A_red = property(lambda self: self._solver_rows[0], doc="Its basis, the solver's rows when no point merges (CSR).")
     b_red = property(lambda self: self._solver_rows[1])
-
-    @property
-    def full_supports(self):
-        """Supports of all bidders in their original order, a conditioned-out
-        bidder's as the singleton of its fixed value.  Their C-order cell
-        grid is the LP's variable order: active bidders keep their order and
-        singleton axes do not move cells."""
-        out = [None] * (len(self.order) + len(self.fixed))
-        for i, v in self.fixed.items():
-            out[i] = (v,)
-        for j, i in enumerate(self.order):
-            out[i] = tuple(self.supports[j])
-        return out
-
-    def product_pmf(self):
-        out = np.ones(1)
-        for m in self.masses:
-            out = np.multiply.outer(out, np.asarray(m)).ravel()
-        return out
 
 
 @dataclass
@@ -124,12 +105,12 @@ class WorstCaseSolution:
 
 def build_polytope(marginal_tables, k: int) -> KwisePolytope:
     """marginal_tables: per bidder (support values, masses).  Zero-mass
-    points are dropped; single-point bidders are conditioned out of the LP
-    entirely and reattached to solutions afterwards."""
-    n_all = len(marginal_tables)
-    if not 1 <= k <= n_all:
-        raise DomainError(f"need 1 <= k <= {n_all}")
-    supports, masses, order, fixed = [], [], [], {}
+    points are dropped; a bidder left with one point is an axis of length 1,
+    which no row but the total mass mentions (see `_blocks`)."""
+    n = len(marginal_tables)
+    if not 1 <= k <= n:
+        raise DomainError(f"need 1 <= k <= {n}")
+    supports, masses = [], []
     for i, (vals, ms) in enumerate(marginal_tables):
         vals = [float(v) for v in vals]
         ms = [float(m) for m in ms]
@@ -138,30 +119,30 @@ def build_polytope(marginal_tables, k: int) -> KwisePolytope:
         if abs(sum(ms) - 1.0) > 1e-9:
             raise DomainError(f"bidder {i} masses sum to {sum(ms)}")
         keep = [(v, m) for v, m in zip(vals, ms) if m > 0]
-        if len(keep) == 1:
-            fixed[i] = keep[0][0]
-            continue
         supports.append([v for v, _ in keep])
         masses.append(np.array([m for _, m in keep]))
-        order.append(i)
-    shape = tuple(len(s) for s in supports)
-    if math.prod(shape) > CELL_CAP:
-        raise DomainError(f"{math.prod(shape)} cells exceeds the cap {CELL_CAP}")
-    return KwisePolytope(supports, masses, k, fixed, order)
+    poly = KwisePolytope(supports, masses, k)
+    if poly.n_cells > CELL_CAP:
+        raise DomainError(f"{poly.n_cells} cells exceeds the cap {CELL_CAP}")
+    return poly
 
 
 def _blocks(shape, masses, k):
     """The row family Pr[x_S = c] = prod_{i in S} masses[i][c_i] over the
     C-order cells of `shape`, one block per subset: S the empty set (total
-    mass), then every S with 1 <= |S| <= k in combinations order.  Yields
-    (cells, rhs, basis) with a row per c in C order: cells[r] lists the
-    cells of row r ascending, rhs[r] is its right-hand side, and basis[r]
-    says whether c avoids each bidder's last point."""
-    n, n_cells = len(shape), math.prod(shape)
+    mass), then every S with 1 <= |S| <= k of axes longer than 1, in
+    combinations order.  A subset holding a length-1 axis is left out: that
+    axis's one point has all the mass, so its rows repeat those of S without
+    it, and none is a basis row.  Yields (cells, rhs, basis) with a row per
+    c in C order: cells[r] lists the cells of row r ascending, rhs[r] is its
+    right-hand side, and basis[r] says whether c avoids each bidder's last
+    point."""
+    n_cells = math.prod(shape)
     grid = np.arange(n_cells).reshape(shape)
     yield grid.reshape(1, n_cells), np.ones(1), np.ones(1, dtype=bool)
+    axes = [i for i, m in enumerate(shape) if m > 1]
     for size in range(1, k + 1):
-        for subset in itertools.combinations(range(n), size):
+        for subset in itertools.combinations(axes, size):
             # with S's axes moved to the front, the cells of each row x_S = c
             # are one ascending run of the C-order ravel: a CSR row as is
             rows = math.prod(shape[i] for i in subset)
@@ -202,10 +183,6 @@ def _residual(shape, masses, k, pmf):
     blocks = _blocks(shape, masses, k)
     worst = [np.max(np.abs(np.cumsum(pmf[cells], axis=1)[:, -1] - rhs)) for cells, rhs, _ in blocks]
     return float(np.max(worst))
-
-
-def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:
-    return _table(poly, *_certified_optimum(poly.A_red, poly.b_red, c))
 
 
 def _certified_optimum(A_red, b_red, c):
@@ -250,7 +227,7 @@ def _table(poly: KwisePolytope, x, obj, gap, nit) -> WorstCaseSolution:
     resid = _residual(poly.shape, poly.masses, poly.k, pmf)
     if resid > FEAS_TOL:
         raise RuntimeError(f"table violates constraints, residual {resid}")
-    return WorstCaseSolution(TablePrior(poly.full_supports, pmf), obj, gap, nit, resid)
+    return WorstCaseSolution(TablePrior(poly.supports, pmf), obj, gap, nit, resid)
 
 
 def _point_classes(C, axis):
@@ -263,21 +240,20 @@ def _point_classes(C, axis):
     return np.array([keys.setdefault(row.tobytes(), len(keys)) for row in rows])
 
 
-def _solve_quotient(poly: KwisePolytope, c) -> WorstCaseSolution:
-    """`_solve(poly, c)` on the quotient that merges the support points c
-    cannot tell apart, with its table lifted back to poly's cells.
+def _solve(poly: KwisePolytope, c) -> WorstCaseSolution:
+    """Minimise c.x over poly on the quotient that merges the support points
+    c cannot tell apart, with its table lifted back to poly's cells.
 
     Each class gets its points' summed mass and each quotient cell the
     objective of its first point; quotient x-bar lifts to
     x(v) = x-bar(class(v)) prod_i p_i(v_i) / P_i(class(v_i)), and that table
     is re-checked against every row of poly's family.  When no points
-    merge, this is `_solve(poly, c)`."""
+    merge, the labels are arange, the masses and objective are copied and
+    the lift multiplies by exactly 1.0: the fine LP, bit for bit."""
     shape = poly.shape
     C = np.asarray(c, dtype=float).reshape(shape)
     labels = [_point_classes(C, i) for i in range(len(shape))]
     qshape = tuple(int(lab.max()) + 1 for lab in labels)
-    if qshape == shape:
-        return _solve(poly, c)
     firsts = [np.unique(lab, return_index=True)[1] for lab in labels]
     qmasses = [np.bincount(lab, weights=m) for lab, m in zip(labels, poly.masses)]
     x, obj, gap, nit = _certified_optimum(*_basis(qshape, qmasses, poly.k), C[np.ix_(*firsts)].ravel())
@@ -289,7 +265,7 @@ def _solve_quotient(poly: KwisePolytope, c) -> WorstCaseSolution:
 
 
 def minimize_revenue(poly: KwisePolytope, mech: Mechanism) -> WorstCaseSolution:
-    return _solve_quotient(poly, mechanism_payments(mech, cell_values(poly.full_supports)))
+    return _solve(poly, mechanism_payments(mech, cell_values(poly.supports)))
 
 
 def minimize_event_prob(poly: KwisePolytope, tau: float, count_at_least: int) -> WorstCaseSolution:
@@ -297,5 +273,5 @@ def minimize_event_prob(poly: KwisePolytope, tau: float, count_at_least: int) ->
         raise DomainError("count_at_least must be 1 or 2")
     if math.isnan(tau):
         raise DomainError("tau must not be NaN")
-    V = cell_values(poly.full_supports)
-    return _solve_quotient(poly, ((V >= tau).sum(axis=1) >= count_at_least).astype(float))
+    V = cell_values(poly.supports)
+    return _solve(poly, ((V >= tau).sum(axis=1) >= count_at_least).astype(float))

@@ -489,6 +489,36 @@ def kwise_basis_csr_reference(shape, masses, k):
     return indptr, indices, np.ones(indices.size), np.concatenate(rhs)
 
 
+def product_pmf(poly):
+    """The independent table on poly's cells, C order."""
+    out = np.ones(1)
+    for m in poly.masses:
+        out = np.multiply.outer(out, np.asarray(m)).ravel()
+    return out
+
+
+def fine_solve(poly, c):
+    """min c.x over poly's own basis, never merging points: the solver's
+    certified optimum written as a re-checked table."""
+    from kwrob.lp import _certified_optimum, _table
+
+    return _table(poly, *_certified_optimum(poly.A_red, poly.b_red, c))
+
+
+def conditioned_out_solve(poly, c):
+    """`lp._solve` with every one-point bidder conditioned out: solve on the
+    bidders with at least two points, then insert the one-point bidders'
+    singleton axes into the table.  A singleton axis does not move cells
+    in C order, so c and the solved pmf keep their layout."""
+    from kwrob.lp import KwisePolytope, WorstCaseSolution, _solve
+
+    active = [i for i, s in enumerate(poly.supports) if len(s) > 1]
+    sub = KwisePolytope([poly.supports[i] for i in active], [poly.masses[i] for i in active], poly.k)
+    sol = _solve(sub, c)
+    table = TablePrior(poly.supports, sol.table.pmf.reshape(poly.shape))
+    return WorstCaseSolution(table, sol.objective, sol.duality_gap, sol.iterations, sol.feasibility_residual)
+
+
 def myerson_branch_revenue_reference(mech, vals, masses):
     """Reference for revenue._myerson_branch_revenue, as the revenue module
     computed it before the bidders shared one key axis: a key grid with

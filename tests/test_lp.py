@@ -8,7 +8,14 @@ import kwrob.lp
 from kwrob.mechanisms import HIGHEST_VALUE, LEX, mechanism_payments
 from kwrob.priors import cell_values
 
-from conftest import random_discrete, random_regular_discrete
+from conftest import (
+    conditioned_out_solve,
+    fine_solve,
+    kwise_rows_reference,
+    product_pmf,
+    random_discrete,
+    random_regular_discrete,
+)
 from kwrob import (
     AnonymousReserve,
     DiscretePMF,
@@ -63,13 +70,13 @@ class TestBuildPolytope:
                 tables.append((list(m.points), list(m.masses)))
             k = int(rng.integers(1, n + 1))
             poly = build_polytope(tables, k)
-            x = poly.product_pmf()
+            x = product_pmf(poly)
             assert np.max(np.abs(poly.A @ x - poly.b)) < 1e-12
 
     def test_degenerate_bidder_conditioned_out(self):
         tables = [BINARY, ([3.0], [1.0]), BINARY]
         poly = build_polytope(tables, 2)
-        assert poly.fixed == {1: 3.0}
+        assert poly.supports[1] == [3.0] and poly.shape == (2, 1, 2)
         sol = minimize_revenue(poly, AnonymousReserve(2.0))
         # the fixed bidder always clears the reserve; others never do
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
@@ -94,7 +101,7 @@ class TestSolve:
         # direction, whose single and pairwise marginals are all zero
         poly = build_polytope([([0.0, 1.0], [0.01, 0.99])] * 3, 2)
         interaction = ((-1.0) ** np.indices((2, 2, 2)).sum(axis=0)).ravel()
-        p = poly.product_pmf()
+        p = product_pmf(poly)
         x = p - (p[0] + 9e-8) * interaction
         assert x.min() == pytest.approx(-9e-8, rel=1e-6)
         assert np.max(np.abs(poly.A @ x - poly.b)) < 1e-14
@@ -105,7 +112,7 @@ class TestSolve:
 
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
         try:
-            sol = kwrob.lp._solve(poly, np.zeros(poly.n_cells))
+            sol = fine_solve(poly, np.zeros(poly.n_cells))
         except RuntimeError:
             return
         assert np.max(np.abs(poly.A @ sol.table.pmf.ravel() - poly.b)) <= kwrob.lp.FEAS_TOL
@@ -122,11 +129,11 @@ class TestSolve:
 
         def fake_linprog(c, **kw):
             duals = SimpleNamespace(marginals=y.copy())
-            return SimpleNamespace(success=True, x=poly.product_pmf(), eqlin=duals, nit=0, message="")
+            return SimpleNamespace(success=True, x=product_pmf(poly), eqlin=duals, nit=0, message="")
 
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
         with pytest.raises(RuntimeError, match="dual infeasible"):
-            kwrob.lp._solve(poly, np.zeros(poly.n_cells))
+            fine_solve(poly, np.zeros(poly.n_cells))
 
 
 class TestPresolveOff:
@@ -193,15 +200,15 @@ class TestQuotient:
         sol, seen = self.quotient_columns(monkeypatch, lambda: minimize_revenue(poly, AnonymousReserve(2.5)))
         assert seen == [2**4]  # each bidder keeps {1, 2} against {3}
         assert np.max(np.abs(poly.A @ sol.table.pmf.ravel() - poly.b)) <= kwrob.lp.FEAS_TOL
-        fine = kwrob.lp._solve(poly, mechanism_payments(AnonymousReserve(2.5), cell_values(poly.full_supports)))
+        fine = fine_solve(poly, mechanism_payments(AnonymousReserve(2.5), cell_values(poly.supports)))
         assert sol.objective == pytest.approx(fine.objective, rel=1e-9)
 
     def test_reserve_below_middle_point_merges_none(self, monkeypatch):
-        # with nothing merged the call is _solve itself, bit for bit
+        # with nothing merged the quotient is the fine LP, bit for bit
         poly = build_polytope([self.POINTS] * 4, 2)
         sol, seen = self.quotient_columns(monkeypatch, lambda: minimize_revenue(poly, AnonymousReserve(1.5)))
         assert seen == [3**4]
-        fine = kwrob.lp._solve(poly, mechanism_payments(AnonymousReserve(1.5), cell_values(poly.full_supports)))
+        fine = fine_solve(poly, mechanism_payments(AnonymousReserve(1.5), cell_values(poly.supports)))
         assert sol.objective == fine.objective
         assert np.array_equal(sol.table.pmf, fine.table.pmf)
 
@@ -209,7 +216,7 @@ class TestQuotient:
         poly = build_polytope([self.POINTS] * 4, 2)
         sol = minimize_revenue(poly, AnonymousReserve(4.0))
         assert sol.objective == 0.0
-        assert np.max(np.abs(sol.table.pmf.ravel() - poly.product_pmf())) <= 1e-15
+        assert np.max(np.abs(sol.table.pmf.ravel() - product_pmf(poly))) <= 1e-15
 
     def test_lifted_table_is_rechecked_on_the_fine_family(self, monkeypatch):
         # all quotient mass on the cell where nobody clears the reserve:
@@ -231,7 +238,7 @@ class TestQuotient:
     def test_dual_infeasible_quotient_certificate_raises(self, monkeypatch):
         # y = 1 on the total-mass row prices every cell at 1, so the cell
         # where nobody clears the reserve (c = 0) has reduced cost -1: the
-        # quotient's duals are checked as _solve checks its own
+        # quotient's duals are checked as a fine solve checks its own
         poly = build_polytope([self.POINTS] * 4, 2)
 
         def fake_linprog(c, **kw):
@@ -258,7 +265,7 @@ class TestQuotient:
             points = sorted({v for m in marginals for v in m.points})
             on = float(rng.choice(points))
             between = float(np.mean(rng.choice(points, size=2, replace=False)))
-            V = cell_values(poly.full_supports)
+            V = cell_values(poly.supports)
             objectives = [mechanism_payments(mech, V) for mech in (
                 Myerson(marginals, HIGHEST_VALUE),
                 Myerson(marginals, LEX),
@@ -267,8 +274,8 @@ class TestQuotient:
             )]
             objectives += [((V >= on).sum(axis=1) >= count).astype(float) for count in (1, 2)]
             for c in objectives:
-                sol = kwrob.lp._solve_quotient(poly, c)
-                fine = kwrob.lp._solve(poly, c)
+                sol = kwrob.lp._solve(poly, c)
+                fine = fine_solve(poly, c)
                 C = c.reshape([len(v) for v in poly.supports])
                 merged += any(
                     len({tuple(row) for row in np.moveaxis(C, i, 0).reshape(C.shape[i], -1).tolist()}) < C.shape[i]
@@ -280,8 +287,53 @@ class TestQuotient:
                 assert verify_kwise(sol.table, k).passed
                 if k == n:
                     full += 1
-                    assert np.max(np.abs(sol.table.pmf.ravel() - poly.product_pmf())) <= kwrob.lp.FEAS_TOL
+                    assert np.max(np.abs(sol.table.pmf.ravel() - product_pmf(poly))) <= kwrob.lp.FEAS_TOL
         assert merged > 0 and full > 0
+
+
+class TestOnePointAxes:
+    """A bidder with one positive-mass point is an axis of length 1.  The
+    solve must equal, bit for bit, the rule that conditions such bidders
+    out: solve on the others, then insert their singleton axes."""
+
+    @staticmethod
+    def random_instance(rng, all_one_point):
+        n = int(rng.integers(2, 7))
+        n_one = n if all_one_point else int(rng.integers(1, n))
+        marginals = []
+        for i in range(n):
+            m = 1 if i < n_one else int(rng.integers(2, 4))
+            points = sorted(rng.choice(np.arange(1.0, 10.0), size=m, replace=False).tolist())
+            marginals.append(DiscretePMF(points, rng.dirichlet(np.ones(m)).tolist()))
+        return [marginals[i] for i in rng.permutation(n)]
+
+    def test_same_solve_as_conditioning_out(self, rng):
+        shapes = set()
+        for trial in range(40):
+            marginals = self.random_instance(rng, all_one_point=trial % 8 == 0)
+            n = len(marginals)
+            poly = build_polytope([(m.points, m.masses) for m in marginals], int(rng.integers(1, n + 1)))
+            shapes.add(max(poly.shape) > 1)
+            V = cell_values(poly.supports)
+            tau = float(rng.choice(V.ravel()))
+            cases = [(minimize_revenue(poly, mech), mechanism_payments(mech, V)) for mech in (
+                Myerson(marginals, HIGHEST_VALUE),
+                Myerson(marginals, LEX),
+                AnonymousReserve(float(rng.uniform(1.0, 9.0))),
+            )]
+            cases += [
+                (minimize_event_prob(poly, tau, count), ((V >= tau).sum(axis=1) >= count).astype(float))
+                for count in (1, 2)
+            ]
+            for sol, c in cases:
+                ref = conditioned_out_solve(poly, c)
+                assert (sol.objective, sol.iterations, sol.duality_gap, sol.feasibility_residual) == (
+                    ref.objective, ref.iterations, ref.duality_gap, ref.feasibility_residual
+                )
+                assert sol.table.supports == ref.table.supports
+                assert sol.table.pmf.shape == ref.table.pmf.shape
+                assert sol.table.pmf.tobytes() == ref.table.pmf.tobytes()
+        assert shapes == {True, False}  # some instances, not all, are one-point only
 
 
 class TestMinimizeRevenue:
@@ -308,7 +360,7 @@ class TestMinimizeRevenue:
             cases += [(minimize_event_prob(poly, tau, c), threshold_probs(product, tau)[c - 1]) for c in (1, 2)]
             for sol, value in cases:
                 assert sol.objective == pytest.approx(value, rel=1e-9, abs=1e-12)
-                assert np.max(np.abs(sol.table.pmf.ravel() - poly.product_pmf())) <= kwrob.lp.FEAS_TOL
+                assert np.max(np.abs(sol.table.pmf.ravel() - product_pmf(poly))) <= kwrob.lp.FEAS_TOL
 
     def test_monotone_in_k(self, rng):
         tables = []
@@ -408,7 +460,7 @@ class TestStreamedRows:
 
     @staticmethod
     def random_polytope(rng, n_fixed=0):
-        # 1-4 points per bidder; a one-point bidder is conditioned out
+        # 1-4 points per bidder; a one-point bidder is an axis of length 1
         n = int(rng.integers(1, 5))
         tables = []
         for i in range(n):
@@ -420,10 +472,10 @@ class TestStreamedRows:
     @staticmethod
     def basis_mask(shape, k):
         # the rows of the full family, in order, whose c avoids each
-        # bidder's last point
+        # bidder's last point; the family has no subset with a one-point axis
         keep = [True]
         for size in range(1, k + 1):
-            for subset in itertools.combinations(range(len(shape)), size):
+            for subset in itertools.combinations([i for i, m in enumerate(shape) if m > 1], size):
                 keep += [all(c < shape[i] - 1 for i, c in zip(subset, combo))
                          for combo in itertools.product(*[range(shape[i]) for i in subset])]
         return np.flatnonzero(keep)
@@ -436,24 +488,24 @@ class TestStreamedRows:
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def polytopes(self, rng):
-        for n_fixed in (0, 0, 0, 1, 4):  # 4: at most four bidders, all fixed
+        for n_fixed in (0, 0, 0, 1, 4):  # 4: at most four bidders, all one-point
             for _ in range(12):
                 yield self.random_polytope(rng, n_fixed)
 
     def test_residual_is_the_csr_residual_bit_for_bit(self, rng):
         seen = set()
         for poly in self.polytopes(rng):
-            seen.add((bool(poly.fixed), bool(poly.supports)))
+            seen.add((1 in poly.shape, max(poly.shape) > 1))
             pmfs = [rng.dirichlet(np.ones(poly.n_cells)), rng.random(poly.n_cells) ** 4]
             pmfs[1][rng.random(poly.n_cells) < 0.5] = 0.0
             for pmf in pmfs:
                 streamed = kwrob.lp._residual(poly.shape, poly.masses, poly.k, pmf)
                 assert streamed == float(np.max(np.abs(poly.A @ pmf - poly.b)))
-        assert {(True, True), (True, False), (False, True)} <= seen  # some, all and no bidders fixed
+        assert {(True, True), (True, False), (False, True)} <= seen  # some, all and no bidders one-point
 
     def test_written_residual_is_the_csr_residual_bit_for_bit(self, rng):
         for poly in self.polytopes(rng):
-            points = sorted({v for s in poly.full_supports for v in s})
+            points = sorted({v for s in poly.supports for v in s})
             for sol in (
                 minimize_revenue(poly, AnonymousReserve(float(rng.choice(points)))),
                 minimize_event_prob(poly, float(np.mean(points)), 1),
@@ -470,7 +522,10 @@ class TestStreamedRows:
 
     def test_basis_on_quotient_shapes(self, rng):
         # a bidder whose points all merge has one class, so no basis rows:
-        # its blocks keep none of their rows
+        # the family leaves out every subset that holds it, and loses no
+        # row by that, since each such row repeats one it keeps when that
+        # class has all the mass
+        one_point = 0
         for _ in range(40):
             shape = tuple(int(m) for m in rng.integers(1, 4, size=int(rng.integers(1, 5))))
             masses = [rng.dirichlet(np.ones(m)) for m in shape]
@@ -480,6 +535,15 @@ class TestStreamedRows:
             rows = self.basis_mask(shape, k)
             self.assert_same_csr(A_red, A[rows])
             assert np.array_equal(b_red, b[rows])
+            if 1 in shape:
+                one_point += 1
+                masses = [m if m.size > 1 else np.ones(1) for m in masses]
+                A, b = kwrob.lp._rows(shape, masses, k)
+                kept = {(tuple(A.indices[A.indptr[r]:A.indptr[r + 1]]), b[r].tobytes()) for r in range(A.shape[0])}
+                A_ref, b_ref = kwise_rows_reference(shape, masses, k)
+                for row, rhs in zip(A_ref, b_ref):
+                    assert (tuple(np.flatnonzero(row)), rhs.tobytes()) in kept
+        assert one_point > 0
         A_red, b_red = kwrob.lp._basis((1, 1, 1), [np.ones(1)] * 3, 3)
         assert A_red.toarray().tolist() == [[1.0]] and b_red.tolist() == [1.0]
 
@@ -513,7 +577,7 @@ class TestStreamedRows:
         # no mass where both are low, so it breaks the one pairwise basis
         # row; zero duals certify its zero objective.
         poly = build_polytope([TestQuotient.POINTS] * 4, 2)
-        V = cell_values(poly.full_supports)
+        V = cell_values(poly.supports)
         c = ((V[:, 0] == 3.0) & (V[:, 1] == 3.0)).astype(float)
 
         def fake_linprog(c, **kw):
@@ -526,4 +590,4 @@ class TestStreamedRows:
 
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
         with pytest.raises(RuntimeError, match="table violates constraints"):
-            kwrob.lp._solve_quotient(poly, c)
+            kwrob.lp._solve(poly, c)

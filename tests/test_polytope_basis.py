@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from conftest import kwise_basis_csr_reference, kwise_rows_reference
+from conftest import kwise_basis_csr_reference, kwise_rows_reference, product_pmf
 from kwrob import AnonymousReserve, build_polytope, minimize_revenue
 
 
@@ -44,7 +44,7 @@ class TestBasisAgainstReference:
             assert basis.shape[0] == np.linalg.matrix_rank(basis) == rank == closed
             # any point of the basis meets the whole family
             x_lsq = np.linalg.lstsq(basis, poly.b_red, rcond=None)[0]
-            for x in (poly.product_pmf(), x_lsq):
+            for x in (product_pmf(poly), x_lsq):
                 assert np.max(np.abs(poly.A @ x - poly.b)) < 1e-10
 
     def test_basis_is_the_direct_build(self, rng):
@@ -63,7 +63,7 @@ class TestBasisAgainstReference:
 
     def test_all_bidders_degenerate(self):
         poly = build_polytope([([2.0], [1.0]), ([0.0, 3.0], [0.0, 1.0])], 2)
-        assert poly.fixed == {0: 2.0, 1: 3.0} and poly.n_cells == 1
+        assert poly.supports == [[2.0], [3.0]] and poly.shape == (1, 1) and poly.n_cells == 1
         assert poly.A.toarray().tolist() == poly.A_red.toarray().tolist() == [[1.0]]
         assert poly.b.tolist() == poly.b_red.tolist() == [1.0]
         sol = minimize_revenue(poly, AnonymousReserve(1.0))

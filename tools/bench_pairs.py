@@ -19,20 +19,18 @@ than the bound, a fraction of the parent's median).
 """
 
 import argparse
-import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from trees import ROOT, THREADS, export
+
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "KWR_THREADS": "1"}
 
 
 def run(root, workload, seed, seconds):
@@ -85,11 +83,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
-    sha = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"], capture_output=True, text=True)
     record = {
         "topic": args.topic,
-        "parent_sha": sha,
+        "parent_sha": None,  # set on export
         "change": "the commit that adds this file, a child of parent_sha",
         "command": f"python3 bench/run.py --workload WORKLOAD --seed {args.seed} --seconds {args.seconds} --trace 0, run from the root of each checkout",
         "order": "parent and change runs alternate, the side that runs first alternating by pair (parent first in even pairs); run lists are in run order",
@@ -102,8 +99,7 @@ def main(argv=None):
         "runs": {},
     }
     with tempfile.TemporaryDirectory() as parent:
-        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True, check=True).stdout
-        tarfile.open(fileobj=io.BytesIO(archive)).extractall(parent, filter="data")
+        record["parent_sha"] = export(args.parent, parent)
         roots = {"parent": parent, "change": args.change}
         for workload in args.workload or ["paper-exact"]:
             runs = {"parent": [], "change": []}
