@@ -269,7 +269,7 @@ def cmd_lp(args):
                 raise ConfigError("--r is required for the ar mechanism")
             mech = AnonymousReserve(args.r)
         else:
-            mech = Myerson(marginals, args.tie_break)
+            mech = Myerson(marginals)
         sol = minimize_revenue(poly, mech)
     else:
         if args.tau is None:
@@ -334,12 +334,13 @@ def build_parser():
     rv.add_argument("--out", default="out")
     rv.set_defaults(func=cmd_revenue)
 
-    lp = sub.add_parser("lp", help="worst-case prior search")
+    lp = sub.add_parser(
+        "lp", help="worst-case prior search for the optimal mechanism (virtual-value ties to the lower index) or AR(--r)"
+    )
     lp.add_argument("action", choices=["worst-case", "min-event"])
     lp.add_argument("--instance", required=True)
     lp.add_argument("--k", type=int, default=2)
     lp.add_argument("--mechanism", choices=["myerson", "ar"], default="myerson")
-    lp.add_argument("--tie-break", choices=["highest_value", "lex"], default="highest_value")
     lp.add_argument("--r", type=float, default=None)
     lp.add_argument("--tau", type=float, default=None)
     lp.add_argument("--count", type=int, choices=[1, 2], default=1)

@@ -11,7 +11,8 @@ prior      {"type": "product", "marginals": [..]}
            {"type": "uniform_q2", "n": ..}
            {"type": "table", "supports": [[..], ..], "pmf": [..]}
 mechanism  {"type": "ar", "r": ..}
-           {"type": "myerson", "tie_break": "highest_value" | "lex"}
+           {"type": "myerson"}  the optimal mechanism, ties to the lower
+                                index; an optional "tie_break" must be "lex"
 
 Floats are emitted with 17 significant digits and LF line endings so that
 re-running a command is byte-identical.
@@ -25,7 +26,7 @@ import json
 import numpy as np
 
 from .marginals import DiscretePMF, DomainError, EqualRevenue, ShiftedEqualRevenue, Uniform
-from .mechanisms import HIGHEST_VALUE, AnonymousReserve, Myerson
+from .mechanisms import AnonymousReserve, Myerson
 from .priors import (
     MixturePrior,
     ProductPrior,
@@ -86,7 +87,9 @@ def mechanism_from_dict(d, marginals, where="mechanism"):
     if kind == "myerson":
         if marginals is None:
             raise ConfigError(f"{where}: myerson mechanism needs instance marginals")
-        return Myerson(marginals, d.get("tie_break", HIGHEST_VALUE))
+        if d.get("tie_break", "lex") != "lex":
+            raise ConfigError(f"{where}.tie_break: only \"lex\" is supported, got {d['tie_break']!r}")
+        return Myerson(marginals)
     raise ConfigError(f"{where}: unknown mechanism type {kind!r}")
 
 

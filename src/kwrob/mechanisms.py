@@ -4,28 +4,23 @@ Two mechanisms:
 
 * AnonymousReserve(r) - second-price auction with reserve r; the high
   bidder at or above r wins and pays max(r, second-highest value).
-* Myerson(marginals, tie_break) - allocate to the highest nonnegative
-  (ironed) virtual value; the winner pays the threshold bid, the infimum of
-  bids that would still win against the realized competitors.
-
-Tie-breaking is part of the mechanism: "highest_value" breaks virtual-value
-ties toward the larger value (then lower index), "lex" toward the lower
-index.  With equal-revenue marginals the whole support shares one virtual
-value, so the tie rule decides essentially every auction and the two
-policies genuinely differ.
+* Myerson(marginals) - the optimal mechanism (Myerson, "Optimal auction
+  design", 1981): allocate to the highest nonnegative (ironed) virtual
+  value, a tie going to the lower index; the winner pays the threshold bid,
+  the infimum of bids that would still win against the realized
+  competitors.  Its allocation is constant on ironed intervals, which keeps
+  it optimal on discrete and ironed marginals.
 
 One kernel runs both mechanisms: `run_batch` takes a (rows x bidders)
 value matrix, sweeps the bidders once to find each row's winner and its
 strongest eligible competitor, and prices the winners.  Myerson winners pay
 `threshold_payment`, the threshold bid in closed form from the winner's
-marginal's virtual-value inverses; for value-tie wins the threshold is the
-infimum (the competitor's value), matching the second-price rule even when
-the tie itself would resolve against the winner.  `run_mechanism` is the
-one-row call, and `mechanism_payments` returns the kernel's payments for
-Monte Carlo blocks, exact table revenue and the LP objective; the exact
-branch sweep calls `threshold_payment` over its whole key axis, shared by
-all bidders, once per distinct marginal against a competitor of lower and
-of higher index (`idx_star` -1 and n), which under highest_value coincide.
+marginal's virtual-value inverses.  `run_mechanism` is the one-row call,
+and `mechanism_payments` returns the kernel's payments for Monte Carlo
+blocks, exact table revenue and the LP objective; the exact branch sweep
+calls `threshold_payment` over its whole key axis, shared by all bidders,
+once per distinct marginal against a competitor of lower and of higher
+index (`idx_star` -1 and n).
 """
 
 from __future__ import annotations
@@ -37,8 +32,6 @@ import numpy as np
 
 from .marginals import DomainError, Marginal
 
-HIGHEST_VALUE = "highest_value"
-LEX = "lex"
 # rows per piece of a sweep, whose per-row state fits a core's cache; also
 # revenue_mc's default Monte Carlo block, so one block is one piece
 _PIECE_ROWS = 1 << 14
@@ -66,13 +59,9 @@ class AnonymousReserve:
 @dataclass(frozen=True)
 class Myerson:
     marginals: tuple
-    tie_break: str = HIGHEST_VALUE
 
-    def __init__(self, marginals, tie_break=HIGHEST_VALUE):
-        if tie_break not in (HIGHEST_VALUE, LEX):
-            raise DomainError(f"unknown tie_break {tie_break!r}")
-        object.__setattr__(self, "marginals", tuple(marginals))
-        object.__setattr__(self, "tie_break", tie_break)
+    def __post_init__(self):
+        object.__setattr__(self, "marginals", tuple(self.marginals))
 
 
 Mechanism = AnonymousReserve | Myerson
@@ -89,28 +78,22 @@ def virtual_values(m: Marginal, v, i: int):
     return m.virtual_value(v)
 
 
-def threshold_payment(mech: Myerson, i, phi_star, val_star, idx_star):
+def threshold_payment(mech: Myerson, i, phi_star, idx_star):
     """inf over bids b of bidder i that still win against its strongest
     eligible competitor, elementwise over arrays of that competitor's
-    virtual value phi_star, value val_star and index idx_star.  i is one
-    bidder, or an array of bidders, one per element, that share one
-    marginal.  With no eligible competitor (phi_star = -inf, idx_star = -1)
-    it is the eligibility floor; inf where no bid wins.
+    virtual value phi_star and index idx_star.  i is one bidder, or an
+    array of bidders, one per element, that share one marginal.  With no
+    eligible competitor (phi_star = -inf, idx_star = -1) it is the
+    eligibility floor; inf where no bid wins.
 
-    Routes to the win: strictly beat the competing virtual value, or match
-    it and win the tie.  For highest_value the tie route's infimum is the
-    competitor's value itself (whether or not the tie resolves for i); for
-    lex it exists only when i has the smaller index.  Eligibility
-    (virtual value >= 0) floors everything.
+    Bidder i wins a virtual-value tie only against a higher index, so it
+    needs a virtual value of at least phi_star (phi_geq_inv) when i <
+    idx_star and above it (phi_gt_inv) otherwise.  Eligibility (virtual
+    value >= 0) floors both.
     """
     m = mech.marginals[i if np.ndim(i) == 0 else i[0]]
-    t_strict = m.phi_gt_inv(phi_star)
-    t_geq = m.phi_geq_inv(phi_star)
-    if mech.tie_break == HIGHEST_VALUE:
-        t_tie = np.maximum(t_geq, val_star)
-    else:
-        t_tie = np.where(i < idx_star, t_geq, np.inf)
-    return np.maximum(m.phi_geq_inv(0.0), np.minimum(t_strict, t_tie))
+    t = np.where(i < idx_star, m.phi_geq_inv(phi_star), m.phi_gt_inv(phi_star))
+    return np.maximum(m.phi_geq_inv(0.0), t)
 
 
 def _columns(V):
@@ -132,15 +115,15 @@ def run_batch(mech: Mechanism, V):
 
     One pass over the bidders keeps, per row, the top two allocation keys:
     AR ranks bidders by value and sells when the top value reaches r;
-    Myerson ranks eligible bidders (virtual value >= 0) by virtual value,
-    then by value under highest_value, and prices its winner against the
-    second key with threshold_payment.  Remaining ties go to the lower
-    index.  The rows are swept in pieces of _PIECE_ROWS, so the per-row
-    state a sweep updates stays in cache.  Each column is checked through
-    its min and max, and its comparisons are written into masks allocated
-    once per piece; Myerson's top two are updated only on the rows where
-    the bidder enters them, a few per row over the whole sweep, and its
-    winners are priced per distinct marginal, not per bidder.  Raises
+    Myerson ranks eligible bidders (virtual value >= 0) by virtual value
+    and prices its winner against the second key with threshold_payment.
+    Ties go to the lower index.  The rows are swept in pieces of
+    _PIECE_ROWS, so the per-row state a sweep updates stays in cache.
+    Each column is checked through its min and max, and its comparisons
+    are written into masks allocated once per piece; Myerson's top two are
+    updated only on the rows where the bidder enters them, a few per row
+    over the whole sweep, and its winners are priced per distinct
+    marginal, not per bidder.  Raises
     DomainError for a value that is not finite and nonnegative or that its
     Myerson marginal cannot produce, naming the first such value in column
     order.
@@ -191,10 +174,9 @@ def _myerson_piece(mech: Myerson, kind_of, n_kinds, V):
     kind_of[-1] is -1."""
     rows = V.shape[0]
     NEG = -np.inf
-    by_value = mech.tie_break == HIGHEST_VALUE
     b_phi, b_val, b_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
-    s_phi, s_val, s_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
-    beats_best, beats_second, ineligible, tie, larger = (np.empty(rows, dtype=bool) for _ in range(5))
+    s_phi, s_idx = np.full(rows, NEG), np.full(rows, -1)
+    beats_best, beats_second, ineligible = (np.empty(rows, dtype=bool) for _ in range(3))
     for i, v, v_lo, v_hi in _columns(V):
         m = mech.marginals[i]
         lo, hi = m.support
@@ -208,13 +190,6 @@ def _myerson_piece(mech: Myerson, kind_of, n_kinds, V):
             continue
         np.greater(phi, b_phi, out=beats_best)
         np.greater(phi, s_phi, out=beats_second)
-        if by_value:
-            # a virtual-value tie goes to the larger value, among eligible
-            # bidders (tie > ineligible is tie and eligible)
-            for beats, k_phi, k_val in ((beats_best, b_phi, b_val), (beats_second, s_phi, s_val)):
-                np.equal(phi, k_phi, out=tie)
-                tie &= np.greater(v, k_val, out=larger)
-                beats |= np.greater(tie, ineligible, out=tie)
         # only rows where the newcomer enters the top two change.  The best
         # key is never below the second, so beats_best implies beats_second:
         # of the rows that enter, those that beat the best demote it to
@@ -222,10 +197,9 @@ def _myerson_piece(mech: Myerson, kind_of, n_kinds, V):
         enter = np.flatnonzero(beats_second)
         to_top = beats_best[enter]
         top, sec = enter[to_top], enter[np.logical_not(to_top, out=to_top)]
-        for second, best in ((s_phi, b_phi), (s_val, b_val), (s_idx, b_idx)):
-            second[top] = best[top]
+        s_phi[top], s_idx[top] = b_phi[top], b_idx[top]
         b_phi[top], b_val[top], b_idx[top] = phi[top], v[top], i
-        s_phi[sec], s_val[sec], s_idx[sec] = phi[sec], v[sec], i
+        s_phi[sec], s_idx[sec] = phi[sec], i
 
     # price the winners once per distinct marginal; b_val holds each
     # winner's value, V[row, b_idx] as the sweep read it
@@ -235,7 +209,7 @@ def _myerson_piece(mech: Myerson, kind_of, n_kinds, V):
         at = np.flatnonzero(kind == k)
         if at.size == 0:
             continue
-        thr, value = threshold_payment(mech, b_idx[at], s_phi[at], s_val[at], s_idx[at]), b_val[at]
+        thr, value = threshold_payment(mech, b_idx[at], s_phi[at], s_idx[at]), b_val[at]
         if np.any(thr > value + 1e-9):
             j = int(np.argmax(thr - value))
             raise AssertionError(f"threshold {thr[j]} above the winning value {value[j]}")

@@ -15,14 +15,13 @@ Exact paths:
                   grid) group.  Leave-one-out products of the key CDFs,
                   with bidders as array rows, split each key's ties by
                   index, and a random-index slot's members fold in as a
-                  mixture of those products, under either tie rule.
+                  mixture of those products.
 
 Every Myerson payment comes from the one threshold formula,
 mechanisms.threshold_payment: tables and Monte Carlo blocks reach it through
 the batch kernel behind mechanism_payments (re-exported here), and the
 branch sweep calls it over the whole key axis once per branch and distinct
-marginal: once under highest_value, and under lex once against a lower and
-once against a higher index.
+marginal, against a lower and against a higher index.
 Monte Carlo is block-seeded and bit-for-bit reproducible for a fixed (seed,
 block size).  The ex-ante relaxation quantities (threshold level,
 per-bidder prices/probabilities/revenues) and the associated robustness
@@ -42,8 +41,6 @@ import numpy as np
 
 from .marginals import DomainError, revenue_at_quantile
 from .mechanisms import (
-    HIGHEST_VALUE,
-    LEX,
     _PIECE_ROWS,
     AnonymousReserve,
     Mechanism,
@@ -130,12 +127,12 @@ def _myerson_branch_revenue(mech: Myerson, vals, masses, groups):
     designed for - that is the whole point when evaluating adversarial
     mixtures.  Masses of at most 1e-18 are dropped.
 
-    Sweep: one key axis for all bidders, the sorted distinct allocation
-    keys kappa_t of every group's values, (phi, v) under highest_value and
-    phi under lex, with column 0 for "ineligible".  Equal keys of
-    different bidders share a column; the products below resolve the tie
-    toward the lower index.  With W_j(t) = Pr[key_j <= kappa_t] and
-    S_j(t) = Pr[key_j < kappa_t] = W_j(t-1), bidder i's competitors give
+    Sweep: one key axis for all bidders, the sorted distinct (ironed)
+    virtual values kappa_t of every group's values, with column 0 for
+    "ineligible".  Equal keys of different bidders share a column; the
+    products below resolve the tie toward the lower index.  With
+    W_j(t) = Pr[key_j <= kappa_t] and S_j(t) = Pr[key_j < kappa_t] =
+    W_j(t-1), bidder i's competitors give
     LW = prod_{j != i} W_j, LS = prod_{j != i} S_j and
     LM = prod_{j < i} S_j prod_{j > i} W_j.  The strongest competitor sits
     at kappa_t with a lower index with probability LW - LM; bidder i then
@@ -149,11 +146,10 @@ def _myerson_branch_revenue(mech: Myerson, vals, masses, groups):
     product, the sum over chosen members m of s_m times the product with
     m's plain CDF swapped for its chosen one, and, with weight s_i, chosen
     against the plain products.  The thresholds are computed once per
-    distinct marginal (they coincide under highest_value), and the rest is
-    array arithmetic over (bidder, key) with no loop over bidders.
+    distinct marginal, and the rest is array arithmetic over (bidder, key)
+    with no loop over bidders.
     """
     n = len(vals)
-    by_value = mech.tie_break == HIGHEST_VALUE
     # one row class per (group, mechanism marginal): group members may
     # still face different marginals of the mechanism
     of_marginal = np.unique([id(m) for m in mech.marginals], return_inverse=True)[1]
@@ -162,26 +158,23 @@ def _myerson_branch_revenue(mech: Myerson, vals, masses, groups):
         of_group[members] = g
     _, reps, row_class = np.unique(of_group * n + of_marginal, return_index=True, return_inverse=True)
 
-    cols = []  # per row class: (phi, value, class, plain mass, chosen mass)
+    cols = []  # per row class: (phi, class, plain mass, chosen mass)
     for r, i in enumerate(reps):
         p, c = masses[i]
         p = np.where(p > 1e-18, p, 0.0)
         c = np.zeros_like(p) if c is None else np.where(c > 1e-18, c, 0.0)
         keep = (p > 0.0) | (c > 0.0)
         v = np.asarray(vals[i], dtype=float)[keep]
-        cols.append((virtual_values(mech.marginals[i], v, i), v, np.full(len(v), r), p[keep], c[keep]))
-    phi, val, cls, p, c = (np.concatenate(x) for x in zip(*cols))
+        cols.append((virtual_values(mech.marginals[i], v, i), np.full(len(v), r), p[keep], c[keep]))
+    phi, cls, p, c = (np.concatenate(x) for x in zip(*cols))
     phi = np.where(phi >= 0.0, phi, -np.inf)  # ineligible values sort first
-    order = np.lexsort((val, phi) if by_value else (phi,))
-    phi, val, cls, p, c = phi[order], val[order], cls[order], p[order], c[order]
-    new = phi[1:] != phi[:-1]
-    if by_value:
-        new |= val[1:] != val[:-1]
-    new = np.append(True, new) & (phi > -np.inf)
+    order = np.argsort(phi, kind="stable")
+    phi, cls, p, c = phi[order], cls[order], p[order], c[order]
+    new = np.append(True, phi[1:] != phi[:-1]) & (phi > -np.inf)
     if not new.any():
         return 0.0  # no eligible value, no sale
     col = np.cumsum(new)  # 0 for the ineligible values
-    key_phi, key_val = np.append(-np.inf, phi[new]), np.append(0.0, val[new])
+    key_phi = np.append(-np.inf, phi[new])
 
     # W[., t] = Pr[key ineligible or <= kappa_t], per row class, then per
     # bidder row
@@ -202,13 +195,12 @@ def _myerson_branch_revenue(mech: Myerson, vals, masses, groups):
     A_pre, B_pre = _exclusive_prefix(Wp, chosen)
     A_suf, B_suf = (x[::-1] for x in _exclusive_prefix(Wp[::-1], chosen[::-1]))
 
-    # per distinct marginal: against a lower index (strict route only under
-    # lex), against a higher one
-    thr_lower, thr_higher = [], []
-    for i in np.unique(of_marginal, return_index=True)[1]:
-        thr_lower.append(threshold_payment(mech, i, key_phi, key_val, -1))
-        thr_higher.append(thr_lower[-1] if by_value else threshold_payment(mech, i, key_phi, key_val, n))
-    thr_lower, thr_higher = np.array(thr_lower)[of_marginal], np.array(thr_higher)[of_marginal]
+    # per distinct marginal: against a lower index (strict route only),
+    # against a higher one
+    firsts = np.unique(of_marginal, return_index=True)[1]
+    thr_lower, thr_higher = (
+        np.array([threshold_payment(mech, i, key_phi, idx_star) for i in firsts])[of_marginal] for idx_star in (-1, n)
+    )
 
     terms = []
 
@@ -237,12 +229,10 @@ def revenue_exact(prior: JointPrior, mech: Mechanism, grids=None) -> RevenueEsti
     sweep per branch over the cell table of priors._kept_cells, on one key
     axis shared by all bidders and with per-bidder work done once per
     (class, grid) group, each cell valued at its lower endpoint.  That
-    value is exact only where the virtual value is constant on every cell
-    and, under highest_value, no two eligible bidders tie on a flat
-    virtual-value level across continuous values.  Both hold on the shipped constructions; README
-    "Notes on exactness" gives the two known faults where they do not
-    (faults A and B of ROADMAP item 1: Uniform(0, 1) x 2, and
-    EqualRevenue(1, 10) x 2 under highest_value).
+    value is exact only where the virtual value is constant on every cell,
+    as it is on the shipped constructions; README "Notes on exactness"
+    gives the known fault where it is not (fault A of ROADMAP item 1:
+    Uniform(0, 1) x 2 returns 0.0, not 5/12).
     """
     if isinstance(prior, TablePrior):
         return revenue_exact_table(prior, mech)
@@ -476,7 +466,7 @@ def myerson_ind_revenue(marginals) -> float:
     of the events phi_i >= t (prob_phi_geq, once per distinct marginal) is
     a polynomial of degree d <= the summed phi_degree between neighbouring
     marks, so d // 2 + 1 Gauss-Legendre nodes per piece are exact.  It is
-    the product-prior revenue of Myerson(marginals, LEX)."""
+    the product-prior revenue of Myerson(marginals)."""
     from numpy.polynomial.legendre import leggauss  # 2.5-4 ms to load, so no other command pays it
 
     counts = Counter(marginals)
@@ -491,7 +481,7 @@ def myerson_ind_revenue(marginals) -> float:
 
 def check_3wise_inequalities(marginals, prior: JointPrior, grids=None) -> ThreeWiseReport:
     """Evaluate, exactly, the chain certifying 3-wise robustness of the
-    optimal mechanism, Myerson(marginals, LEX), on this instance: the
+    optimal mechanism, Myerson(marginals), on this instance: the
     ex-ante relaxation upper bound (2 sum rev_i >= optimal independent
     revenue), the per-case constant (cases split on the budget level's
     sign, the largest selling probability, and its revenue share), and the
@@ -499,12 +489,12 @@ def check_3wise_inequalities(marginals, prior: JointPrior, grids=None) -> ThreeW
     marginals = list(marginals)
     myer_ind = myerson_ind_revenue(marginals)
     if isinstance(prior, ProductPrior):
-        myer_adv = myer_ind  # Myerson(marginals, LEX)'s revenue on a product prior
+        myer_adv = myer_ind  # Myerson(marginals)'s revenue on a product prior
     else:
         report = verify_kwise(prior, k=min(3, prior.n_bidders), grids=grids)
         if not report.passed:
             raise DomainError(f"prior is not 3-wise independent (max deviation {report.max_deviation})")
-        myer_adv = revenue_exact(prior, Myerson(marginals, LEX), grids=grids).mean
+        myer_adv = revenue_exact(prior, Myerson(marginals), grids=grids).mean
     ea = ex_ante_level(marginals, 0.5)
 
     relax_lhs = 2.0 * ea.total_rev

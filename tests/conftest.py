@@ -12,7 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, ShiftedEqualRevenue, Uniform, check_regular
-from kwrob.mechanisms import HIGHEST_VALUE, threshold_payment, virtual_values
+from kwrob.mechanisms import threshold_payment, virtual_values
 from kwrob.bounds import _case2a_g, _lb2_kinks_in_s, _log1p_ratio, lb2_vec
 from kwrob.quadrature import integrate, integrate_to_infinity
 from kwrob.priors import (
@@ -260,11 +260,8 @@ def threshold_reference(mech, i, best_key):
     if t_strict is not None:
         candidates.append(t_strict)
     t_geq = _phi_inv(m, phi_star, False)
-    if t_geq is not None:
-        if mech.tie_break == HIGHEST_VALUE:
-            candidates.append(max(t_geq, best_key[1]))
-        elif i < -best_key[-1]:
-            candidates.append(t_geq)
+    if t_geq is not None and i < -best_key[-1]:
+        candidates.append(t_geq)
     if not candidates:
         return np.inf
     return max(t0, min(candidates))
@@ -272,8 +269,8 @@ def threshold_reference(mech, i, best_key):
 
 def myerson_reference(mech, values):
     """(winner, payment) of the optimal mechanism on one value vector, by
-    sorting the eligible bidders' allocation keys (phi, v, -i) under
-    highest_value or (phi, -i) under lex, one bidder at a time."""
+    sorting the eligible bidders' allocation keys (phi, -i), one bidder at
+    a time."""
     keys = []
     for i, (m, v) in enumerate(zip(mech.marginals, values)):
         lo, hi = m.support
@@ -281,7 +278,7 @@ def myerson_reference(mech, values):
             raise DomainError(f"value {v} of bidder {i} outside support [{lo}, {hi}]")
         phi = phi_reference(m, v)
         if phi >= 0.0:
-            keys.append(((phi, v, -i) if mech.tie_break == HIGHEST_VALUE else (phi, -i), i))
+            keys.append(((phi, -i), i))
     if not keys:
         return None, 0.0
     keys.sort(reverse=True)
@@ -401,27 +398,23 @@ def run_batch_reference(mech, V):
             top = np.maximum(top, v)
         winner[top < mech.r] = -1
         return winner, np.where(winner >= 0, np.maximum(mech.r, second), 0.0)
-    by_value = mech.tie_break == HIGHEST_VALUE
-    b_phi, b_val, b_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
-    s_phi, s_val, s_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
+    b_phi, b_idx = np.full(rows, NEG), np.full(rows, -1)
+    s_phi, s_idx = np.full(rows, NEG), np.full(rows, -1)
     for i, v in columns():
         phi = virtual_values(mech.marginals[i], v, i)
         phi = np.where(phi >= 0.0, phi, NEG)
         beats_best = phi > b_phi
         beats_second = phi > s_phi
-        if by_value:
-            beats_best |= (phi == b_phi) & (v > b_val) & (phi > NEG)
-            beats_second |= (phi == s_phi) & (v > s_val) & (phi > NEG)
         top = np.flatnonzero(beats_best)
         sec = np.flatnonzero(beats_second & ~beats_best)
-        for second, best in ((s_phi, b_phi), (s_val, b_val), (s_idx, b_idx)):
+        for second, best in ((s_phi, b_phi), (s_idx, b_idx)):
             second[top] = best[top]
-        b_phi[top], b_val[top], b_idx[top] = phi[top], v[top], i
-        s_phi[sec], s_val[sec], s_idx[sec] = phi[sec], v[sec], i
+        b_phi[top], b_idx[top] = phi[top], i
+        s_phi[sec], s_idx[sec] = phi[sec], i
     pay = np.zeros(rows)
     for i in np.unique(b_idx[b_idx >= 0]):
         won = b_idx == i
-        pay[won] = threshold_payment(mech, i, s_phi[won], s_val[won], s_idx[won])
+        pay[won] = threshold_payment(mech, i, s_phi[won], s_idx[won])
     won = np.flatnonzero(b_idx >= 0)
     value = V[won, b_idx[won]]
     assert not np.any(pay[won] > value + 1e-9)
@@ -541,34 +534,29 @@ def myerson_branch_revenue_reference(mech, vals, masses):
     and B, the mixture over chosen members m of s_m Cc_m times the other
     bidders' Cp, from the recursion B_{i+1} = B_i Cp_i + s_i A_i Cc_i.
     Bidder i is priced plain against B (A without a slot) and, with weight
-    s_i, chosen against A: one pass per branch under either tie rule.
+    s_i, chosen against A: one pass per branch.
     """
     n = len(vals)
-    by_value = mech.tie_break == HIGHEST_VALUE
     k = sum(chosen is not None for _, chosen in masses)  # slot members
     s = np.array([0.0 if chosen is None else 1.0 / k for _, chosen in masses])
-    cols = []  # per bidder: (phi, value, bidder, plain mass, chosen mass)
+    cols = []  # per bidder: (phi, bidder, plain mass, chosen mass)
     for i, (v, (p, c)) in enumerate(zip(vals, masses)):
         p = np.where(p > 1e-18, p, 0.0)
         c = np.zeros_like(p) if c is None else np.where(c > 1e-18, c, 0.0)
         keep = (p > 0.0) | (c > 0.0)
         v = v[keep]
-        cols.append((virtual_values(mech.marginals[i], v, i), v, np.full(len(v), i), p[keep], c[keep]))
-    phi, val, who, p, c = (np.concatenate(x) for x in zip(*cols))
+        cols.append((virtual_values(mech.marginals[i], v, i), np.full(len(v), i), p[keep], c[keep]))
+    phi, who, p, c = (np.concatenate(x) for x in zip(*cols))
     phi = np.where(phi >= 0.0, phi, -np.inf)  # ineligible values sort first
-    # ascending allocation keys (phi, v, -i) or (phi, -i); equal keys (one
-    # bidder's ironed-flat values under lex) share a column
-    order = np.lexsort((-who, val, phi) if by_value else (-who, phi))
-    phi, val, who, p, c = phi[order], val[order], who[order], p[order], c[order]
-    new = (phi[1:] != phi[:-1]) | (who[1:] != who[:-1])
-    if by_value:
-        new |= val[1:] != val[:-1]
-    new = np.append(True, new) & (phi > -np.inf)
+    # ascending allocation keys (phi, -i); equal keys (one bidder's
+    # ironed-flat values) share a column
+    order = np.lexsort((-who, phi))
+    phi, who, p, c = phi[order], who[order], p[order], c[order]
+    new = np.append(True, (phi[1:] != phi[:-1]) | (who[1:] != who[:-1])) & (phi > -np.inf)
     if not new.any():
         return 0.0  # no eligible value, no sale
     col = np.cumsum(new)  # 0 for the ineligible values
-    key_phi = np.append(-np.inf, phi[new])
-    key_val, key_who = np.append(0.0, val[new]), np.append(-1, who[new])
+    key_phi, key_who = np.append(-np.inf, phi[new]), np.append(-1, who[new])
 
     # Cp[i, t], Cc[i, t] = Pr[bidder i's key is ineligible or <= key_t]
     Cp, Cc = np.zeros((n, len(key_phi))), np.zeros((n, len(key_phi)))
@@ -586,14 +574,9 @@ def myerson_branch_revenue_reference(mech, vals, masses):
         for i in range(n - 1, 0, -1):
             B_suf[i - 1] = B_suf[i] * Cp[i] + s[i] * A_suf[i] * Cc[i]
 
-    # under highest_value the threshold depends on i only through its
-    # marginal, so bidders sharing a marginal object share one array
-    thresholds, terms = {}, []
+    terms = []
     for i in range(n):
-        tag = id(mech.marginals[i]) if by_value else i
-        if tag not in thresholds:
-            thresholds[tag] = threshold_payment(mech, i, key_phi, key_val, key_who)
-        thr = thresholds[tag]
+        thr = threshold_payment(mech, i, key_phi, key_who)
         loo_A = A_pre[i] * A_suf[i]
         loo_B = A_pre[i] * B_suf[i] + B_pre * A_suf[i] if k else loo_A
         for weight, loo, C in ((1.0, loo_B, Cp[i]), (s[i], loo_A, Cc[i])):

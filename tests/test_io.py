@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import write_csv_reference
-from kwrob.io import write_csv
+from kwrob import Myerson, Uniform
+from kwrob.cli import main
+from kwrob.io import ConfigError, mechanism_from_dict, write_csv
 
 
 class TestWriteCsv:
@@ -47,3 +51,30 @@ class TestWriteCsv:
         write_csv(tmp_path / "got.csv", ["x", "y"], rows())
         write_csv_reference(tmp_path / "want.csv", ["x", "y"], rows())
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestMechanismFromDict:
+    MARGINALS = [Uniform(0, 1)] * 2
+
+    @pytest.mark.parametrize("spec", [{"type": "myerson"}, {"type": "myerson", "tie_break": "lex"}])
+    def test_myerson_is_the_one_rule(self, spec):
+        assert mechanism_from_dict(spec, self.MARGINALS) == Myerson(self.MARGINALS)
+
+    @pytest.mark.parametrize("tie_break", ["highest_value", "LEX", "", None, 1])
+    def test_other_tie_break_is_a_config_error(self, tie_break):
+        with pytest.raises(ConfigError, match=r"^mechanism\.tie_break: "):
+            mechanism_from_dict({"type": "myerson", "tie_break": tie_break}, self.MARGINALS)
+
+    def test_cli_exits_1_naming_the_field(self, tmp_path, capsys):
+        uniform = {"type": "uniform", "lo": 0, "hi": 1}
+        cfg = {
+            "marginals": [uniform] * 2,
+            "prior": {"type": "product", "marginals": [uniform] * 2},
+            "mechanism": {"type": "myerson", "tie_break": "highest_value"},
+            "mode": "exact",
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["revenue", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: mechanism.tie_break: only \"lex\" is supported, got 'highest_value'\n"
+        assert not (tmp_path / "out").exists()

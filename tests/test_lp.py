@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kwrob.lp
-from kwrob.mechanisms import HIGHEST_VALUE, LEX, mechanism_payments
+from kwrob.mechanisms import mechanism_payments
 from kwrob.priors import cell_values
 
 from conftest import (
@@ -267,8 +267,7 @@ class TestQuotient:
             between = float(np.mean(rng.choice(points, size=2, replace=False)))
             V = cell_values(poly.supports)
             objectives = [mechanism_payments(mech, V) for mech in (
-                Myerson(marginals, HIGHEST_VALUE),
-                Myerson(marginals, LEX),
+                Myerson(marginals),
                 AnonymousReserve(on),
                 AnonymousReserve(between),
             )]
@@ -317,8 +316,7 @@ class TestOnePointAxes:
             V = cell_values(poly.supports)
             tau = float(rng.choice(V.ravel()))
             cases = [(minimize_revenue(poly, mech), mechanism_payments(mech, V)) for mech in (
-                Myerson(marginals, HIGHEST_VALUE),
-                Myerson(marginals, LEX),
+                Myerson(marginals),
                 AnonymousReserve(float(rng.uniform(1.0, 9.0))),
             )]
             cases += [
@@ -353,8 +351,7 @@ class TestMinimizeRevenue:
             product = ProductPrior(marginals)
             tau = float(rng.choice([v for m in marginals for v in m.points]))
             cases = [(minimize_revenue(poly, mech), revenue_exact(product, mech).mean) for mech in (
-                Myerson(marginals, HIGHEST_VALUE),
-                Myerson(marginals, LEX),
+                Myerson(marginals),
                 AnonymousReserve(tau),
             )]
             cases += [(minimize_event_prob(poly, tau, c), threshold_probs(product, tau)[c - 1]) for c in (1, 2)]

@@ -10,10 +10,13 @@ from kwrob import (
     Myerson,
     ShiftedEqualRevenue,
     Uniform,
+    mechanism_payments,
+    myerson_ind_revenue,
+    revenue_exact,
     run_mechanism,
 )
 from kwrob import mechanisms
-from kwrob.mechanisms import HIGHEST_VALUE, run_batch
+from kwrob.mechanisms import run_batch
 from kwrob.priors import (
     Branch,
     Conditioned,
@@ -68,10 +71,10 @@ class TestRunAR:
             run_mechanism(AnonymousReserve(1), [-0.5, 2.0])
 
 
-def _construction_mech(n=2, eps=1e-6, tie="highest_value"):
+def _construction_mech(n=2, eps=1e-6):
     small = EqualRevenue(1 / n, 1.0)
     big = ShiftedEqualRevenue(n, n * n, eps)
-    return Myerson([small] * n + [big], tie)
+    return Myerson([small] * n + [big])
 
 
 class TestRunMyerson:
@@ -99,76 +102,92 @@ class TestRunMyerson:
 
     def test_lex_tie_break(self):
         m = EqualRevenue(1, 10)
-        # all interior values tie at virtual value 0; lex gives it to bidder 0
-        o = run_mechanism(Myerson([m, m], "lex"), [3.0, 7.0])
+        # all interior values tie at virtual value 0, and the tie goes to
+        # bidder 0, although bidder 1 has the larger value
+        o = run_mechanism(Myerson([m, m]), [3.0, 7.0])
         assert o.winner == 0
         assert o.payment == pytest.approx(1.0, abs=1e-12)  # competitor can never beat phi=0 below 10
-        o2 = run_mechanism(Myerson([m, m], "highest_value"), [3.0, 7.0])
-        assert o2.winner == 1 and o2.payment == pytest.approx(3.0, abs=1e-12)
 
     # 3.287 and 3.642 are ironed onto one hull segment: their virtual values
-    # tie, so the tie rule picks the winner, who pays the competitor's value
+    # tie, so the lower index wins, and pays the segment's lowest point
     IRONED = DiscretePMF((3.287, 3.642, 5.758, 5.984), (0.278698, 0.218069, 0.380182, 0.123051))
 
-    def test_ironed_tie_highest_value(self):
-        o = run_mechanism(Myerson([self.IRONED] * 2, "highest_value"), [3.287, 3.642])
-        assert o.winner == 1 and o.payment == 3.287
-
     def test_ironed_tie_lex(self):
-        o = run_mechanism(Myerson([self.IRONED] * 2, "lex"), [3.642, 3.287])
+        o = run_mechanism(Myerson([self.IRONED] * 2), [3.642, 3.287])
         assert o.winner == 0 and o.payment == 3.287
 
 
 def myerson_iid_equals_ar(marginal, values):
-    """With i.i.d. regular bidders and highest-value tie-breaking, the
-    optimal mechanism is the second-price auction at the monopoly
-    reserve; check the two outcomes coincide on this value vector."""
+    """With i.i.d. bidders whose virtual value is strictly increasing, the
+    optimal mechanism is the second-price auction at the monopoly reserve;
+    check the two outcomes coincide on this value vector."""
     n = len(values)
-    a = run_mechanism(Myerson([marginal] * n, HIGHEST_VALUE), values)
+    a = run_mechanism(Myerson([marginal] * n), values)
     b = run_mechanism(AnonymousReserve(marginal.monopoly_reserve()), values)
     if a.winner != b.winner:
         return False
     return abs(a.payment - b.payment) <= 1e-9 * max(1.0, abs(b.payment))
 
 
+def exact_myerson_and_ar(marginal, n):
+    """Exact revenue of the optimal mechanism and of AR at the monopoly
+    reserve on n i.i.d. bidders."""
+    prior = ProductPrior([marginal] * n)
+    ar = AnonymousReserve(marginal.monopoly_reserve())
+    return revenue_exact(prior, Myerson([marginal] * n)).mean, revenue_exact(prior, ar).mean
+
+
 class TestIidEqualsAR:
+    """On i.i.d. bidders with strictly increasing virtual values the
+    optimal mechanism is AR at the monopoly reserve, row by row.  Where
+    virtual values tie with positive probability the two split ties
+    differently: on equal-revenue marginals they agree in expected revenue,
+    and on a discrete marginal the optimal mechanism earns more."""
+
     def test_uniform_pair(self):
         assert myerson_iid_equals_ar(Uniform(0, 1), [0.9, 0.7])
 
     def test_equal_revenue_tie(self):
-        assert myerson_iid_equals_ar(EqualRevenue(1, 10), [3.0, 7.0])
+        # every value below 10 has virtual value 0: the optimal mechanism
+        # sells a tie to the lower index at 1, AR to the larger value at the
+        # other's value, and both earn 1.9
+        myerson, ar = exact_myerson_and_ar(EqualRevenue(1, 10), 2)
+        assert myerson == pytest.approx(1.9, rel=1e-15, abs=0.0)
+        assert ar == pytest.approx(1.9, rel=1e-10)
+
+    def test_equal_revenue_in_expectation(self):
+        myerson, ar = exact_myerson_and_ar(EqualRevenue(0.5, 4.0), 3)
+        assert myerson == pytest.approx(ar, rel=1e-10)
+
+    def test_discrete_beats_ar(self):
+        # value 1 has virtual value 0, which ties: bidder 1 with value 2 or
+        # 3 against a 1 must beat virtual value 0 strictly and pays 2, where
+        # AR at the monopoly reserve 1 charges the other's value 1
+        m = DiscretePMF([1, 2, 3], [0.5, 0.3, 0.2])
+        myerson, ar = exact_myerson_and_ar(m, 2)
+        assert myerson == pytest.approx(1.6, rel=1e-15, abs=0.0)
+        assert myerson == pytest.approx(myerson_ind_revenue([m, m]), rel=1e-15, abs=0.0)
+        assert ar == pytest.approx(1.29, rel=1e-12)
 
     def test_below_reserve(self):
         assert myerson_iid_equals_ar(Uniform(0, 1), [0.3, 0.2])
 
-    @pytest.mark.parametrize(
-        "marginal",
-        [Uniform(0, 1), EqualRevenue(0.5, 4.0), DiscretePMF([1, 2, 3], [0.5, 0.3, 0.2])],
-        ids=["uniform", "equal_revenue", "discrete"],
-    )
+    @pytest.mark.parametrize("marginal", [Uniform(0, 1), Uniform(1, 3)], ids=["uniform", "uniform_1_3"])
     def test_bulk_random_vectors(self, marginal, rng):
+        # no two continuous values share a virtual value, so the outcomes
+        # coincide row by row
         n = 3
         lo, hi = marginal.support
-        if isinstance(marginal, DiscretePMF):
-            pts = np.asarray(marginal.points)
-            V = pts[rng.integers(0, len(pts), size=(100_000, n))]
-        else:
-            V = rng.uniform(lo, hi, size=(100_000, n))
-        mech = Myerson([marginal] * n)
-        r = marginal.monopoly_reserve()
-        # vectorised comparison via the batch evaluator
-        from kwrob import mechanism_payments
-
-        pay_m = mechanism_payments(mech, V)
-        pay_a = mechanism_payments(AnonymousReserve(r), V)
+        V = rng.uniform(lo, hi, size=(100_000, n))
+        pay_m = mechanism_payments(Myerson([marginal] * n), V)
+        pay_a = mechanism_payments(AnonymousReserve(marginal.monopoly_reserve()), V)
         assert np.allclose(pay_m, pay_a, atol=1e-9)
 
 
 class TestTruthfulness:
-    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
-    def test_monotone_and_threshold(self, tie, rng):
+    def test_monotone_and_threshold(self, rng):
         n, eps = 2, 1e-6
-        mech = _construction_mech(n, eps, tie)
+        mech = _construction_mech(n, eps)
         prior_supports = [(1 / n, 1.0), (1 / n, 1.0), (n + eps, n * n + eps)]
         for _ in range(1000):
             vals = [float(rng.uniform(lo, hi)) for lo, hi in prior_supports]
@@ -196,6 +215,30 @@ class TestTruthfulness:
                 o3 = run_mechanism(mech, just_above)
                 assert o3.winner == i
                 assert o3.payment == pytest.approx(o.payment, abs=1e-9)
+
+    @pytest.mark.parametrize("draw", [random_regular_discrete, random_discrete], ids=["regular", "irregular"])
+    def test_discrete_price_is_the_lowest_winning_point(self, draw, rng):
+        # bidders share marginals, and irregular ones are ironed, so virtual
+        # values tie often; a tie is won only against a higher index
+        sales = 0
+        for _ in range(300):
+            pool = [draw(rng) for _ in range(2)]
+            ms = [pool[k] for k in rng.integers(0, 2, size=int(rng.integers(2, 5)))]
+            mech = Myerson(ms)
+            vals = [float(rng.choice(m.points)) for m in ms]
+            o = run_mechanism(mech, vals)
+            if o.winner is None:
+                continue
+            sales += 1
+            i, points = o.winner, np.asarray(ms[o.winner].points)
+            assert o.payment in points and o.payment <= vals[i]
+            bids = list(vals)
+            bids[i] = o.payment
+            assert run_mechanism(mech, bids) == o
+            if o.payment > points[0]:
+                bids[i] = float(points[points < o.payment][-1])
+                assert run_mechanism(mech, bids).winner != i
+        assert sales > 200
 
     def test_ar_individual_rationality(self, rng):
         for _ in range(1000):
@@ -248,21 +291,19 @@ class TestKernelAgainstReference:
         assert np.array_equal(w2, winners) and np.array_equal(pay2, pays)
         return winners
 
-    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
-    def test_random_vectors(self, tie, rng):
+    def test_random_vectors(self, rng):
         ties = 0
         for _ in range(200):
             ms, V = self._instance(rng)
-            self._check(Myerson(ms, tie), V)
+            self._check(Myerson(ms), V)
             ties += int(np.sum([len(set(row.tolist())) < len(row) for row in V]))
         assert ties > 1000
 
-    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
-    def test_large_block(self, tie, rng):
+    def test_large_block(self, rng):
         # one 4,096-row block on 8 bidders: the top two change on many rows
         # at many columns, so the sparse top-two update runs over many changes
         ms, V = self._instance(rng, n=8, rows=4096)
-        winners = self._check(Myerson(ms, tie), V)
+        winners = self._check(Myerson(ms), V)
         assert len(np.unique(winners)) >= 3
 
 
@@ -279,7 +320,7 @@ class TestKernelAgainstParentSweep:
 
     @staticmethod
     def _mechanisms(marginals, r):
-        return [AnonymousReserve(r), Myerson(marginals, "highest_value"), Myerson(marginals, "lex")]
+        return [AnonymousReserve(r), Myerson(marginals)]
 
     @staticmethod
     def _same(mech, V):

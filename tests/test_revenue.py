@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,26 +80,25 @@ class TestExactTable:
         assert rev == pytest.approx(n + eps / n, abs=1e-9)
 
     def test_lex_prices_each_slot_member(self):
-        # under lex the chosen member's threshold depends on its index, so
-        # identical slot members cannot share one member's price
+        # the chosen member's threshold depends on its index, so identical
+        # slot members cannot share one member's price
         m = DiscretePMF([1, 2, 3], [0.2, 0.3, 0.5])
         prior = MixturePrior([m, m], [Branch(1.0, (FixedValue(2),) * 2, (FixedValue(3),) * 2)])
-        mech = Myerson([m, m], "lex")
+        mech = Myerson([m, m])
         via_table = revenue_exact_table(discretize(prior), mech).mean
         assert via_table == pytest.approx(2.5, abs=1e-12)
         assert revenue_exact(prior, mech).mean == pytest.approx(via_table, abs=1e-12)
 
     @pytest.mark.parametrize("n", [40, 100, 300, 1000, 2000])
-    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
-    def test_counterexample_closed_form(self, n, tie):
+    def test_counterexample_closed_form(self, n):
         # each slot branch is one sweep over a key axis shared by all
-        # bidders, so even n = 2000 stays fast under both tie rules.  The
-        # terms are summed correctly rounded, so the error stays within a
-        # few units in the last place at every n
+        # bidders, so even n = 2000 stays fast.  The terms are summed
+        # correctly rounded, so the error stays within a few units in the
+        # last place at every n
         eps = 1e-6
         prior = myerson_counterexample(n, eps)
         t0 = time.monotonic()
-        rev = revenue_exact(prior, Myerson(list(prior.marginals), tie)).mean
+        rev = revenue_exact(prior, Myerson(list(prior.marginals))).mean
         elapsed = time.monotonic() - t0
         assert rev == pytest.approx(3 - 2 / n + eps / n, rel=4e-16, abs=0.0)
         assert elapsed < 5.0
@@ -135,11 +135,10 @@ class TestSlotParts:
             assert threshold_probs(mix, tau) == pytest.approx(
                 threshold_probs(table, tau), rel=1e-12, abs=1e-12
             )
-        for tie in ("highest_value", "lex"):
-            mech = Myerson(list(mix.marginals), tie)
-            assert revenue_exact(mix, mech, grids).mean == pytest.approx(
-                revenue_exact_table(table, mech).mean, rel=1e-12, abs=1e-12
-            )
+        mech = Myerson(list(mix.marginals))
+        assert revenue_exact(mix, mech, grids).mean == pytest.approx(
+            revenue_exact_table(table, mech).mean, rel=1e-12, abs=1e-12
+        )
 
 
 class TestProductSweep:
@@ -160,8 +159,7 @@ class TestProductSweep:
             total += w * run_mechanism(mech, vals).payment
         return total
 
-    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
-    def test_random_instances(self, tie, rng):
+    def test_random_instances(self, rng):
         for _ in range(15):
             n = int(rng.integers(1, 5))
             ms, dists = [], []
@@ -170,7 +168,7 @@ class TestProductSweep:
                 ms.append(m)
                 w2 = rng.dirichlet(np.ones(len(m.points)))
                 dists.append((np.asarray(m.points), w2))
-            mech = Myerson(ms, tie)
+            mech = Myerson(ms)
             assert self.sweep(mech, dists) == pytest.approx(
                 self.brute(mech, dists), abs=1e-10
             )
@@ -182,17 +180,13 @@ class TestProductSweep:
 
     def test_ironed_flat_duplicate_keys(self, rng):
         # an ironed-flat discrete marginal gives one bidder several support
-        # values with the same allocation key under lex tie-breaking; the
-        # sweep must aggregate them
+        # values with the same allocation key; the sweep must aggregate them
         m_flat = DiscretePMF([1, 4, 10], [0.8, 0.1, 0.1])
         m_other = DiscretePMF([0.5, 6.0], [0.5, 0.5])
         ms = [m_flat, m_other, m_flat]
         dists = [(np.asarray(m.points), rng.dirichlet(np.ones(len(m.points)))) for m in ms]
-        for tb in ["lex", "highest_value"]:
-            mech = Myerson(ms, tb)
-            assert self.sweep(mech, dists) == pytest.approx(
-                self.brute(mech, dists), abs=1e-12
-            )
+        mech = Myerson(ms)
+        assert self.sweep(mech, dists) == pytest.approx(self.brute(mech, dists), abs=1e-12)
 
     def test_irregular_marginals_random(self, rng):
         from conftest import random_discrete
@@ -202,11 +196,8 @@ class TestProductSweep:
             dists = [
                 (np.asarray(m.points), rng.dirichlet(np.ones(len(m.points)))) for m in ms
             ]
-            for tb in ["lex", "highest_value"]:
-                mech = Myerson(ms, tb)
-                assert self.sweep(mech, dists) == pytest.approx(
-                    self.brute(mech, dists), abs=1e-10
-                )
+            mech = Myerson(ms)
+            assert self.sweep(mech, dists) == pytest.approx(self.brute(mech, dists), abs=1e-10)
 
     def test_off_marginal_distributions(self, rng):
         # components need not match the mechanism's marginals
@@ -241,17 +232,14 @@ class TestSharedKeyAxis:
     @given(slot_mixtures(), st.booleans())
     def test_slot_mixtures(self, mix, split):
         grids = split_grids(mix) if split else natural_grids(mix)
-        for tie in ("highest_value", "lex"):
-            self.assert_matches_reference(mix, Myerson(list(mix.marginals), tie), grids)
+        self.assert_matches_reference(mix, Myerson(list(mix.marginals)), grids)
 
     @pytest.mark.parametrize("n", [2, 8, 64, 300])
-    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
-    def test_constructions(self, n, tie):
+    def test_constructions(self, n):
         for prior in (myerson_counterexample(n, 1e-6), uniform_q2_counterexample(n)):
-            self.assert_matches_reference(prior, Myerson(list(prior.marginals), tie))
+            self.assert_matches_reference(prior, Myerson(list(prior.marginals)))
 
-    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
-    def test_random_products(self, tie, rng):
+    def test_random_products(self, rng):
         # bidders repeat a few marginals, so they share (class, grid)
         # groups; the mechanism may tell members of one group apart by
         # designing for other masses on the same points
@@ -260,18 +248,17 @@ class TestSharedKeyAxis:
             ms = [pool[int(j)] for j in rng.integers(0, len(pool), size=int(rng.integers(1, 7)))]
             designed = {id(m): DiscretePMF(m.points, rng.dirichlet(np.ones(len(m.points)))) for m in pool}
             mech_ms = [designed[id(m)] if rng.random() < 0.5 else m for m in ms]
-            self.assert_matches_reference(ProductPrior(ms), Myerson(mech_ms, tie))
+            self.assert_matches_reference(ProductPrior(ms), Myerson(mech_ms))
 
     # two marginals with different points below a shared top point 3,
     # where both have virtual value 3
     A = DiscretePMF([2.5, 3.0], [0.5, 0.5])
     B = DiscretePMF([2.0, 3.0], [0.4, 0.6])
 
-    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
-    def test_interleaved_ties_product(self, tie):
+    def test_interleaved_ties_product(self):
         assert self.A.virtual_value(3.0) == self.B.virtual_value(3.0) == 3.0
         ms = [self.A, self.B, self.A, self.B]
-        mech = Myerson(ms, tie)
+        mech = Myerson(ms)
         prior = ProductPrior(ms)
         dists = [(m.points, m.masses) for m in ms]
         brute = TestProductSweep().brute(mech, dists)
@@ -279,8 +266,7 @@ class TestSharedKeyAxis:
         assert revenue_exact_table(discretize(prior), mech).mean == pytest.approx(brute, rel=1e-14)
         assert TestProductSweep.sweep(mech, dists) == pytest.approx(brute, rel=1e-14)
 
-    @pytest.mark.parametrize("tie", ["highest_value", "lex"])
-    def test_interleaved_ties_slot(self, tie):
+    def test_interleaved_ties_slot(self):
         # the slot's chosen member sits at the shared top point, where the
         # other bidders, of either marginal, can tie with it
         ms = [self.A, self.B, self.A, self.B]
@@ -291,7 +277,7 @@ class TestSharedKeyAxis:
                 Branch(0.5, tuple(Conditioned(m) for m in ms), chosen=(FixedValue(3.0),) * 4),
             ],
         )
-        mech = Myerson(ms, tie)
+        mech = Myerson(ms)
         via_table = revenue_exact_table(discretize(prior), mech).mean
         assert revenue_exact(prior, mech).mean == pytest.approx(via_table, rel=1e-14)
         self.assert_matches_reference(prior, mech)
@@ -517,19 +503,23 @@ class TestIndependentOptimum:
     to rounding on every product of the shipped classes."""
 
     C1 = DiscretePMF([1, 2, 3], [0.5, 0.3, 0.2])
-    C2 = DiscretePMF([2, 5, 8, 9], [0.8715, 0.0118, 0.0012, 0.1155])
+    C2 = DiscretePMF([2, 5, 8, 9], [0.8715, 0.0118, 0.0012, 0.1155])  # 2, 5 and 8 ironed onto one virtual value
+    # ROADMAP faults B, C1 (n = 2 and 6) and C2: breaking virtual-value
+    # ties by value, at the tied competitor's value, earns 1.09, 1.29,
+    # 2.2353 and 2.2859 here
+    OPTIMA = [([EqualRevenue(1, 10)] * 2, 1.9), ([C1] * 2, 1.6), ([C1] * 6, 2.54226), ([C2] * 3, 3.52361825)]
 
-    @pytest.mark.parametrize(
-        "ms, want",
-        [
-            ([Uniform(0, 1)] * 2, 5 / 12),
-            ([Uniform(0, 1)] * 3, 0.53125),
-            ([EqualRevenue(1, 10)] * 2, 1.9),
-            ([C1] * 2, 1.6),  # highest_value earns 1.29 here
-        ],
-    )
+    @pytest.mark.parametrize("ms, want", [([Uniform(0, 1)] * 2, 5 / 12), ([Uniform(0, 1)] * 3, 0.53125), *OPTIMA])
     def test_closed_forms(self, ms, want):
         assert myerson_ind_revenue(ms) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("ms, want", OPTIMA)
+    def test_sweep_and_kernel_earn_the_optimum(self, ms, want):
+        # revenue_exact through the branch sweep (the product) and through
+        # the batch kernel (its table)
+        prior = ProductPrior(ms)
+        for est in (revenue_exact(prior, Myerson(ms)), revenue_exact(discretize(prior), Myerson(ms))):
+            assert est.exact and est.mean == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_equals_lex_sweep_on_discrete_products(self, rng):
         products = [[self.C2] * 3, [self.C1] * 6]
@@ -538,10 +528,8 @@ class TestIndependentOptimum:
         for _ in range(40):
             products.append([random_discrete(rng)] * int(rng.integers(2, 6)))
         for ms in products:
-            lex = revenue_exact(ProductPrior(ms), Myerson(ms, "lex")).mean
+            lex = revenue_exact(ProductPrior(ms), Myerson(ms)).mean
             assert myerson_ind_revenue(ms) == pytest.approx(lex, rel=1e-13, abs=0.0), ms
-        # the ironed instance of ROADMAP fault C2, where highest_value earns 2.2859
-        assert myerson_ind_revenue([self.C2] * 3) == pytest.approx(3.52361825, rel=1e-13)
 
     @pytest.mark.parametrize(
         "m, n",
@@ -554,15 +542,21 @@ class TestIndependentOptimum:
 
     def test_mixed_continuous_product_against_mc(self):
         ms = [Uniform(0, 1), Uniform(0.5, 2), EqualRevenue(1, 4), ShiftedEqualRevenue(1, 3, 0.5)]
-        mc = revenue_mc(ProductPrior(ms), Myerson(ms, "lex"), 1 << 17, seed=3)
+        mc = revenue_mc(ProductPrior(ms), Myerson(ms), 1 << 17, seed=3)
         assert abs(myerson_ind_revenue(ms) - mc.mean) <= 5 * mc.half_width_95
 
     @pytest.mark.parametrize("n", [10, 100, 300])
     def test_equals_counterexample_report(self, n, tmp_path, capsys):
         assert main(["counterexample", "myerson", "--n", str(n), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / f"counterexample_myerson_n{n}.json").read_text())
+        # E[max_i phi_i^+]: the big bidder's top atom (mass 1/n, phi n^2 +
+        # eps), else a small bidder's top atom (phi 1), else the big
+        # bidder's interior (phi eps), as a rational in the float eps
+        eps = Fraction(report["eps"])
+        want = eps + (1 - eps) * (1 - (1 - Fraction(1, n)) ** (n + 1)) + (n * n + eps - 1) / n
         ind = myerson_ind_revenue(myerson_counterexample(n, report["eps"]).marginals)
-        assert ind == pytest.approx(report["independent_exact_discretized"], rel=1e-13, abs=0.0)
+        assert abs(Fraction(report["independent_exact_discretized"]) / want - 1) <= 1e-14
+        assert abs(Fraction(ind) / want - 1) <= 1e-15
 
 
 class TestThreeWise:

@@ -1,7 +1,7 @@
 """Check that a change writes the same bytes as its parent on the
 benchmark's workloads.
 
-    python3 tools/same_outputs.py [--parent REV] [--change DIR] [--seed S] [--jobs 0,1,5] [--workload NAME ...]
+    python3 tools/same_outputs.py [--parent REV] [--change DIR] [--seed S] [--jobs 0,1,5 | 0-11] [--workload NAME ...]
 
 The parent is git revision REV (default HEAD), exported with `git archive`;
 the change is the checkout at DIR (default this repo's working tree).  Per
@@ -82,15 +82,24 @@ def compare(name, base, codes):
     return (f"{name}: DIFFERENT ({size}): " + "; ".join(problems)) if problems else f"{name}: same ({size})", bool(problems)
 
 
+def job_list(text):
+    """Job indices from "0,1,5", "0-11" or a mix such as "0-3,7"."""
+    jobs = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        jobs += range(int(lo), int(hi or lo) + 1)
+    return jobs
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", default="HEAD", help="git revision of the parent (default HEAD)")
     ap.add_argument("--change", default=str(ROOT), help="root of the change checkout (default this tree)")
     ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--jobs", default="0", help="comma-separated job indices (default 0)")
+    ap.add_argument("--jobs", default="0", type=job_list, help="comma-separated job indices or ranges such as 0-11 (default 0)")
     ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS), help="repeatable; default all")
     args = ap.parse_args(argv)
-    jobs = [int(j) for j in args.jobs.split(",")]
+    jobs = args.jobs
     workloads = args.workload or list(WORKLOADS)
     with tempfile.TemporaryDirectory() as tmp:
         base, run_dir = Path(tmp), Path(tmp) / "run"
