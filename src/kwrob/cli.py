@@ -4,14 +4,13 @@ Subcommands: counterexample, reproduce, revenue, lp, bounds.
 Exit codes: 0 success, 1 error (bad config / runtime failure), 2 when a
 certified inequality check fails.  All outputs are deterministic for a
 fixed config: floats at 17 significant digits, sorted JSON keys, LF
-endings.  KWR_THREADS caps internal parallelism (Monte Carlo blocks).
+endings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,6 +44,7 @@ from .priors import (
     verify_kwise,
 )
 from .revenue import (
+    myerson_ind_revenue,
     posted_price_lower_bound,
     revenue_exact,
     revenue_mc,
@@ -54,13 +54,6 @@ from .lp import build_polytope, minimize_event_prob, minimize_revenue
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("KWR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _outdir(args):
@@ -84,13 +77,12 @@ def cmd_counterexample(args):
         kw = verify_kwise(prior, 2)
         adv = revenue_exact(prior, mech).mean
         ind_lb = posted_price_lower_bound(prior.marginals)
-        ind_exact = revenue_exact(ProductPrior(prior.marginals), mech).mean
+        ind_exact = myerson_ind_revenue(prior.marginals)
         ratio = ind_lb / adv
         report = {
             "kind": "myerson",
             "n": args.n,
             "eps": args.eps,
-            "seed": args.seed,
             "pairwise_pass": kw.passed,
             "pairwise_max_deviation": kw.max_deviation,
             "adversarial_revenue": adv,
@@ -110,7 +102,6 @@ def cmd_counterexample(args):
             "kind": "q2",
             "n": args.n,
             "tau": tau,
-            "seed": args.seed,
             "pairwise_pass": kw.passed,
             "pairwise_max_deviation": kw.max_deviation,
             "q2_independent": q2i,
@@ -231,7 +222,6 @@ def cmd_revenue(args):
             mech,
             int(cfg.get("samples", 100_000)),
             int(cfg["seed"]),
-            threads=_threads(),
         )
     else:
         raise ConfigError(f"config: unknown mode {mode!r}")
@@ -315,7 +305,6 @@ def build_parser():
     ce.add_argument("kind", choices=["myerson", "q2"])
     ce.add_argument("--n", type=int, required=True)
     ce.add_argument("--eps", type=float, default=1e-6)
-    ce.add_argument("--seed", type=int, default=0)
     ce.add_argument("--out", default="out")
     ce.set_defaults(func=cmd_counterexample)
 

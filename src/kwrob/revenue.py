@@ -32,9 +32,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,12 +276,11 @@ def revenue_mc(
     n_samples: int,
     seed: int,
     block_size: int | None = None,
-    threads: int = 1,
 ) -> RevenueEstimate:
     """Monte Carlo revenue with a 95% normal CI.  Blocks get independent
-    generators seeded by (seed, block index); sums are reduced in block
-    order, so results are bit-for-bit reproducible for a fixed seed and
-    block size regardless of thread count.
+    generators seeded by (seed, block index) and their sums are added in
+    block order, so results are bit-for-bit reproducible for a fixed seed
+    and block size.
 
     The default block size is the largest power of two up to one sweep
     piece, mechanisms._PIECE_ROWS = 2^14 rows, whose float64 sample
@@ -296,28 +293,17 @@ def revenue_mc(
     if block_size is None:
         fits = (1 << 26) // (8 * prior.n_bidders)
         block_size = min(_PIECE_ROWS, 1 << max(fits.bit_length() - 1, 0))
-    n_blocks = (n_samples + block_size - 1) // block_size
-    # one sample buffer per thread, refilled by each of its blocks: a fresh
-    # one per block would be a new mapping above glibc's mmap threshold
-    # (8.5 MB at n = 64), whose pages all fault on first write
-    local = threading.local()
-
-    def one_block(b):
-        m = min(block_size, n_samples - b * block_size)
-        if not hasattr(local, "buf"):
-            local.buf = np.empty((prior.n_bidders, min(block_size, n_samples)))
-        rng = np.random.default_rng([seed, b])
-        V = sample(prior, rng, size=m, out=local.buf[:, :m])
+    # one sample buffer, refilled by every block: a fresh one per block would
+    # be a new mapping above glibc's mmap threshold (8.5 MB at n = 64), whose
+    # pages all fault on first write
+    buf = np.empty((prior.n_bidders, min(block_size, n_samples)))
+    s = ss = 0.0
+    for b, start in enumerate(range(0, n_samples, block_size)):
+        m = min(block_size, n_samples - start)
+        V = sample(prior, np.random.default_rng([seed, b]), size=m, out=buf[:, :m])
         pays = mechanism_payments(mech, V)
-        return float(pays.sum()), float((pays * pays).sum())
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_block, range(n_blocks)))
-    else:
-        results = [one_block(b) for b in range(n_blocks)]
-    s = sum(r[0] for r in results)
-    ss = sum(r[1] for r in results)
+        s += float(pays.sum())
+        ss += float((pays * pays).sum())
     mean = s / n_samples
     var = max(ss / n_samples - mean * mean, 0.0)
     sd = math.sqrt(var * n_samples / max(n_samples - 1, 1))

@@ -350,7 +350,8 @@ class TestEntryPoint:
 class TestLazyScipy:
     def test_commands_without_an_lp_do_not_import_scipy(self, tmp_path):
         # nor numpy.polynomial, which only myerson_ind_revenue loads, nor
-        # numpy.ma, which np.unique's masked-array check loads
+        # numpy.ma, which np.unique's masked-array check loads, nor
+        # concurrent.futures, since Monte Carlo runs in one loop
         root = Path(__file__).resolve().parents[1]
         code = (
             "import sys, kwrob, kwrob.cli\n"
@@ -362,6 +363,7 @@ class TestLazyScipy:
             "assert not loaded, loaded[:5]\n"
             "assert 'numpy.polynomial' not in sys.modules\n"
             "assert 'numpy.ma' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
             "solver = kwrob.lp.linprog\n"
             "import scipy.optimize\n"
             "assert solver is scipy.optimize.linprog\n"

@@ -9,7 +9,7 @@ tree, each workload's jobs are written by this checkout's
 bench/workloads.py, so both trees get the same inputs, into a run directory
 at the same path.  One fresh Python process with the tree's src first on
 sys.path then runs every op's argv through kwrob.cli.main, with BLAS
-threads and KWR_THREADS pinned to 1.  Exit codes are compared first, then
+threads pinned to 1.  Exit codes are compared first, then
 every file under each workload's directory, byte for byte.  Prints one line
 per workload and exits 1 on any difference.  Standard library only, apart
 from the numpy that bench/workloads.py imports.
