@@ -25,6 +25,7 @@ from .quadrature import integrate
 
 E = math.e
 Q1_RATIO = 1.299  # pairwise vs independent: Q1_ind <= 1.299 * Q1
+BETA_GRID = 10_000  # points of certify_iid_constant's beta grid
 
 
 @dataclass
@@ -176,7 +177,7 @@ def _ratio_floor(betas, lb2_grid):
     return betas * lb1_vec(1.0 / betas) + np.interp(betas, u, integral_to_one)
 
 
-def certify_iid_constant(grid: int = 10_000, lb2_grid=None) -> BoundReport:
+def certify_iid_constant(lb2_grid=None) -> BoundReport:
     """Minimise F(beta) = beta LB1(1/beta) + int_beta^1 LB2(1/u) du over
     beta in [0, 1].  The minimum certifies the robustness constant for
     identical regular marginals: constant = 1 / min F.
@@ -188,9 +189,7 @@ def certify_iid_constant(grid: int = 10_000, lb2_grid=None) -> BoundReport:
     independence.  lb2_grid: `lb2_cumulative_grid()`, when the caller
     already has it.
     """
-    if grid < 1000:
-        raise DomainError("grid must be >= 1000")
-    betas = np.linspace(1e-6, 1.0, grid)
+    betas = np.linspace(1e-6, 1.0, BETA_GRID)
     F = _ratio_floor(betas, lb2_grid)
     idx = int(np.argmin(F))
     beta_star = float(betas[idx])
@@ -198,7 +197,7 @@ def certify_iid_constant(grid: int = 10_000, lb2_grid=None) -> BoundReport:
     target = 1.0 / 2.63
     return BoundReport(
         "iid_constant",
-        {"grid": grid, "beta_star": beta_star, "constant": 1.0 / fmin},
+        {"grid": BETA_GRID, "beta_star": beta_star, "constant": 1.0 / fmin},
         fmin,
         (fmin, target - 1e-3, fmin >= target - 1e-3),
     )

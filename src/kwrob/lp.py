@@ -4,7 +4,8 @@ The feasible set is the polytope of joint pmfs on a finite product support
 whose every subset of at most k coordinates has product-form marginals
 (k-wise independence with the given per-bidder masses).  Minimising a
 mechanism's expected payment, or the probability of a threshold event, over
-that polytope gives exact worst-case instances with a duality certificate.
+that polytope gives exact worst-case instances, each with a proven lower
+bound on the optimum (`_certified_optimum`).
 
 Every bidder is an axis of the cell grid, a bidder with one point an axis
 of length 1.  The constraints are sparse rows Pr[x_S = c] = prod masses
@@ -25,14 +26,12 @@ This is exact for any k:
   with the same objective, since C is constant on classes;
 - a quotient table x-bar lifts to x(v) = x-bar(class(v)) prod_i p_i(v_i) /
   P_i(class(v_i)), refining each class independently and in proportion to
-  the masses, which keeps every |S| <= k marginal in product form;
-- every quotient row is a sum of fine rows and C is constant on classes,
-  so quotient duals y price each fine cell as its class: the fine reduced
-  costs are the quotient's, and the certificate checked on the quotient
-  (dual feasibility, gap) certifies the fine LP.
-The lifted table is re-checked against every fine row, the residual
-written.  This is the one solve path: when nothing merges, the labels are
-each axis's own points and the solver gets the fine LP bit for bit.
+  the masses, which keeps every |S| <= k marginal in product form.
+So the quotient's optimum is the fine LP's, and the lower bound proven on
+the quotient bounds the fine LP too.  The lifted table is re-checked
+against every fine row, the residual written.  This is the one solve path:
+when nothing merges, the labels are each axis's own points and the solver
+gets the fine LP bit for bit.
 """
 
 from __future__ import annotations
@@ -186,8 +185,14 @@ def _residual(shape, masses, k, pmf):
 
 
 def _certified_optimum(A_red, b_red, c):
-    """Solve min c.x over A_red x = b_red, x >= 0 with its duality
-    certificate; returns (x, objective, gap, iterations)."""
+    """Solve min c.x over A_red x = b_red, x >= 0; returns (x, objective,
+    gap, iterations), gap the objective's distance from a proven lower bound.
+
+    Every LP here ranges over probability tables: x >= 0, and the total-mass
+    row, always the first basis row of `_blocks`, fixes sum x = 1.  So for
+    any y, c.x = b.y + (c - A^T y).x >= b.y + min(0, min_j (c - A^T y)_j)
+    on every feasible x (Neumaier & Shcherbina, Math. Programming 99, 2004):
+    no dual feasibility is needed, a wrong y only lowers the bound."""
     # HiGHS may break x >= 0 by its primal feasibility tolerance; keep that
     # below FEAS_TOL, since the table written is x clipped at 0.  Presolve
     # is off: the rows are a full-rank basis with positive right-hand sides,
@@ -205,17 +210,11 @@ def _certified_optimum(A_red, b_red, c):
         raise RuntimeError(f"LP failed: {res.message}")
     x = res.x
     obj = float(c @ x)
-    # duality certificate: the eqlin marginals y are dual feasible (reduced
-    # costs c - A^T y >= 0) and close the gap, so by weak duality b.y is a
-    # lower bound that obj meets
     y = np.asarray(res.eqlin.marginals, dtype=float)
-    worst = float(np.min(c - A_red.T @ y))
-    if worst < -GAP_TOL * max(1.0, float(np.max(np.abs(c)))):
-        raise RuntimeError(f"dual infeasible: reduced cost {worst}")
-    dual_obj = float(b_red @ y)
-    gap = abs(obj - dual_obj)
-    if gap > GAP_TOL * max(1.0, abs(obj)):
-        raise RuntimeError(f"duality gap {gap} exceeds tolerance")
+    bound = float(b_red @ y) + min(0.0, float(np.min(c - A_red.T @ y)))
+    gap = abs(obj - bound)
+    if not gap <= GAP_TOL * max(1.0, abs(obj)):
+        raise RuntimeError(f"objective {obj} is {gap} from its proven lower bound {bound}")
     return x, obj, gap, int(getattr(res, "nit", 0))
 
 
@@ -223,9 +222,12 @@ def _table(poly: KwisePolytope, x, obj, gap, nit) -> WorstCaseSolution:
     """The table written for solver output x on poly's cells: x clipped at 0
     and renormalised, re-checked against every row of the family."""
     pmf = np.maximum(x, 0.0)
-    pmf /= pmf.sum()
+    mass = pmf.sum()
+    if not mass > 0:
+        raise RuntimeError(f"solver table has total mass {mass}")
+    pmf /= mass
     resid = _residual(poly.shape, poly.masses, poly.k, pmf)
-    if resid > FEAS_TOL:
+    if not resid <= FEAS_TOL:
         raise RuntimeError(f"table violates constraints, residual {resid}")
     return WorstCaseSolution(TablePrior(poly.supports, pmf), obj, gap, nit, resid)
 

@@ -13,9 +13,7 @@ MAX_DEPTH = 48  # bisections a panel may take before it counts as not converging
 
 
 class QuadratureError(RuntimeError):
-    def __init__(self, message, achieved_tol=None):
-        super().__init__(message)
-        self.achieved_tol = achieved_tol
+    pass
 
 
 def _simpson(f, a, fa, b, fb):
@@ -37,9 +35,7 @@ def _adaptive(f, a, fa, b, fb, whole, m, fm, tol, depth, span):
         # |jump| * width; accept it.  Anything wider is real non-convergence.
         if b - a <= 1e-12 * span:
             return left + right + delta / 15.0
-        raise QuadratureError(
-            f"quadrature failed to converge on [{a}, {b}]", achieved_tol=abs(delta)
-        )
+        raise QuadratureError(f"quadrature failed to converge on [{a}, {b}]")
     return _adaptive(f, a, fa, m, fm, left, lm, flm, tol / 2.0, depth - 1, span) + _adaptive(
         f, m, fm, b, fb, right, rm, frm, tol / 2.0, depth - 1, span
     )

@@ -119,8 +119,8 @@ class TestSolve:
 
 
     def test_dual_infeasible_certificate_raises(self, monkeypatch):
-        # duals that close the gap (b.y = 0 = c.x) but price cells below
-        # zero certify nothing: here c - A^T y is -0.5 on half the cells
+        # duals with b.y = 0 = c.x that price cells below zero prove only
+        # the bound b.y + min(c - A^T y) = -0.5, short of the objective
         poly = build_polytope([BINARY] * 2, 2)
         b = poly.b_red
         y = np.zeros(b.size)
@@ -132,8 +132,69 @@ class TestSolve:
             return SimpleNamespace(success=True, x=product_pmf(poly), eqlin=duals, nit=0, message="")
 
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
-        with pytest.raises(RuntimeError, match="dual infeasible"):
+        with pytest.raises(RuntimeError, match=r"objective 0\.0 is 0\.5 from its proven lower bound -0\.5"):
             fine_solve(poly, np.zeros(poly.n_cells))
+
+    def test_solver_table_without_mass_raises(self, monkeypatch):
+        # x = 0 and y = 0 pass the certificate (objective 0, bound
+        # min(0, min c) = 0), but a table of no mass cannot be normalised:
+        # a solver fault, not bad input
+        poly = build_polytope([TestQuotient.POINTS] * 4, 2)
+
+        def fake_linprog(c, **kw):
+            duals = SimpleNamespace(marginals=np.zeros(len(kw["b_eq"])))
+            return SimpleNamespace(success=True, x=np.zeros(len(c)), eqlin=duals, nit=0, message="")
+
+        monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
+        with pytest.raises(RuntimeError, match="solver table has total mass 0.0"):
+            minimize_revenue(poly, AnonymousReserve(2.5))
+
+    def test_bound_never_passes_the_optimum(self, rng, monkeypatch):
+        # the bound holds for any y: HiGHS's x with its own, perturbed,
+        # random or zero duals never certifies a bound above the optimum,
+        # and the product table, feasible, is refused for every y wherever
+        # it is suboptimal beyond GAP_TOL
+        from scipy.optimize import linprog
+
+        def stub(x, duals):
+            def fake_linprog(c, **kw):
+                res = linprog(c, **kw)
+                y = SimpleNamespace(marginals=duals(res.eqlin.marginals))
+                return SimpleNamespace(success=True, x=res.x if x is None else x, eqlin=y, nit=res.nit, message="")
+
+            return fake_linprog
+
+        noise = [lambda y: y, lambda y: np.zeros(y.size), lambda y: rng.normal(size=y.size)]
+        noise += [lambda y, s=s: y + rng.normal(scale=s, size=y.size) for s in (1e-12, 1e-9, 1e-6, 1e-3)]
+        returned = refused = 0
+        for _ in range(8):
+            n, k = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+            marginals = [random_discrete(rng, max_pts=3) for _ in range(n)]
+            poly = build_polytope([(m.points, m.masses) for m in marginals], k)
+            V = cell_values(poly.supports)
+            tau = float(rng.choice([v for m in marginals for v in m.points]))
+            objectives = [mechanism_payments(mech, V) for mech in (Myerson(marginals), AnonymousReserve(tau))]
+            objectives.append(((V >= tau).sum(axis=1) >= 2).astype(float))
+            product = product_pmf(poly)
+            for c in objectives:
+                optimum = fine_solve(poly, c).objective
+                suboptimal = c @ product - optimum > 2 * kwrob.lp.GAP_TOL * max(1.0, abs(c @ product))
+                for duals in noise:
+                    with monkeypatch.context() as mp:
+                        mp.setattr(kwrob.lp, "linprog", stub(None, duals))
+                        try:
+                            sol = kwrob.lp._solve(poly, c)
+                        except RuntimeError as exc:
+                            assert "proven lower bound" in str(exc)
+                        else:
+                            returned += 1
+                            assert sol.objective - sol.duality_gap <= optimum + 1e-12
+                        if suboptimal:
+                            mp.setattr(kwrob.lp, "linprog", stub(product, duals))
+                            with pytest.raises(RuntimeError, match="proven lower bound"):
+                                fine_solve(poly, c)
+                            refused += 1
+        assert returned > 0 and refused > 0
 
 
 class TestPresolveOff:
@@ -237,19 +298,23 @@ class TestQuotient:
 
     def test_dual_infeasible_quotient_certificate_raises(self, monkeypatch):
         # y = 1 on the total-mass row prices every cell at 1, so the cell
-        # where nobody clears the reserve (c = 0) has reduced cost -1: the
-        # quotient's duals are checked as a fine solve checks its own
+        # where nobody clears the reserve (c = 0) has reduced cost -1 and y
+        # proves only optimum >= 1 - 1 = 0.  The quotient's product table is
+        # feasible with objective above 0, and is refused as a fine solve's
+        # would be
         poly = build_polytope([self.POINTS] * 4, 2)
 
         def fake_linprog(c, **kw):
             assert len(c) == 2**4 and c[0] == 0.0
+            x = np.full(len(c), 1 / 16)  # each bidder's two classes weigh .5
+            assert np.max(np.abs(kw["A_eq"] @ x - kw["b_eq"])) < 1e-15 and c @ x > 0
             y = np.zeros(len(kw["b_eq"]))
             y[0] = 1.0
             duals = SimpleNamespace(marginals=y)
-            return SimpleNamespace(success=True, x=np.zeros(len(c)), eqlin=duals, nit=0, message="")
+            return SimpleNamespace(success=True, x=x, eqlin=duals, nit=0, message="")
 
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
-        with pytest.raises(RuntimeError, match="dual infeasible"):
+        with pytest.raises(RuntimeError, match="from its proven lower bound 0.0"):
             minimize_revenue(poly, AnonymousReserve(2.5))
 
     def test_quotient_matches_the_fine_lp(self, rng):

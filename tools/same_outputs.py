@@ -10,9 +10,10 @@ bench/workloads.py, so both trees get the same inputs, into a run directory
 at the same path.  One fresh Python process with the tree's src first on
 sys.path then runs every op's argv through kwrob.cli.main, with BLAS
 threads pinned to 1.  Exit codes are compared first, then
-every file under each workload's directory, byte for byte.  Prints one line
-per workload and exits 1 on any difference.  Standard library only, apart
-from the numpy that bench/workloads.py imports.
+every file under each workload's directory, byte for byte; a .json file
+that differs is named with the top-level keys whose values differ.  Prints
+one line per workload and exits 1 on any difference.  Standard library
+only, apart from the numpy that bench/workloads.py imports.
 """
 
 import argparse
@@ -71,13 +72,27 @@ def files(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def differs(path, a, b):
+    """'differs: path' for files of bytes a and b, followed by the sorted
+    top-level keys whose values differ when both are JSON objects."""
+    if path.suffix == ".json":
+        try:
+            a, b = json.loads(a), json.loads(b)
+        except ValueError:
+            a = b = None
+        if isinstance(a, dict) and isinstance(b, dict):
+            same = {k for k in a.keys() & b.keys() if json.dumps(a[k]) == json.dumps(b[k])}
+            return f"differs: {path} [{', '.join(sorted((a.keys() | b.keys()) - same))}]"
+    return f"differs: {path}"
+
+
 def compare(name, base, codes):
     """One line on workload `name`: parent and change outputs under base."""
     parent, change = files(base / "parent" / name), files(base / "change" / name)
     problems = [f"{op} exits {a} vs {b}" for (op, a), (_, b) in zip(codes["parent"][name], codes["change"][name]) if a != b]
     problems += [f"only in parent: {p}" for p in sorted(parent.keys() - change.keys())]
     problems += [f"only in change: {p}" for p in sorted(change.keys() - parent.keys())]
-    problems += [f"differs: {p}" for p in sorted(parent.keys() & change.keys()) if parent[p] != change[p]]
+    problems += [differs(p, parent[p], change[p]) for p in sorted(parent.keys() & change.keys()) if parent[p] != change[p]]
     size = f"{len(codes['parent'][name])} ops, {len(parent)} files"
     return (f"{name}: DIFFERENT ({size}): " + "; ".join(problems)) if problems else f"{name}: same ({size})", bool(problems)
 
