@@ -72,6 +72,6 @@ from .bounds import (
     tail_upper,
     q1_count_bound,
 )
-from .lp import KwisePolytope, WorstCaseSolution, build_polytope, minimize_event_prob, minimize_revenue
+from .lp import KwisePolytope, SolverError, WorstCaseSolution, build_polytope, minimize_event_prob, minimize_revenue
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: counterexample, reproduce, revenue, lp, bounds.
-Exit codes: 0 success, 1 error (bad config / runtime failure), 2 when a
-certified inequality check fails.  All outputs are deterministic for a
-fixed config: floats at 17 significant digits, sorted JSON keys, LF
-endings.
+Exit codes: 0 success, 1 bad input (config, instance or values), 2 when a
+certified inequality check fails, 3 when the LP solver fails or its answer
+fails a check (lp.SolverError).  All outputs are deterministic for a fixed
+config: floats at 17 significant digits, sorted JSON keys, LF endings.
 """
 
 from __future__ import annotations
@@ -49,11 +49,12 @@ from .revenue import (
     revenue_exact,
     revenue_mc,
 )
-from .lp import build_polytope, minimize_event_prob, minimize_revenue
+from .lp import SolverError, build_polytope, minimize_event_prob, minimize_revenue
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
+EXIT_SOLVER_FAILED = 3
 
 
 def _outdir(args):
@@ -351,6 +352,9 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILED
 
 
 if __name__ == "__main__":

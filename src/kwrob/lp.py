@@ -52,6 +52,11 @@ FEAS_TOL = 1e-9
 GAP_TOL = 1e-7
 
 
+class SolverError(RuntimeError):
+    """The LP solver failed, or its answer failed a check: a fault of the
+    solve, not of the instance."""
+
+
 def __getattr__(name):
     # scipy is imported on the first LP solve, not with kwrob: it costs
     # about half a second, which commands that solve no LP need not pay.
@@ -207,14 +212,14 @@ def _certified_optimum(A_red, b_red, c):
         options={"primal_feasibility_tolerance": 1e-10, "presolve": False},
     )
     if not res.success:
-        raise RuntimeError(f"LP failed: {res.message}")
+        raise SolverError(f"LP failed: {res.message}")
     x = res.x
     obj = float(c @ x)
     y = np.asarray(res.eqlin.marginals, dtype=float)
     bound = float(b_red @ y) + min(0.0, float(np.min(c - A_red.T @ y)))
     gap = abs(obj - bound)
     if not gap <= GAP_TOL * max(1.0, abs(obj)):
-        raise RuntimeError(f"objective {obj} is {gap} from its proven lower bound {bound}")
+        raise SolverError(f"objective {obj} is {gap} from its proven lower bound {bound}")
     return x, obj, gap, int(getattr(res, "nit", 0))
 
 
@@ -224,11 +229,11 @@ def _table(poly: KwisePolytope, x, obj, gap, nit) -> WorstCaseSolution:
     pmf = np.maximum(x, 0.0)
     mass = pmf.sum()
     if not mass > 0:
-        raise RuntimeError(f"solver table has total mass {mass}")
+        raise SolverError(f"solver table has total mass {mass}")
     pmf /= mass
     resid = _residual(poly.shape, poly.masses, poly.k, pmf)
     if not resid <= FEAS_TOL:
-        raise RuntimeError(f"table violates constraints, residual {resid}")
+        raise SolverError(f"table violates constraints, residual {resid}")
     return WorstCaseSolution(TablePrior(poly.supports, pmf), obj, gap, nit, resid)
 
 

@@ -11,13 +11,15 @@ Two mechanisms:
   competitors.  Its allocation is constant on ironed intervals, which keeps
   it optimal on discrete and ironed marginals.
 
-One kernel runs both mechanisms: `run_batch` takes a (rows x bidders)
-value matrix, sweeps the bidders once to find each row's winner and its
+One kernel runs both mechanisms: a sweep (`_sweep`) reads the bidders'
+value columns once, in bidder order, to find each row's winner and its
 strongest eligible competitor, and prices the winners.  Myerson winners pay
 `threshold_payment`, the threshold bid in closed form from the winner's
-marginal's virtual-value inverses.  `run_mechanism` is the one-row call,
-and `mechanism_payments` returns the kernel's payments for Monte Carlo
-blocks, exact table revenue and the LP objective; the exact branch sweep
+marginal's virtual-value inverses.  `run_batch` sweeps the columns of a
+(rows x bidders) value matrix, and Monte Carlo (revenue.revenue_mc) sweeps
+columns as they are drawn.  `run_mechanism` is the one-row call, and
+`mechanism_payments` returns the kernel's payments for exact table revenue
+and the LP objective; the exact branch sweep
 calls `threshold_payment` over its whole key axis, shared by all bidders,
 once per distinct marginal against a competitor of lower and of higher
 index (`idx_star` -1 and n).
@@ -96,17 +98,33 @@ def threshold_payment(mech: Myerson, i, phi_star, idx_star):
     return np.maximum(m.phi_geq_inv(0.0), t)
 
 
-def _columns(V):
-    """(bidder, values, min, max) per column of V, which has at least one
-    row, each column read once into a contiguous array (a view when V is
-    column-major, as `priors.sample` returns it) and checked finite and
+def _columns(columns):
+    """(bidder, values, min, max) per value array of `columns`, one per
+    bidder in bidder order, all of one length of at least one row (the
+    columns of a value matrix V are the rows of V.T).  Each is read once
+    into a contiguous array (itself when it is one, as the columns of
+    `priors.sample` and `priors._draws` are) and checked finite and
     nonnegative through its min and max, which NaN makes NaN."""
-    for i in range(V.shape[1]):
-        v = np.ascontiguousarray(V[:, i])
+    for i, c in enumerate(columns):
+        v = np.ascontiguousarray(c)
         lo, hi = v.min(), v.max()
         if not (lo >= 0.0 and hi < np.inf):
             raise DomainError(f"values of bidder {i} must be finite and nonnegative")
         yield i, v, lo, hi
+
+
+def _sweep(mech: Mechanism, n: int):
+    """mech's sweep over n bidders: a function of a row count and the
+    checked columns of those rows (`_columns`) that returns the rows'
+    winners and payments."""
+    if isinstance(mech, AnonymousReserve):
+        return functools.partial(_ar_piece, mech)
+    if n != len(mech.marginals):
+        raise DomainError(f"expected {len(mech.marginals)} values per row, got {n}")
+    kinds = {}
+    of_bidder = [kinds.setdefault(m, len(kinds)) for m in mech.marginals]
+    kind_of = np.array(of_bidder + [-1], dtype=np.min_scalar_type(-1 - len(kinds)))  # -1: no sale
+    return functools.partial(_myerson_piece, mech, kind_of, len(kinds))
 
 
 def run_batch(mech: Mechanism, V):
@@ -132,35 +150,27 @@ def run_batch(mech: Mechanism, V):
     if V.ndim != 2:
         raise DomainError(f"expected a (rows, bidders) value matrix, got shape {V.shape}")
     rows, n = V.shape
-    if isinstance(mech, AnonymousReserve):
-        sweep = functools.partial(_ar_piece, mech)
-    else:
-        if n != len(mech.marginals):
-            raise DomainError(f"expected {len(mech.marginals)} values per row, got {n}")
-        kinds = {}
-        of_bidder = [kinds.setdefault(m, len(kinds)) for m in mech.marginals]
-        kind_of = np.array(of_bidder + [-1], dtype=np.min_scalar_type(-1 - len(kinds)))  # -1: no sale
-        sweep = functools.partial(_myerson_piece, mech, kind_of, len(kinds))
+    sweep = _sweep(mech, n)
     winners, pays = np.empty(rows, dtype=int), np.empty(rows)
     try:
         for a in range(0, rows, _PIECE_ROWS):
-            winners[a : a + _PIECE_ROWS], pays[a : a + _PIECE_ROWS] = sweep(V[a : a + _PIECE_ROWS])
+            piece = V[a : a + _PIECE_ROWS]
+            winners[a : a + _PIECE_ROWS], pays[a : a + _PIECE_ROWS] = sweep(len(piece), _columns(piece.T))
     except DomainError:
         # a piece names its own first bad value: raise the one a sweep of
         # whole columns meets first
-        for i, v, _, _ in _columns(V):
+        for i, v, _, _ in _columns(V.T):
             if isinstance(mech, Myerson):
                 virtual_values(mech.marginals[i], v, i)
         raise
     return winners, pays
 
 
-def _ar_piece(mech: AnonymousReserve, V):
-    """AR's sweep and prices on the rows of V."""
-    rows = V.shape[0]
+def _ar_piece(mech: AnonymousReserve, rows, columns):
+    """AR's sweep and prices on `rows` rows, given their checked columns."""
     top, second, winner = np.full(rows, -np.inf), np.full(rows, -np.inf), np.zeros(rows, dtype=int)
     above, low = np.empty(rows, dtype=bool), np.empty(rows)
-    for i, v, _, _ in _columns(V):
+    for i, v, _, _ in columns:
         winner[np.greater(v, top, out=above)] = i
         np.maximum(second, np.minimum(top, v, out=low), out=second)
         np.maximum(top, v, out=top)
@@ -168,16 +178,15 @@ def _ar_piece(mech: AnonymousReserve, V):
     return winner, np.where(winner >= 0, np.maximum(mech.r, second), 0.0)
 
 
-def _myerson_piece(mech: Myerson, kind_of, n_kinds, V):
-    """Myerson's sweep and pricing on the rows of V.  kind_of[i] numbers
-    bidder i's marginal among the distinct ones (n_kinds of them), and
-    kind_of[-1] is -1."""
-    rows = V.shape[0]
+def _myerson_piece(mech: Myerson, kind_of, n_kinds, rows, columns):
+    """Myerson's sweep and pricing on `rows` rows, given their checked
+    columns.  kind_of[i] numbers bidder i's marginal among the distinct
+    ones (n_kinds of them), and kind_of[-1] is -1."""
     NEG = -np.inf
     b_phi, b_val, b_idx = np.full(rows, NEG), np.zeros(rows), np.full(rows, -1)
     s_phi, s_idx = np.full(rows, NEG), np.full(rows, -1)
     beats_best, beats_second, ineligible = (np.empty(rows, dtype=bool) for _ in range(3))
-    for i, v, v_lo, v_hi in _columns(V):
+    for i, v, v_lo, v_hi in columns:
         m = mech.marginals[i]
         lo, hi = m.support
         if v_lo < lo - 1e-9 or v_hi > hi + 1e-9:
@@ -202,7 +211,7 @@ def _myerson_piece(mech: Myerson, kind_of, n_kinds, V):
         s_phi[sec], s_idx[sec] = phi[sec], i
 
     # price the winners once per distinct marginal; b_val holds each
-    # winner's value, V[row, b_idx] as the sweep read it
+    # winner's value as the sweep read it
     pay = np.zeros(rows)
     kind = kind_of[b_idx]
     for k in range(n_kinds):

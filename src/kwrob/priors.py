@@ -39,15 +39,18 @@ comparison loop, joint against the product of marginals per subset, for
 tables and mixtures alike; on a mixture it checks one representative
 subset per combination of groups.
 
-Sampling draws the chosen member directly, and draws its chosen component
-only for the rows that picked it: a branch's slot rows are grouped by
-member once (a stable radix sort of the pick), so each member's rows are
-one slice.  Samples are column-major: `sample` fills a bidder-major
-(n, rows) buffer, one contiguous row per draw, and returns its (rows, n)
-transpose, so every bidder's column is contiguous.  Each draw is
-transformed in place (u -> 1 - u -> the conditioned quantile -> the
-marginal's in-place inverse), straight in the bidder's row when one branch
-holds every row.  Table priors come back in the same layout.
+Sampling is one generator, _draws: it yields a group of rows (on the
+constructions, every row of a block), then each bidder's column on them,
+drawn as it is read, so the Monte Carlo sweep (revenue.revenue_mc) prices
+a block without a matrix of samples, and `sample` writes the same columns
+into one.  It draws the chosen member directly, and draws its chosen
+component only for the rows that picked it: a branch's slot rows are
+grouped by member once (a stable radix sort of the pick), so each
+member's rows are one slice.  Each draw is transformed in place (u -> 1 -
+u -> the conditioned quantile -> the marginal's in-place inverse) in one
+array per branch.  `sample` returns
+the transpose of a bidder-major (n, rows) buffer, so every bidder's column
+is contiguous; table priors come back in the same layout.
 """
 
 from __future__ import annotations
@@ -399,75 +402,100 @@ def uniform_q2_counterexample(n: int) -> MixturePrior:
 # Sampling
 
 
-def sample(prior: JointPrior, seed, size=None, out=None) -> np.ndarray:
+def sample(prior: JointPrior, seed, size=None) -> np.ndarray:
     """Draw from the prior; deterministic for a fixed seed.  Returns an
     (size, n) matrix, or a single length-n vector when size is None.
-    Given `out`, a float64 (n, size) array whose rows are contiguous (a
-    leading column slice of a larger buffer will do), the draws are
-    written there, every entry overwritten, and the result is its
-    transpose; they are the same draws as without it.
 
-    The matrix is the transpose of a bidder-major (n, size) buffer, so each
-    bidder's column is contiguous (Fortran order) and the mechanism sweeps
-    read it without a copy.  A mixture draws its branch per row (skipped
-    when there is one branch, so a ProductPrior gets one draw per marginal
-    in bidder order), then per branch the slot pick, then per bidder one
-    draw of its plain component for the branch's rows and one of its chosen
-    component for the rows that picked it.  A branch that holds every row
-    draws straight into the bidder's row of the buffer; the slot's rows are
-    grouped by member once per branch (a stable sort of the pick), so each
-    member's rows are one slice, in ascending order."""
+    The draws are `_draws`'s, written into a bidder-major (n, size)
+    buffer whose transpose is returned, so each bidder's column is
+    contiguous (Fortran order) and the mechanism sweeps read it without a
+    copy."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m = 1 if size is None else int(size)
-    if out is None:
-        out = np.empty((prior.n_bidders, m))
-    elif out.shape != (prior.n_bidders, m) or out.dtype != np.float64 or out.strides[1] != out.itemsize:
-        raise DomainError(f"out must be a float64 ({prior.n_bidders}, {m}) array with contiguous rows")
-    if isinstance(prior, TablePrior):
-        flat = prior.pmf.ravel()
-        idx = rng.choice(flat.size, size=m, p=flat / flat.sum())
-        multi = np.unravel_index(idx, prior.pmf.shape)
-        for i, (s, j) in enumerate(zip(prior.supports, multi)):
-            out[i] = np.asarray(s)[j]
-    else:
-        if len(prior.branches) == 1:
-            in_branch = [np.ones(m, dtype=bool)]
-        else:
-            weights = np.array([b.weight for b in prior.branches])
-            branch_idx = rng.choice(len(weights), size=m, p=weights / weights.sum())
-            in_branch = [branch_idx == bi for bi in range(len(weights))]
-        for branch, mask in zip(prior.branches, in_branch):
-            rows = np.flatnonzero(mask)
-            if rows.size == 0:
-                continue
-            slot = _slot_rows(branch.members, rows, rng) if branch.members else {}
-            # where the branch's draws go: the whole row, its mask (a write
-            # that scans all m rows) or its row indices (costlier per row),
-            # the mask once the branch holds an eighth of the rows; a partial
-            # branch draws each bidder into one scratch array it reuses
-            at = None if rows.size == m else mask if 8 * rows.size >= m else rows
-            scratch = None if at is None else np.empty(rows.size)
-            for i in range(prior.n_bidders):
-                plain, chosen = branch.component_pair(i)
-                if at is None:
-                    plain.sample(rng, m, out=out[i])
-                else:
-                    out[i][at] = plain.sample(rng, rows.size, out=scratch)
-                if chosen is not None and slot[i].size:
-                    out[i, slot[i]] = chosen.sample(rng, slot[i].size)
+    out = np.empty((prior.n_bidders, m))
+    for rows, columns in _draws(prior, rng, m):
+        for i, v in enumerate(columns):
+            out[i, rows] = v
     return out[:, 0] if size is None else out.T
 
 
-def _slot_rows(members, rows, rng):
-    """Per slot member, the ascending rows (of the branch's `rows`) that
-    picked it: one uniform pick per row, grouped by a stable sort, so each
-    member's rows equal rows[pick == member] element for element."""
-    pick = rng.integers(0, len(members), size=rows.size)
+def _draws(prior: JointPrior, rng, m):
+    """m rows of draws from the prior, as (rows, columns) groups: rows the
+    group's row indices (ascending within each branch), columns a
+    generator of each bidder's values on them, in bidder order.  The draws
+    are made as the columns are read, so read each group's columns to the
+    end, and each column before the next: a group draws every bidder into
+    one array it reuses.
+
+    A table draws a cell per row, one group of every row.  A mixture draws
+    its branch per row (skipped when there is one branch, so a ProductPrior
+    gets one draw per marginal in bidder order), then the branches that
+    hold rows, in order, each by `_branch_columns`.  The branches other
+    than the one with the most rows, few rows on the constructions, are
+    drawn into one (n, rows) buffer in their turn.  Those before the
+    largest lead each of its columns, so they and the largest branch are
+    one group, drawn as its columns are read; those after it come last as
+    a group of their own.  A sweep over the groups so pays its per-column
+    cost once per block when the largest branch is the last that holds
+    rows, as on the constructions, and twice otherwise, not once per
+    branch."""
+    if isinstance(prior, TablePrior):
+        flat = prior.pmf.ravel()
+        idx = rng.choice(flat.size, size=m, p=flat / flat.sum())
+        cells = np.unravel_index(idx, prior.pmf.shape)
+        yield np.arange(m), (np.asarray(s)[j] for s, j in zip(prior.supports, cells))
+        return
+    if len(prior.branches) == 1:
+        branch_rows = [np.arange(m)]
+    else:
+        weights = np.array([b.weight for b in prior.branches])
+        branch_idx = rng.choice(len(weights), size=m, p=weights / weights.sum())
+        branch_rows = [np.flatnonzero(branch_idx == bi) for bi in range(len(weights))]
+    big = max(range(len(branch_rows)), key=lambda k: branch_rows[k].size)
+    others = np.empty((prior.n_bidders, m - branch_rows[big].size))
+    at = 0
+    for k, (branch, rows) in enumerate(zip(prior.branches, branch_rows)):
+        if k == big:
+            head = at
+            if rows.size:
+                yield np.concatenate(branch_rows[: k + 1]), _branch_columns(branch, rng, rows.size, others[:, :head])
+        elif rows.size:
+            for i, v in enumerate(_branch_columns(branch, rng, rows.size)):
+                others[i, at : at + rows.size] = v
+            at += rows.size
+    if at > head:
+        yield np.concatenate(branch_rows[big + 1 :]), iter(others[:, head:])
+
+
+def _branch_columns(branch: Branch, rng, size, head=None):
+    """Each bidder's values on `size` rows of the branch, in bidder order,
+    every one drawn into the same array, behind the bidder's row of `head`
+    when given (an (n, h) array whose rows lead the columns): first the
+    slot pick, then per bidder one draw of its plain component for all the
+    rows and one of its chosen component for the rows that picked it."""
+    h = 0 if head is None else head.shape[1]
+    slot = _slot_rows(branch.members, size, rng) if branch.members else {}
+    col = np.empty(h + size)
+    drawn = col[h:]
+    for i in range(len(branch.components)):
+        plain, chosen = branch.component_pair(i)
+        if h:
+            col[:h] = head[i]
+        plain.sample(rng, size, out=drawn)
+        if chosen is not None and slot[i].size:
+            drawn[slot[i]] = chosen.sample(rng, slot[i].size)
+        yield col
+
+
+def _slot_rows(members, size, rng):
+    """Per slot member, the ascending positions, among a branch's `size`
+    rows, that picked it: one uniform pick per row, grouped by a stable
+    sort, so each member's positions equal flatnonzero(pick == member)."""
+    pick = rng.integers(0, len(members), size=size)
     # the smallest integer dtype lets numpy sort by radix
     order = np.argsort(pick.astype(np.min_scalar_type(len(members) - 1)), kind="stable")
     ends = np.cumsum(np.bincount(pick, minlength=len(members)))
-    grouped = rows[order]
-    return dict(zip(members, np.split(grouped, ends[:-1])))
+    return dict(zip(members, np.split(order, ends[:-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ Exact paths:
                   mixture of those products.
 
 Every Myerson payment comes from the one threshold formula,
-mechanisms.threshold_payment: tables and Monte Carlo blocks reach it through
-the batch kernel behind mechanism_payments (re-exported here), and the
-branch sweep calls it over the whole key axis once per branch and distinct
-marginal, against a lower and against a higher index.
+mechanisms.threshold_payment: tables reach it through the batch kernel
+behind mechanism_payments (re-exported here), Monte Carlo through the same
+kernel's sweep over each branch's columns as priors._draws draws them, and
+the branch sweep calls it over the whole key axis once per branch and
+distinct marginal, against a lower and against a higher index.
 Monte Carlo is block-seeded and bit-for-bit reproducible for a fixed (seed,
-block size).  The ex-ante relaxation quantities (threshold level,
+block size), and builds no block of samples.  The ex-ante relaxation quantities (threshold level,
 per-bidder prices/probabilities/revenues) and the associated robustness
 predicates live here as well.
 """
@@ -43,6 +44,8 @@ from .mechanisms import (
     AnonymousReserve,
     Mechanism,
     Myerson,
+    _columns,
+    _sweep,
     mechanism_payments,
     threshold_payment,
     virtual_values,
@@ -51,6 +54,7 @@ from .priors import (
     JointPrior,
     ProductPrior,
     TablePrior,
+    _draws,
     _kept_cells,
     cell_values,
     natural_grids,
@@ -282,26 +286,37 @@ def revenue_mc(
     block order, so results are bit-for-bit reproducible for a fixed seed
     and block size.
 
-    The default block size is the largest power of two up to one sweep
-    piece, mechanisms._PIECE_ROWS = 2^14 rows, whose float64 sample
-    buffer, 8 bytes * rows * bidders, fits in 64 MiB: 2^14 rows for up to
-    512 bidders and fewer above (2^13 at 601).  A block is then one piece
-    of `run_batch`'s sweep, and at n = 64 (65 bidders) its buffer is
-    8.5 MB."""
+    No block of samples is built: the sweep prices each group of rows of
+    `priors._draws` (on the constructions one per block: the block's
+    largest branch, led by the other branches' rows) as its columns are
+    drawn, into the block's payments, which are summed in row order.  These are the payments, and the sums,
+    of `mechanism_payments` on the block `priors.sample` draws with the
+    same generator; a value the mechanism cannot take raises the error
+    that call raises.
+
+    The default block size, which with the seed fixes every draw, is the
+    largest power of two up to one sweep piece, mechanisms._PIECE_ROWS =
+    2^14 rows, whose float64 block of samples, 8 bytes * rows * bidders,
+    would fit in 64 MiB: 2^14 rows for up to 512 bidders and fewer above
+    (2^13 at 601)."""
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     if block_size is None:
         fits = (1 << 26) // (8 * prior.n_bidders)
         block_size = min(_PIECE_ROWS, 1 << max(fits.bit_length() - 1, 0))
-    # one sample buffer, refilled by every block: a fresh one per block would
-    # be a new mapping above glibc's mmap threshold (8.5 MB at n = 64), whose
-    # pages all fault on first write
-    buf = np.empty((prior.n_bidders, min(block_size, n_samples)))
+    sweep = _sweep(mech, prior.n_bidders)
     s = ss = 0.0
     for b, start in enumerate(range(0, n_samples, block_size)):
         m = min(block_size, n_samples - start)
-        V = sample(prior, np.random.default_rng([seed, b]), size=m, out=buf[:, :m])
-        pays = mechanism_payments(mech, V)
+        pays = np.empty(m)
+        try:
+            for rows, columns in _draws(prior, np.random.default_rng([seed, b]), m):
+                pays[rows] = sweep(rows.size, _columns(columns))[1]
+        except DomainError:
+            # a group names its own first bad value: raise the one the
+            # whole block meets first
+            mechanism_payments(mech, sample(prior, np.random.default_rng([seed, b]), size=m))
+            raise
         s += float(pays.sum())
         ss += float((pays * pays).sum())
     mean = s / n_samples

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kwrob import DiscretePMF, DomainError, EqualRevenue, ProductPrior, ShiftedEqualRevenue, Uniform, check_regular
-from kwrob.mechanisms import threshold_payment, virtual_values
+from kwrob.mechanisms import mechanism_payments, threshold_payment, virtual_values
 from kwrob.bounds import _case2a_g, _lb2_kinks_in_s, _log1p_ratio, lb2_vec
 from kwrob.quadrature import integrate, integrate_to_infinity
 from kwrob.priors import (
@@ -25,8 +25,10 @@ from kwrob.priors import (
     cell_values,
     natural_grids,
     q1q2_from_qvec,
+    sample,
     threshold_probs,
 )
+from kwrob.revenue import RevenueEstimate, Z_95
 
 
 class FullMarginal:
@@ -420,6 +422,27 @@ def run_batch_reference(mech, V):
     assert not np.any(pay[won] > value + 1e-9)
     pay[won] = np.minimum(pay[won], value)
     return b_idx, pay
+
+
+def revenue_mc_buffered_reference(prior, mech, n_samples, seed, block_size=None):
+    """Reference for revenue.revenue_mc, as it priced its blocks before it
+    streamed them: per block, a sample matrix drawn by priors.sample with
+    the block's generator, priced by mechanism_payments, its sums added in
+    block order.  The default block is the largest power of two up to
+    2^14 rows whose samples fit in 64 MiB."""
+    if block_size is None:
+        fits = (1 << 26) // (8 * prior.n_bidders)
+        block_size = min(1 << 14, 1 << max(fits.bit_length() - 1, 0))
+    s = ss = 0.0
+    for b, start in enumerate(range(0, n_samples, block_size)):
+        V = sample(prior, np.random.default_rng([seed, b]), size=min(block_size, n_samples - start))
+        pays = mechanism_payments(mech, V)
+        s += float(pays.sum())
+        ss += float((pays * pays).sum())
+    mean = s / n_samples
+    var = max(ss / n_samples - mean * mean, 0.0)
+    sd = math.sqrt(var * n_samples / max(n_samples - 1, 1))
+    return RevenueEstimate(mean, Z_95 * sd / math.sqrt(n_samples), n_samples, False)
 
 
 def write_csv_reference(path, header, rows):

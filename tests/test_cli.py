@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from kwrob import (
     q1q2_from_qvec,
     revenue_exact,
 )
-from kwrob import bounds, cli, revenue
+from kwrob import bounds, cli, lp, revenue
 from kwrob.cli import build_parser, main
 
 
@@ -218,6 +219,25 @@ class TestLpCommand:
         )
         sol = json.loads((tmp_path / "worst_case.json").read_text())
         assert sol["objective"] >= 1 / 3 - 1e-9
+
+
+    def test_solver_fault_exits_3(self, tmp_path, monkeypatch, capsys):
+        # x = 0 and y = 0 pass the certificate but leave a table of no
+        # mass: a solver fault, which exits 3 with one error line, apart
+        # from bad input's 1
+        inst = {"marginals": [{"type": "discrete", "points": [1, 2, 3], "masses": [0.5, 0.3, 0.2]}] * 4}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst))
+
+        def fake_linprog(c, **kw):
+            duals = SimpleNamespace(marginals=np.zeros(len(kw["b_eq"])))
+            return SimpleNamespace(success=True, x=np.zeros(len(c)), eqlin=duals, nit=0, message="")
+
+        monkeypatch.setattr(lp, "linprog", fake_linprog)
+        argv = ["lp", "worst-case", "--instance", str(path), "--k", "2", "--mechanism", "ar", "--r", "2.5", "--out", str(tmp_path)]
+        assert run_cli(argv) == cli.EXIT_SOLVER_FAILED == 3
+        assert capsys.readouterr().err == "error: solver table has total mass 0.0\n"
+        assert not (tmp_path / "worst_case.json").exists()
 
 
 class TestNonFiniteInputs:

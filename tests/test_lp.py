@@ -113,7 +113,7 @@ class TestSolve:
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
         try:
             sol = fine_solve(poly, np.zeros(poly.n_cells))
-        except RuntimeError:
+        except kwrob.lp.SolverError:
             return
         assert np.max(np.abs(poly.A @ sol.table.pmf.ravel() - poly.b)) <= kwrob.lp.FEAS_TOL
 
@@ -132,7 +132,7 @@ class TestSolve:
             return SimpleNamespace(success=True, x=product_pmf(poly), eqlin=duals, nit=0, message="")
 
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
-        with pytest.raises(RuntimeError, match=r"objective 0\.0 is 0\.5 from its proven lower bound -0\.5"):
+        with pytest.raises(kwrob.lp.SolverError, match=r"objective 0\.0 is 0\.5 from its proven lower bound -0\.5"):
             fine_solve(poly, np.zeros(poly.n_cells))
 
     def test_solver_table_without_mass_raises(self, monkeypatch):
@@ -146,7 +146,7 @@ class TestSolve:
             return SimpleNamespace(success=True, x=np.zeros(len(c)), eqlin=duals, nit=0, message="")
 
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
-        with pytest.raises(RuntimeError, match="solver table has total mass 0.0"):
+        with pytest.raises(kwrob.lp.SolverError, match="solver table has total mass 0.0"):
             minimize_revenue(poly, AnonymousReserve(2.5))
 
     def test_bound_never_passes_the_optimum(self, rng, monkeypatch):
@@ -184,14 +184,14 @@ class TestSolve:
                         mp.setattr(kwrob.lp, "linprog", stub(None, duals))
                         try:
                             sol = kwrob.lp._solve(poly, c)
-                        except RuntimeError as exc:
+                        except kwrob.lp.SolverError as exc:
                             assert "proven lower bound" in str(exc)
                         else:
                             returned += 1
                             assert sol.objective - sol.duality_gap <= optimum + 1e-12
                         if suboptimal:
                             mp.setattr(kwrob.lp, "linprog", stub(product, duals))
-                            with pytest.raises(RuntimeError, match="proven lower bound"):
+                            with pytest.raises(kwrob.lp.SolverError, match="proven lower bound"):
                                 fine_solve(poly, c)
                             refused += 1
         assert returned > 0 and refused > 0
@@ -293,7 +293,7 @@ class TestQuotient:
             return SimpleNamespace(success=True, x=x, eqlin=duals, nit=0, message="")
 
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
-        with pytest.raises(RuntimeError, match="table violates constraints"):
+        with pytest.raises(kwrob.lp.SolverError, match="table violates constraints"):
             minimize_revenue(poly, AnonymousReserve(2.5))
 
     def test_dual_infeasible_quotient_certificate_raises(self, monkeypatch):
@@ -314,7 +314,7 @@ class TestQuotient:
             return SimpleNamespace(success=True, x=x, eqlin=duals, nit=0, message="")
 
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
-        with pytest.raises(RuntimeError, match="from its proven lower bound 0.0"):
+        with pytest.raises(kwrob.lp.SolverError, match="from its proven lower bound 0.0"):
             minimize_revenue(poly, AnonymousReserve(2.5))
 
     def test_quotient_matches_the_fine_lp(self, rng):
@@ -651,5 +651,5 @@ class TestStreamedRows:
             return SimpleNamespace(success=True, x=x, eqlin=duals, nit=0, message="")
 
         monkeypatch.setattr(kwrob.lp, "linprog", fake_linprog)
-        with pytest.raises(RuntimeError, match="table violates constraints"):
+        with pytest.raises(kwrob.lp.SolverError, match="table violates constraints"):
             kwrob.lp._solve(poly, c)

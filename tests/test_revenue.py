@@ -17,6 +17,7 @@ from conftest import (
     random_discrete,
     random_marginal,
     random_regular_discrete,
+    revenue_mc_buffered_reference,
     slot_mixtures,
     split_grids,
     table_q1q2_enumerate,
@@ -311,18 +312,92 @@ class TestMonteCarlo:
             assert est == revenue_mc(prior, mech, rows + 3, seed=7, block_size=rows)
             assert est != revenue_mc(prior, mech, rows + 3, seed=7, block_size=rows // 2)
 
-    def test_reused_buffer_keeps_every_block_draw(self):
-        # every block refills one buffer; a short last block (452 rows)
-        # takes its leading columns, and every block's draws are the ones
-        # a fresh sample gives
-        prior = myerson_counterexample(8, 1e-6)
+
+class TestMonteCarloAgainstBufferedBlocks:
+    """revenue_mc, which prices each group of a block's rows as its columns
+    are drawn, against the buffered path it replaced (sample +
+    mechanism_payments per block, summed in block order): the same
+    estimate, bit for bit."""
+
+    @staticmethod
+    def _same(prior, mech, n_samples, seed, block_size=None):
+        got = revenue_mc(prior, mech, n_samples, seed, block_size=block_size)
+        assert got == revenue_mc_buffered_reference(prior, mech, n_samples, seed, block_size)
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 301])
+    def test_constructions(self, n):
+        # a partial last block (2500 at 1024 and 2^14 + 3 at the default),
+        # and blocks of 1 and 4 rows, most of which miss a branch
+        for prior in (myerson_counterexample(n, 1e-6), uniform_q2_counterexample(n)):
+            for mech in (Myerson(list(prior.marginals)), AnonymousReserve(0.75)):
+                for n_samples, block in ((2500, 1024), ((1 << 14) + 3, None), (37, 4), (12, 1)):
+                    self._same(prior, mech, n_samples, 11, block)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(slot_mixtures(), st.floats(0.0, 10.0), st.integers(0, 2**31), st.integers(1, 700), st.sampled_from([None, 1, 3, 64, 256]))
+    def test_slot_mixtures(self, mix, r, seed, n_samples, block):
+        for mech in (Myerson(mix.marginals), AnonymousReserve(r)):
+            self._same(mix, mech, n_samples, seed, block)
+
+    def test_product_priors(self, rng):
+        pool = [EqualRevenue(1.0, 4.0), ShiftedEqualRevenue(1.0, 3.0, 0.5), Uniform(0.0, 2.0)]
+        for trial in range(12):
+            n = int(rng.integers(1, 7))
+            ms = [pool[k] if k < len(pool) else random_discrete(rng) for k in rng.integers(0, len(pool) + 1, size=n)]
+            for mech in (Myerson(ms), AnonymousReserve(float(rng.uniform(0.0, 4.0)))):
+                self._same(ProductPrior(ms), mech, int(rng.integers(1, 3000)), trial, int(rng.integers(1, 1200)))
+
+    def test_table_prior(self):
+        pmf = np.array([[0.1, 0.2], [0.3, 0.05], [0.15, 0.2]])
+        table = TablePrior([(0.0, 1.0, 2.0), (0.5, 1.5)], pmf)
+        marginals = [DiscretePMF([0.0, 1.0, 2.0], pmf.sum(axis=1)), DiscretePMF([0.5, 1.5], pmf.sum(axis=0))]
+        for mech in (Myerson(marginals), AnonymousReserve(1.0)):
+            self._same(table, mech, 5000, 4, 1024)
+
+    def test_bad_value_raises_the_buffered_error(self):
+        # bidder 0 is out of its Myerson marginal's support only in the
+        # small branch and bidder 1 only in the large one: a sweep of the
+        # large branch alone would name bidder 1, the whole block names
+        # bidder 0
+        u = Uniform(0.0, 1.0)
+        prior = MixturePrior(
+            [u, u],
+            [Branch(0.9, (Conditioned(u), FixedValue(1.5))), Branch(0.1, (FixedValue(1.25), Conditioned(u)))],
+        )
+        mech = Myerson([u, u])
+        with pytest.raises(DomainError) as buffered:
+            mechanism_payments(mech, sample(prior, np.random.default_rng([5, 0]), size=1000))
+        assert "of bidder 0" in str(buffered.value)
+        with pytest.raises(DomainError) as streamed:
+            revenue_mc(prior, mech, 1000, seed=5)
+        assert str(streamed.value) == str(buffered.value)
+
+    def test_value_off_a_discrete_marginal_raises_the_buffered_error(self):
+        m = DiscretePMF([1.0, 2.0], [0.5, 0.5])
+        prior = ProductPrior([m, Uniform(1.0, 2.0), m])
+        mech = Myerson([m, m, m])
+        with pytest.raises(DomainError) as buffered:
+            mechanism_payments(mech, sample(prior, np.random.default_rng([2, 0]), size=300))
+        with pytest.raises(DomainError, match="not in support") as streamed:
+            revenue_mc(prior, mech, 300, seed=2)
+        assert str(streamed.value) == str(buffered.value)
+
+    def test_peak_memory_far_below_a_sample_block(self):
+        # one block of samples at n = 300 is 301 bidders x 2^14 rows of
+        # float64, 39.5 MB; the streamed sweep holds one branch's column
+        # and its per-row state at a time
+        import tracemalloc
+
+        prior = myerson_counterexample(300, 1e-6)
         mech = Myerson(list(prior.marginals))
-        rows, block = 2500, 1024
-        total = 0.0
-        for b in range(3):
-            V = sample(prior, np.random.default_rng([3, b]), size=min(block, rows - b * block))
-            total += float(mechanism_payments(mech, V).sum())
-        assert revenue_mc(prior, mech, rows, seed=3, block_size=block).mean == total / rows
+        block = 8 * prior.n_bidders * (1 << 14)
+        tracemalloc.start()
+        try:
+            revenue_mc(prior, mech, 1 << 14, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block / 4, (peak, block)
 
 
 class TestIndependentClosedForms:
