@@ -83,7 +83,9 @@ def q1_count_bound(s: float) -> float:
 def tail_upper(s0: float) -> float:
     """Upper bound on the tail integral of Q2_ind above the normalization
     point, in terms of the expected count s0 there; maximised at s0 = 1
-    where it equals 9/4 - 4/e."""
+    where it equals 9/4 - 4/e.  A bound only at s0 = 1, the full budget
+    the certificates use; s0 < 1 fails (test_bounds.py::
+    TestTailUpperDominates::test_envelope_family_counterexample_small_s0)."""
     if not 0.0 <= s0 <= 1.0:
         raise DomainError("s0 must be in [0, 1]")
     if s0 == 0.0:
@@ -105,7 +107,8 @@ def q2_ind_far_threshold(s0: float) -> float:
 
 def q2_ind_far_bound(s0: float, tau: float) -> float:
     """Q2_ind(tau) <= ((2-s0)/s0 * tau + 1)^-2 for tau past the crossover
-    threshold 1 + 2 s0 / (2 - s0)^2."""
+    threshold 1 + 2 s0 / (2 - s0)^2.  A bound only at s0 = 1; s0 < 1 fails
+    (test_bounds.py::TestGridOracles::test_far_bound_fails_below_full_budget)."""
     if not 0.0 < s0 <= 1.0:
         raise DomainError("s0 must be in (0, 1]")
     if tau < q2_ind_far_threshold(s0) - 1e-12:
@@ -389,7 +392,8 @@ def certify_ar_constant(p_bar: float = 0.674) -> ARCertificate:
 
 
 def bounds_table_rows():
-    """Rows (bound_id, inputs, value) over fixed grids, for the CLI."""
+    """Rows (bound_id, inputs, value) over fixed grids, for the CLI.  The
+    tail_upper and q2_ind_far rows at s0 < 1 are formulas, not bounds."""
     rows = []
     s_grid = np.linspace(0.0, 5.0, 51)
     for s in s_grid:

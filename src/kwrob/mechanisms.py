@@ -15,14 +15,14 @@ One kernel runs both mechanisms: a sweep (`_sweep`) reads the bidders'
 value columns once, in bidder order, to find each row's winner and its
 strongest eligible competitor, and prices the winners.  Myerson winners pay
 `threshold_payment`, the threshold bid in closed form from the winner's
-marginal's virtual-value inverses.  `run_batch` sweeps the columns of a
-(rows x bidders) value matrix, and Monte Carlo (revenue.revenue_mc) sweeps
-columns as they are drawn.  `run_mechanism` is the one-row call, and
-`mechanism_payments` returns the kernel's payments for exact table revenue
-and the LP objective; the exact branch sweep
-calls `threshold_payment` over its whole key axis, shared by all bidders,
-once per distinct marginal against a competitor of lower and of higher
-index (`idx_star` -1 and n).
+marginal's virtual-value inverses.  `run_batch` sweeps the whole columns
+of a (rows x bidders) value matrix in one pass, and Monte Carlo
+(revenue.revenue_mc) sweeps columns as they are drawn.  `run_mechanism` is
+the one-row call, and `mechanism_payments` returns the kernel's payments
+for exact table revenue and the LP objective; the exact branch sweep calls
+`threshold_payment` over its whole key axis, shared by all bidders, once
+per distinct marginal against a competitor of lower and of higher index
+(`idx_star` -1 and n).
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .marginals import DomainError, Marginal
-
-# rows per piece of a sweep, whose per-row state fits a core's cache; also
-# revenue_mc's default Monte Carlo block, so one block is one piece
-_PIECE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -118,55 +114,43 @@ def _sweep(mech: Mechanism, n: int):
     checked columns of those rows (`_columns`) that returns the rows'
     winners and payments."""
     if isinstance(mech, AnonymousReserve):
-        return functools.partial(_ar_piece, mech)
+        return functools.partial(_ar_sweep, mech)
     if n != len(mech.marginals):
         raise DomainError(f"expected {len(mech.marginals)} values per row, got {n}")
     kinds = {}
     of_bidder = [kinds.setdefault(m, len(kinds)) for m in mech.marginals]
     kind_of = np.array(of_bidder + [-1], dtype=np.min_scalar_type(-1 - len(kinds)))  # -1: no sale
-    return functools.partial(_myerson_piece, mech, kind_of, len(kinds))
+    return functools.partial(_myerson_sweep, mech, kind_of, len(kinds))
 
 
 def run_batch(mech: Mechanism, V):
     """Winners (-1 for no sale) and payments of the auction on each row of
     a (rows x bidders) value matrix.
 
-    One pass over the bidders keeps, per row, the top two allocation keys:
-    AR ranks bidders by value and sells when the top value reaches r;
-    Myerson ranks eligible bidders (virtual value >= 0) by virtual value
-    and prices its winner against the second key with threshold_payment.
-    Ties go to the lower index.  The rows are swept in pieces of
-    _PIECE_ROWS, so the per-row state a sweep updates stays in cache.
-    Each column is checked through its min and max, and its comparisons
-    are written into masks allocated once per piece; Myerson's top two are
-    updated only on the rows where the bidder enters them, a few per row
-    over the whole sweep, and its winners are priced per distinct
-    marginal, not per bidder.  Raises
-    DomainError for a value that is not finite and nonnegative or that its
-    Myerson marginal cannot produce, naming the first such value in column
-    order.
+    One pass over whole columns, in bidder order, keeps per row the top
+    two allocation keys: AR ranks bidders by value and sells when the top
+    value reaches r; Myerson ranks eligible bidders (virtual value >= 0)
+    by virtual value and prices its winner against the second key with
+    threshold_payment.  Ties go to the lower index.  Each column is
+    checked through its min and max, and its comparisons are written into
+    masks allocated once per sweep; Myerson's top two are updated only on
+    the rows where the bidder enters them, a few per row over the whole
+    sweep, and its winners are priced per distinct marginal, not per
+    bidder.  Raises DomainError for a value that is not finite and
+    nonnegative or that its Myerson marginal cannot produce, naming the
+    first such value in column order.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise DomainError(f"expected a (rows, bidders) value matrix, got shape {V.shape}")
     rows, n = V.shape
     sweep = _sweep(mech, n)
-    winners, pays = np.empty(rows, dtype=int), np.empty(rows)
-    try:
-        for a in range(0, rows, _PIECE_ROWS):
-            piece = V[a : a + _PIECE_ROWS]
-            winners[a : a + _PIECE_ROWS], pays[a : a + _PIECE_ROWS] = sweep(len(piece), _columns(piece.T))
-    except DomainError:
-        # a piece names its own first bad value: raise the one a sweep of
-        # whole columns meets first
-        for i, v, _, _ in _columns(V.T):
-            if isinstance(mech, Myerson):
-                virtual_values(mech.marginals[i], v, i)
-        raise
-    return winners, pays
+    if rows == 0:
+        return np.empty(0, dtype=int), np.empty(0)
+    return sweep(rows, _columns(V.T))
 
 
-def _ar_piece(mech: AnonymousReserve, rows, columns):
+def _ar_sweep(mech: AnonymousReserve, rows, columns):
     """AR's sweep and prices on `rows` rows, given their checked columns."""
     top, second, winner = np.full(rows, -np.inf), np.full(rows, -np.inf), np.zeros(rows, dtype=int)
     above, low = np.empty(rows, dtype=bool), np.empty(rows)
@@ -178,7 +162,7 @@ def _ar_piece(mech: AnonymousReserve, rows, columns):
     return winner, np.where(winner >= 0, np.maximum(mech.r, second), 0.0)
 
 
-def _myerson_piece(mech: Myerson, kind_of, n_kinds, rows, columns):
+def _myerson_sweep(mech: Myerson, kind_of, n_kinds, rows, columns):
     """Myerson's sweep and pricing on `rows` rows, given their checked
     columns.  kind_of[i] numbers bidder i's marginal among the distinct
     ones (n_kinds of them), and kind_of[-1] is -1."""

@@ -40,7 +40,6 @@ import numpy as np
 
 from .marginals import DomainError, revenue_at_quantile
 from .mechanisms import (
-    _PIECE_ROWS,
     AnonymousReserve,
     Mechanism,
     Myerson,
@@ -66,6 +65,7 @@ from .priors import (
 from .quadrature import integrate
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+_MC_BLOCK_CAP = 1 << 14  # rows of revenue_mc's largest default block
 
 
 @dataclass(frozen=True)
@@ -294,16 +294,18 @@ def revenue_mc(
     same generator; a value the mechanism cannot take raises the error
     that call raises.
 
-    The default block size, which with the seed fixes every draw, is the
-    largest power of two up to one sweep piece, mechanisms._PIECE_ROWS =
-    2^14 rows, whose float64 block of samples, 8 bytes * rows * bidders,
-    would fit in 64 MiB: 2^14 rows for up to 512 bidders and fewer above
-    (2^13 at 601)."""
+    The default block size is the largest power of two up to
+    _MC_BLOCK_CAP = 2^14 rows whose float64 block of samples, 8 bytes *
+    rows * bidders, would fit in 64 MiB: 2^14 rows for up to 512 bidders
+    and fewer above (2^13 at 601).  No such block is built; the rule stays
+    because, with the seed, it fixes every draw."""
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     if block_size is None:
         fits = (1 << 26) // (8 * prior.n_bidders)
-        block_size = min(_PIECE_ROWS, 1 << max(fits.bit_length() - 1, 0))
+        block_size = min(_MC_BLOCK_CAP, 1 << max(fits.bit_length() - 1, 0))
+    elif not isinstance(block_size, (int, np.integer)) or block_size < 1:
+        raise DomainError(f"block_size must be an integer >= 1, got {block_size!r}")
     sweep = _sweep(mech, prior.n_bidders)
     s = ss = 0.0
     for b, start in enumerate(range(0, n_samples, block_size)):

@@ -15,7 +15,6 @@ from kwrob import (
     revenue_exact,
     run_mechanism,
 )
-from kwrob import mechanisms
 from kwrob.mechanisms import run_batch
 from kwrob.priors import (
     Branch,
@@ -311,12 +310,11 @@ class TestKernelAgainstParentSweep:
     """run_batch against the sweep that checked columns in three passes,
     made a new array per comparison, priced winners bidder by bidder and
     swept all rows at once: winners and payments bit for bit, dtypes and
-    error messages included, with the rows in one piece or in pieces of 7."""
+    error messages included."""
 
-    @pytest.fixture(params=[None, 7], ids=["one_piece", "pieces_of_7"], autouse=True)
-    def piece_rows(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(mechanisms, "_PIECE_ROWS", request.param)
+    @pytest.fixture(params=["one_piece"], autouse=True)
+    def whole_matrix(self):
+        """Each matrix goes to run_batch whole and is swept in one piece."""
 
     @staticmethod
     def _mechanisms(marginals, r):
@@ -347,7 +345,7 @@ class TestKernelAgainstParentSweep:
 
     def test_sampled_blocks(self, rng):
         for p in self._priors(rng):
-            for seed, size in ((1, 1), (2, 777), ([3, 0], 1 << 12)):
+            for seed, size in ((1, 1), (2, 777), ([3, 0], 1 << 12), ((4, 0), (1 << 14) + 5)):
                 V = sample(p, seed, size)
                 for mech in self._mechanisms(p.marginals, float(rng.uniform(0.2, 2.0))):
                     self._same(mech, V)
@@ -385,15 +383,26 @@ class TestKernelAgainstParentSweep:
 
     def test_first_bad_value_in_column_order(self):
         # bad values in a late row of column 2 and an early row of column 5:
-        # a sweep of whole columns meets column 2 first, whatever the pieces
+        # a sweep of whole columns meets column 2 first
         p = myerson_counterexample(8, 1e-6)
-        V = np.array(sample(p, 1, 50))
-        for early, late in ((np.nan, -1.0), (5.0, np.inf), (np.inf, 5.0)):
-            W = V.copy()
-            W[45, 2], W[3, 5] = late, early
-            for mech in self._mechanisms(p.marginals, 0.5):
-                with pytest.raises(DomainError) as got:
-                    run_batch(mech, W)
-                with pytest.raises(DomainError) as want:
-                    run_batch_reference(mech, W)
-                assert str(got.value) == str(want.value)
+        for rows in (50, (1 << 14) + 5):
+            V = np.array(sample(p, 1, rows))
+            for early, late in ((np.nan, -1.0), (5.0, np.inf), (np.inf, 5.0)):
+                W = V.copy()
+                W[rows - 5, 2], W[3, 5] = late, early
+                for mech in self._mechanisms(p.marginals, 0.5):
+                    with pytest.raises(DomainError) as got:
+                        run_batch(mech, W)
+                    with pytest.raises(DomainError) as want:
+                        run_batch_reference(mech, W)
+                    assert str(got.value) == str(want.value)
+
+    def test_zero_rows(self):
+        # no rows: empty winners and payments, but a Myerson matrix of the
+        # wrong width still fails its bidder count
+        ms = [Uniform(0.0, 1.0)] * 3
+        for mech in self._mechanisms(ms, 0.5):
+            winners, pays = run_batch(mech, np.empty((0, 3)))
+            assert (winners.shape, winners.dtype, pays.shape, pays.dtype) == ((0,), np.dtype(int), (0,), np.dtype(float))
+        with pytest.raises(DomainError, match="expected 3 values per row, got 2"):
+            run_batch(Myerson(ms), np.empty((0, 2)))

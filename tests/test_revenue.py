@@ -302,15 +302,22 @@ class TestMonteCarlo:
         assert est.mean == 4.0 and est.half_width_95 == 0.0
 
     def test_default_block_size_follows_bidders(self):
-        # the largest power of two up to one sweep piece (2^14 rows) whose
-        # sample buffer fits in 64 MiB: 2^14 rows at n = 64 (65 bidders) and
-        # n = 300, 2^13 at n = 600, where the 64 MiB cap binds
+        # the largest power of two up to 2^14 rows whose float64 block of
+        # samples would fit in 64 MiB: 2^14 rows at n = 64 (65 bidders) and
+        # n = 300, 2^13 at n = 600, where the 64 MiB cap binds.  No block of
+        # samples is built; the rule stays because, with the seed, it fixes
+        # every draw
         for n, rows in ((64, 1 << 14), (300, 1 << 14), (600, 1 << 13)):
             prior = myerson_counterexample(n, 1e-6)
             mech = AnonymousReserve(2.0 * n)  # sells when the big bidder clears 2n
             est = revenue_mc(prior, mech, rows + 3, seed=7)
             assert est == revenue_mc(prior, mech, rows + 3, seed=7, block_size=rows)
             assert est != revenue_mc(prior, mech, rows + 3, seed=7, block_size=rows // 2)
+
+    @pytest.mark.parametrize("block_size", [-5, 0, 2.5])
+    def test_block_size_not_a_positive_integer_raises(self, block_size):
+        with pytest.raises(DomainError, match="block_size must be an integer >= 1"):
+            revenue_mc(ProductPrior([Uniform(0, 1)] * 2), AnonymousReserve(0.5), 1000, 1, block_size=block_size)
 
 
 class TestMonteCarloAgainstBufferedBlocks:

@@ -1,5 +1,5 @@
 """Check that a change writes the same bytes as its parent on the
-benchmark's workloads.
+benchmark's workloads and on the CLI commands that no workload runs.
 
     python3 tools/same_outputs.py [--parent REV] [--change DIR] [--seed S] [--jobs 0,1,5 | 0-11] [--workload NAME ...]
 
@@ -9,11 +9,16 @@ tree, each workload's jobs are written by this checkout's
 bench/workloads.py, so both trees get the same inputs, into a run directory
 at the same path.  One fresh Python process with the tree's src first on
 sys.path then runs every op's argv through kwrob.cli.main, with BLAS
-threads pinned to 1.  Exit codes are compared first, then
-every file under each workload's directory, byte for byte; a .json file
-that differs is named with the top-level keys whose values differ.  Prints
-one line per workload and exits 1 on any difference.  Standard library
-only, apart from the numpy that bench/workloads.py imports.
+threads pinned to 1.  The same process then runs the cli-extra commands
+(`extra_ops`): `reproduce figure1|figure2|case1-2.91`, `bounds table`,
+and `revenue`, exact and mc under both mechanisms, on a table prior of
+3^9 cells, whose cell matrix is taller than the 2^14-row Monte Carlo
+block.  Exit codes are compared first, then every file under each
+workload's directory, byte for byte; a .json file that differs is named
+with the top-level keys whose values differ.  Prints one line per
+workload, then one for cli-extra, and exits 1 on any difference.
+Standard library only, apart from numpy, which bench/workloads.py imports
+too.
 """
 
 import argparse
@@ -23,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from trees import ROOT, THREADS, export
 
@@ -47,15 +54,39 @@ print(json.dumps({"kwrob": kwrob.cli.__file__, "codes": codes}))
 """
 
 
+EXTRA = "cli-extra"
+
+
+def extra_ops(out, seed):
+    """(op name, argv) of each CLI command that no workload runs, its
+    outputs under out/<op name>.  The revenue configs share one table
+    prior on 9 bidders with values 1, 2 and 3: a pmf of 3^9 = 19,683
+    cells, every one with mass, drawn from `seed`."""
+    out.mkdir(parents=True)
+    weights = np.random.default_rng(seed).integers(1, 10, size=(3,) * 9)
+    prior = {"type": "table", "supports": [[1.0, 2.0, 3.0]] * 9, "pmf": (weights / weights.sum()).tolist()}
+    ops = [(t, ["reproduce", t]) for t in ("figure1", "figure2", "case1-2.91")] + [("bounds", ["bounds", "table"])]
+    for mode in ("exact", "mc"):
+        for mech in ({"type": "myerson"}, {"type": "ar", "r": 2.0}):
+            name = f"revenue_table_{mode}_{mech['type']}"
+            cfg = {"prior": prior, "mechanism": mech, "mode": mode, "seed": seed, "samples": 20_000}
+            (out / f"{name}.json").write_text(json.dumps(cfg))
+            ops.append((name, ["revenue", "--config", out / f"{name}.json"]))
+    return [(name, argv + ["--out", out / name]) for name, argv in ops]
+
+
 def run_tree(tree, run_dir, workloads, seed, jobs):
-    """Write every job's inputs under run_dir/<workload>, then run every op
-    with tree's kwrob; {workload: [(op name, exit code)]}."""
+    """Write every job's inputs under run_dir/<workload> and the cli-extra
+    inputs under run_dir/cli-extra, then run every op with tree's kwrob;
+    {workload or cli-extra: [(op name, exit code)]}."""
     ops = {}
     for name in workloads:
         wl = WORKLOADS[name](seed, run_dir / name)
         wl.setup()
-        ops[name] = [op for j in jobs for op in wl.write_job(j, run_dir / name / f"job{j}")[0]]
-    argvs = [[str(a) for a in op.argv] for name in workloads for op in ops[name]]
+        job_ops = [op for j in jobs for op in wl.write_job(j, run_dir / name / f"job{j}")[0]]
+        ops[name] = [(str(op.out.relative_to(run_dir / name)), op.argv) for op in job_ops]
+    ops[EXTRA] = extra_ops(run_dir / EXTRA, seed)
+    argvs = [[str(a) for a in argv] for name in ops for _, argv in ops[name]]
     env = {**os.environ, **THREADS}
     res = subprocess.run(
         [sys.executable, "-c", CHILD, str(Path(tree, "src").resolve())],
@@ -65,7 +96,7 @@ def run_tree(tree, run_dir, workloads, seed, jobs):
     if not Path(out["kwrob"]).resolve().is_relative_to(Path(tree).resolve()):
         raise RuntimeError(f"{tree}: ran kwrob from {out['kwrob']}")
     codes = iter(out["codes"])
-    return {name: [(str(op.out.relative_to(run_dir / name)), next(codes)) for op in ops[name]] for name in workloads}
+    return {name: [(op, next(codes)) for op, _ in ops[name]] for name in ops}
 
 
 def files(root):
@@ -125,7 +156,7 @@ def main(argv=None):
             codes[side] = run_tree(tree, run_dir, workloads, args.seed, jobs)
             run_dir.rename(base / side)
         print(f"parent {sha[:12]}, change {args.change}, seed {args.seed}, jobs {jobs}")
-        results = [compare(name, base, codes) for name in workloads]
+        results = [compare(name, base, codes) for name in [*workloads, EXTRA]]
     for line, _ in results:
         print(line)
     return int(any(bad for _, bad in results))
